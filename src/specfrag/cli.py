@@ -9,9 +9,10 @@ output file.
 Configuration comes from flags, or from a JSON file via --config with
 flags overriding file values. The output directory falls back to the
 SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
-Identical config and seed produce byte-identical CSVs on one platform:
-floats are written with repr (shortest round-trip) and the timestamp lives
-only in the manifest.
+Identical config and seed produce byte-identical CSVs on one platform with
+the BLAS thread setting held fixed, whatever --threads says: scan points run
+in order, floats are written with repr (shortest round-trip) and the
+timestamp lives only in the manifest.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
 message names the module and the scan point).
@@ -24,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,7 +116,13 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--output", "-o", type=Path, help="output directory")
         q.add_argument("--seed", type=int)
         q.add_argument("--metrics", help="comma list from: " + ",".join(KNOWN_METRICS))
-        q.add_argument("--threads", type=int, help="worker threads (default: cpu count)")
+        q.add_argument(
+            "--threads",
+            type=int,
+            help="accepted, checked (>= 1) and echoed in the manifest; scan "
+            "points run in order, and BLAS's own threads are the only "
+            "parallel layer (default: cpu count)",
+        )
         q.add_argument(
             "--selection",
             choices=[s.value for s in StateSelection],
@@ -305,8 +311,7 @@ def _run_henon_heiles(config: ExperimentConfig):
             row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
         return row
 
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        rows = list(pool.map(point, scan))
+    rows = [point(n) for n in scan]
 
     critical: dict = {}
     if "w-pt" in want:
@@ -390,8 +395,7 @@ def _run_kepler(config: ExperimentConfig):
             raise NumericalError(f"kepler-model at scan point gamma={gamma!r}: {exc}") from exc
         return row
 
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        rows = list(pool.map(point, cfg.gamma_grid))
+    rows = [point(gamma) for gamma in cfg.gamma_grid]
 
     critical: dict = {}
     if "w-pt" in want:

@@ -140,10 +140,17 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
 
 
 def build_h(cfg: HHConfig) -> SymmetricMatrix:
-    """Full Hamiltonian H0 + lambda*V."""
+    """Full Hamiltonian H0 + lambda*V.
+
+    Declares the exact Z2 symmetry it has: the parity of n1 (the reflection
+    q1 -> -q1 of the potential's C3v symmetry), so eigh solves the even-n1
+    and odd-n1 states as separate blocks.
+    """
+    states, _ = enumerate_basis(cfg)
     h0 = build_h0(cfg)
     v = build_v(cfg)
-    return SymmetricMatrix(h0.entries + cfg.lam * v.entries)
+    parity = [(-1.0) ** s.n1 for s in states]
+    return SymmetricMatrix(h0.entries + cfg.lam * v.entries, sign=parity)
 
 
 def bound_energy_ceiling(lam: float) -> float:

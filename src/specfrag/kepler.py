@@ -140,7 +140,7 @@ def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
     pmax = cfg.max_n - 1
     rules = {k: roots_genlaguerre(nodes, k) for k in (1, 2)}
     rho2 = np.zeros((dim, dim))
-    shells = {g.label: np.asarray(g.indices) for g in partition.groups}
+    starts = {g.label: g.indices[0] for g in partition.groups}
 
     for n in range(1, cfg.max_n + 1):
         for npr in range(n, cfg.max_n + 1):
@@ -157,17 +157,16 @@ def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
                     # n1<->n2 exchange holds bitwise
                     j[k] = 0.5 * (j[k] + j[k].T)
             pref = (math.sqrt(2.0) / n ** 2) * (math.sqrt(2.0) / npr ** 2) / 4.0
-            bra = shells[n]
-            ket = shells[npr]
-            for bi, i in enumerate(bra):
-                p1 = bi  # n1 of the bra state, by enumeration order
-                p2 = n - 1 - bi
-                for kj, jdx in enumerate(ket):
-                    q1 = kj
-                    q2 = npr - 1 - kj
-                    val = pref * (j[2][p1, q1] * j[1][p2, q2] + j[1][p1, q1] * j[2][p2, q2])
-                    rho2[i, jdx] = val
-                    rho2[jdx, i] = val
+            # bra |p1 p2> = |bi, n-1-bi>, ket |q1 q2> = |kj, npr-1-kj>, by
+            # enumeration order; reversed slices give the p2, q2 axes
+            block = pref * (
+                j[2][:n, :npr] * j[1][n - 1::-1, npr - 1::-1]
+                + j[1][:n, :npr] * j[2][n - 1::-1, npr - 1::-1]
+            )
+            bra = slice(starts[n], starts[n] + n)
+            ket = slice(starts[npr], starts[npr] + npr)
+            rho2[bra, ket] = block
+            rho2[ket, bra] = block.T
     return rho2
 
 
@@ -200,11 +199,18 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None
 
     gamma = 0 returns the bare Coulomb diagonal. Pass a prebuilt rho2 to
     amortize the quadrature across a gamma scan.
+
+    For gamma > 0 the matrix declares its exact Z2 symmetry, the n1 <-> n2
+    exchange (z-parity), so eigh solves its two sectors as separate blocks.
+    The diagonal gamma = 0 matrix declares none: its basis states already
+    are its eigenvectors, and the sectors' +-1/sqrt(2) combinations would
+    only add roundoff to them.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")
     states, _ = enumerate_parabolic_basis(cfg)
     h = np.diag([s.energy for s in states])
+    exchange = None
     if gamma > 0:
         if rho2 is None:
             rho2 = build_rho2(cfg)
@@ -213,7 +219,9 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None
                 f"rho2 has dim {rho2.dim} but the basis holds {len(states)} states"
             )
         h = h + (gamma * gamma / 8.0) * rho2.entries
-    return SymmetricMatrix(h)
+        # within a shell, |n2 n1> sits n2 - n1 places after |n1 n2>
+        exchange = [i + s.n2 - s.n1 for i, s in enumerate(states)]
+    return SymmetricMatrix(h, perm=exchange)
 
 
 def scaled_energy(e: float, gamma: float) -> float:

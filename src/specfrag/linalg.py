@@ -1,18 +1,21 @@
 """Dense real-symmetric linear algebra underneath the fragmentation metrics.
 
-Every matrix in this package is small (a few hundred rows), so storage is
-plain dense float64 throughout. Decompositions are validated on the spot:
-orthogonality, residual and completeness checks run right after each solve,
-and a violation raises ConvergenceError instead of letting bad numbers
-propagate into the metrics.
+Every matrix in this package is small (a few hundred to a few thousand
+rows), so storage is plain dense float64 throughout. A matrix may declare
+an exact Z2 symmetry, a signed involution of its basis; construction checks
+bitwise that the matrix commutes with it, and eigh then solves the even and
+odd sectors as separate blocks. Decompositions are validated on the spot:
+orthogonality, residual and completeness checks run on every block right
+after its solve, and a violation raises ConvergenceError instead of letting
+bad numbers propagate into the metrics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, InputError
 
@@ -23,29 +26,52 @@ BLOCK_UNITARY_TOL = 1e-12
 
 
 class SymmetricMatrix:
-    """Dense real symmetric matrix.
+    """Dense real symmetric matrix with an optional exact Z2 symmetry.
 
     The lower triangle of the input is authoritative; construction mirrors
     it onto the upper triangle, so ``entries[i, j] == entries[j, i]`` holds
-    exactly (bitwise), not merely within roundoff. Entries are frozen after
-    construction and safe to share across threads.
+    exactly (bitwise), not merely within roundoff.
+
+    The symmetry is a signed involution P of the basis,
+    ``(P x)[i] = sign[i] * x[perm[i]]``, with ``perm[perm[i]] == i`` and
+    ``sign[perm[i]] == sign[i]`` in {+1, -1}. Omitted, perm defaults to the
+    identity and sign to all +1; with both omitted P is the identity and the
+    matrix has one symmetry sector. A declared P must commute with the
+    matrix exactly: ``entries[i, j] == sign[i] * sign[j] *
+    entries[perm[i], perm[j]]`` for every pair, else InputError.
+
+    Entries, perm and sign are frozen after construction and safe to share
+    across threads.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "perm", "sign")
 
-    def __init__(self, entries) -> None:
+    def __init__(self, entries, perm=None, sign=None) -> None:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
+        dim = a.shape[0]
+        if dim < 1:
             raise InputError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
         lower = np.tril(a)
         full = lower + lower.T
+        del lower
         np.fill_diagonal(full, a.diagonal())
-        full.flags.writeable = False
+        declared = perm is not None or sign is not None
+        p, sgn = _involution(dim, perm, sign)
+        if declared:
+            pfp = full.take(p, axis=0).take(p, axis=1)
+            pfp *= sgn[:, None]
+            pfp *= sgn
+            if not np.array_equal(pfp, full):
+                raise InputError("matrix does not commute with its declared symmetry")
+        for arr in (full, p, sgn):
+            arr.flags.writeable = False
         object.__setattr__(self, "entries", full)
+        object.__setattr__(self, "perm", p)
+        object.__setattr__(self, "sign", sgn)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMatrix is immutable")
@@ -56,6 +82,20 @@ class SymmetricMatrix:
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"
+
+
+def _involution(dim: int, perm, sign) -> tuple[np.ndarray, np.ndarray]:
+    p = np.arange(dim) if perm is None else np.array(perm)
+    sgn = np.ones(dim) if sign is None else np.array(sign, dtype=float)
+    if p.shape != (dim,) or sgn.shape != (dim,):
+        raise InputError(f"symmetry perm and sign must each hold {dim} entries")
+    if not np.issubdtype(p.dtype, np.integer) or p.min() < 0 or p.max() >= dim:
+        raise InputError(f"symmetry perm must hold basis indices in [0, {dim - 1}]")
+    if not np.array_equal(p[p], np.arange(dim)):
+        raise InputError("symmetry perm is not an involution")
+    if not np.all(np.abs(sgn) == 1.0) or not np.array_equal(sgn[p], sgn):
+        raise InputError("symmetry sign must be +1 or -1 and equal on each swapped pair")
+    return p, sgn
 
 
 @dataclass(frozen=True)
@@ -127,46 +167,125 @@ class ShellPartition:
 def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, validated.
 
+    Each sector of the matrix's Z2 symmetry (one sector when none is
+    declared) is gathered into its own block and solved with LAPACK's
+    divide-and-conquer driver (numpy.linalg.eigh). SymmetricMatrix checked
+    bitwise that the symmetry commutes with the matrix, so no entry couples
+    two sectors and the blocks are exact. Every block is checked for
+    orthogonality, residual (against the block's own Frobenius norm) and
+    completeness at the module tolerances. The blocks' eigenvectors are
+    then written back in the full basis, with the eigenvalues merged into
+    one ascending order; a stable merge keeps equal eigenvalues in sector
+    order, so the result is deterministic.
+
     Raises InputError for non-finite entries and ConvergenceError (naming
-    the matrix dimension) if the solver fails or the result violates the
-    orthogonality / residual / completeness tolerances.
+    the full matrix dimension) if a block solve fails or violates a
+    tolerance.
     """
     h = m.entries
     if not np.all(np.isfinite(h)):
         raise InputError("matrix entries must be finite")
-    try:
-        vals, vecs = scipy.linalg.eigh(h)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise ConvergenceError(
-            f"eigensolver did not converge on a {m.dim}x{m.dim} matrix"
-        ) from exc
-
     dim = m.dim
-    ortho = np.abs(vecs.T @ vecs - np.eye(dim)).max()
-    if ortho > ORTHOGONALITY_TOL:
-        raise ConvergenceError(
-            f"eigenvectors of a {dim}x{dim} matrix lost orthogonality "
-            f"(deviation {ortho:.3e})"
-        )
-    fro = np.linalg.norm(h)
-    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0).max()
-    if residual > RESIDUAL_TOL * fro:
-        raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance for a "
-            f"{dim}x{dim} matrix (|H|_F = {fro:.3e})"
-        )
-    completeness = np.abs((vecs ** 2).sum(axis=1) - 1.0).max()
-    if completeness > COMPLETENESS_TOL:
-        raise ConvergenceError(
-            f"eigenvector completeness defect {completeness:.3e} on a "
-            f"{dim}x{dim} matrix"
-        )
-    if np.any(np.diff(vals) < 0):
-        raise ConvergenceError(f"eigenvalues of a {dim}x{dim} matrix not ascending")
+    sectors = _sectors(m.perm, m.sign)
+    solved = [_solve_block(sec.block(h), dim) for sec in sectors]
+
+    vals = np.concatenate([v for v, _ in solved])
+    order = np.argsort(vals, kind="stable")
+    cols = np.empty(dim, dtype=int)
+    cols[order] = np.arange(dim)
+    vecs = np.zeros((dim, dim))
+    start = 0
+    for sec, (_, y) in zip(sectors, solved):
+        sec.scatter(y, vecs, cols[start:start + sec.size])
+        start += sec.size
+    vals = vals[order]
 
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """Orthonormal basis of one eigenspace of a signed involution P: the
+    fixed basis states (perm[i] == i) whose sign is the eigenvalue s, then
+    one vector (e_r + coef * e_q) / sqrt(2) per swapped pair r < q =
+    perm[r], with coef = s * sign[q]."""
+
+    fixed: np.ndarray
+    reps: np.ndarray
+    partners: np.ndarray
+    coef: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.fixed.size + self.reps.size
+
+    def block(self, h: np.ndarray) -> np.ndarray:
+        # Index gathers only. Because H = PHP holds bitwise, the partner
+        # terms of each matrix element collapse exactly onto the ones kept
+        # here, and the block comes out bitwise symmetric.
+        nf = self.fixed.size
+        b = np.empty((self.size, self.size))
+        b[:nf, :nf] = h[np.ix_(self.fixed, self.fixed)]
+        b[nf:, :nf] = _SQRT2 * h[np.ix_(self.reps, self.fixed)]
+        b[:nf, nf:] = b[nf:, :nf].T
+        b[nf:, nf:] = h[np.ix_(self.reps, self.reps)] + h[np.ix_(self.reps, self.partners)] * self.coef
+        return b
+
+    def scatter(self, y: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
+        """Write the full-basis coefficients of the block eigenvectors y
+        (one per column) into the columns cols of out."""
+        nf = self.fixed.size
+        out[np.ix_(self.fixed, cols)] = y[:nf]
+        pair = y[nf:] / _SQRT2
+        out[np.ix_(self.reps, cols)] = pair
+        out[np.ix_(self.partners, cols)] = self.coef[:, None] * pair
+
+
+def _sectors(perm: np.ndarray, sign: np.ndarray) -> list[_Sector]:
+    """The nonempty sectors of P, even (s = +1) first."""
+    idx = np.arange(perm.size)
+    fixed = idx[perm == idx]
+    reps = idx[perm > idx]
+    partners = perm[reps]
+    sectors = [
+        _Sector(fixed[sign[fixed] == s], reps, partners, s * sign[partners])
+        for s in (1.0, -1.0)
+    ]
+    return [sec for sec in sectors if sec.size]
+
+
+def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of one symmetry block of a dim x dim matrix, validated."""
+    k = b.shape[0]
+    where = f"a {k}x{k} block of a {dim}x{dim} matrix"
+    try:
+        vals, vecs = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge on {where}") from exc
+
+    ortho = np.abs(vecs.T @ vecs - np.eye(k)).max()
+    if ortho > ORTHOGONALITY_TOL:
+        raise ConvergenceError(
+            f"eigenvectors of {where} lost orthogonality (deviation {ortho:.3e})"
+        )
+    fro = np.linalg.norm(b)
+    residual = np.linalg.norm(b @ vecs - vecs * vals, axis=0).max()
+    if residual > RESIDUAL_TOL * fro:
+        raise ConvergenceError(
+            f"eigenpair residual {residual:.3e} exceeds tolerance for {where} "
+            f"(block |H|_F = {fro:.3e})"
+        )
+    completeness = np.abs((vecs ** 2).sum(axis=1) - 1.0).max()
+    if completeness > COMPLETENESS_TOL:
+        raise ConvergenceError(f"eigenvector completeness defect {completeness:.3e} on {where}")
+    if np.any(np.diff(vals) < 0):
+        raise ConvergenceError(f"eigenvalues of {where} not ascending")
+    return vals, vecs
 
 
 def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> np.ndarray:

@@ -101,6 +101,18 @@ class TestRun:
         assert ma["config_sha256"] == mb["config_sha256"]
         assert ma["critical"] == mb["critical"]
 
+    def test_kepler_byte_determinism(self, tmp_path):
+        args = ["run", "--system", "kepler", "--max-n", "8", "--target-shell", "4",
+                "--gamma-grid", "0.004,0.008,0.016", "--seed", "5"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["-o", str(a), "--threads", "1"]) == 0
+        assert main(args + ["-o", str(b), "--threads", "3"]) == 0
+        assert (a / "kepler_curves.csv").read_bytes() == (b / "kepler_curves.csv").read_bytes()
+        ma = json.loads((a / "manifest.json").read_text())
+        mb = json.loads((b / "manifest.json").read_text())
+        assert ma["config_sha256"] == mb["config_sha256"]
+        assert ma["critical"] == mb["critical"]
+
     def test_lambda_zero_no_mixing(self, tmp_path):
         out = tmp_path / "frozen"
         assert main(

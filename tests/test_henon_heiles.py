@@ -164,6 +164,13 @@ class TestH:
         )
         np.testing.assert_allclose(full, block_union, atol=1e-12)
 
+    def test_declares_n1_parity(self):
+        cfg = HHConfig(num_shells=10)
+        states, _ = enumerate_basis(cfg)
+        h = build_h(cfg)
+        np.testing.assert_array_equal(h.perm, np.arange(len(states)))
+        np.testing.assert_array_equal(h.sign, [(-1.0) ** s.n1 for s in states])
+
 
 def test_bound_energy_ceiling():
     assert bound_energy_ceiling(1.0) == pytest.approx(1.0 / 6.0)

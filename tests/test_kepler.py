@@ -117,6 +117,17 @@ class TestHamiltonian:
         expected = np.diag([shell_energy(s.n) for s in states])
         np.testing.assert_array_equal(h.entries, expected)
 
+    def test_declares_exchange_only_when_coupled(self):
+        cfg = small_cfg(5)
+        states, _ = enumerate_parabolic_basis(cfg)
+        swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
+        h = build_h(cfg, 1e-3)
+        np.testing.assert_array_equal(h.perm, swap)
+        np.testing.assert_array_equal(h.sign, np.ones(len(states)))
+        # the diagonal gamma = 0 matrix stays unblocked, so its eigenvectors
+        # are exactly the basis states
+        np.testing.assert_array_equal(build_h(cfg, 0.0).perm, np.arange(len(states)))
+
     def test_gamma_difference_is_scaled_rho2(self):
         cfg = small_cfg(5)
         rho2 = build_rho2(cfg)

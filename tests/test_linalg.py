@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from specfrag.errors import InputError
+from specfrag import henon_heiles, kepler
+from specfrag.errors import ConvergenceError, InputError
 from specfrag.linalg import (
     BLOCK_UNITARY_TOL,
     ShellGroup,
@@ -93,6 +94,114 @@ class TestEigh:
         d = eigh(SymmetricMatrix(np.eye(3)))
         with pytest.raises(ValueError):
             d.eigenvalues[0] = 9.0
+
+
+def record_block_sizes(monkeypatch) -> list[int]:
+    """Sizes of the blocks handed to the LAPACK solver from here on."""
+    sizes: list[int] = []
+    solve = np.linalg.eigh
+
+    def recording(a):
+        sizes.append(a.shape[0])
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+def commuting_matrix(perm, sign, seed):
+    """A random symmetric matrix A + PAP, which commutes with P exactly."""
+    a = np.random.default_rng(seed).standard_normal((len(perm), len(perm)))
+    a = a + a.T
+    sign = np.asarray(sign, dtype=float)
+    return a + a[np.ix_(perm, perm)] * np.outer(sign, sign)
+
+
+class TestSymmetryBlocks:
+    # fixed points with both signs and swapped pairs with both signs
+    PERM = [0, 4, 2, 5, 1, 3, 6]
+    SIGN = [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
+
+    def test_blocked_matches_one_sector(self, monkeypatch):
+        h = commuting_matrix(self.PERM, self.SIGN, seed=21)
+        blocked = SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN)
+        sizes = record_block_sizes(monkeypatch)
+        d = eigh(blocked)
+        assert sizes == [4, 3]  # even: 2 fixed + 2 pairs; odd: 1 fixed + 2 pairs
+        ref = eigh(SymmetricMatrix(h))
+        np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, atol=1e-12 * np.linalg.norm(h))
+        rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
+        assert np.abs(rebuilt - h).max() <= 1e-10 * np.abs(h).max()
+        assert np.abs(d.eigenvectors.T @ d.eigenvectors - np.eye(7)).max() <= 1e-10
+
+    def test_undeclared_is_trivial_symmetry(self):
+        m = SymmetricMatrix(np.eye(3))
+        np.testing.assert_array_equal(m.perm, [0, 1, 2])
+        np.testing.assert_array_equal(m.sign, [1.0, 1.0, 1.0])
+
+    def test_rejects_non_commuting_symmetry(self):
+        h = np.array([[1.0, 0.5], [0.5, 2.0]])
+        with pytest.raises(InputError, match="commute"):
+            SymmetricMatrix(h, perm=[1, 0])  # the swap needs equal diagonals
+        with pytest.raises(InputError, match="commute"):
+            SymmetricMatrix(h, sign=[1.0, -1.0])  # parity needs zero coupling
+        off = commuting_matrix(self.PERM, self.SIGN, seed=5)
+        off[3, 0] = np.nextafter(off[3, 0], np.inf)
+        with pytest.raises(InputError, match="commute"):
+            SymmetricMatrix(off, perm=self.PERM, sign=self.SIGN)
+
+    def test_rejects_non_involution(self):
+        with pytest.raises(InputError, match="involution"):
+            SymmetricMatrix(np.eye(3), perm=[1, 2, 0])
+
+    def test_rejects_malformed_symmetry(self):
+        with pytest.raises(InputError):
+            SymmetricMatrix(np.eye(3), perm=[0, 1])
+        with pytest.raises(InputError):
+            SymmetricMatrix(np.eye(3), perm=[0, 1, 3])
+        with pytest.raises(InputError):
+            SymmetricMatrix(np.eye(3), sign=[1.0, 0.5, 1.0])
+        with pytest.raises(InputError):
+            SymmetricMatrix(np.eye(3), perm=[1, 0, 2], sign=[1.0, -1.0, 1.0])
+
+    def test_failed_block_solve_names_full_dimension(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("synthetic")
+
+        h = commuting_matrix(self.PERM, self.SIGN, seed=2)
+        m = SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="4x4 block of a 7x7 matrix"):
+            eigh(m)
+
+
+def hh30():
+    cfg = henon_heiles.HHConfig(num_shells=30)
+    return henon_heiles.build_h(cfg), henon_heiles.enumerate_basis(cfg)[1]
+
+
+def kepler20():
+    cfg = kepler.KeplerConfig(max_n=20)
+    return kepler.build_h(cfg, cfg.gamma_grid[-1]), kepler.enumerate_parabolic_basis(cfg)[1]
+
+
+@pytest.mark.parametrize("build, sizes", [(hh30, [240, 225]), (kepler20, [110, 100])])
+def test_builder_blocks_match_one_sector_solve(build, sizes, monkeypatch):
+    """The builders' declared symmetries split the solve into the expected
+    sectors without moving the spectrum or any shell's projections."""
+    h, partition = build()
+    ref = eigh(SymmetricMatrix(h.entries))
+    solved = record_block_sizes(monkeypatch)
+    d = eigh(h)
+    assert solved == sizes
+    assert np.abs(d.eigenvalues - ref.eigenvalues).max() <= 1e-12 * np.linalg.norm(h.entries)
+    for g in partition.groups:
+        np.testing.assert_allclose(
+            projection_onto_subset(d, g.indices),
+            projection_onto_subset(ref, g.indices),
+            rtol=0,
+            atol=1e-10,
+        )
 
 
 class TestProjection:
