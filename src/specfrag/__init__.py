@@ -22,8 +22,6 @@ from .linalg import (
     ShellPartition,
     SpectralDecomposition,
     SymmetricMatrix,
-    dump_decomposition_csv,
-    dump_matrix_csv,
     eigh,
     projection_onto_subset,
     random_block_unitary,
@@ -64,8 +62,6 @@ __all__ = [
     "eigh",
     "projection_onto_subset",
     "random_block_unitary",
-    "dump_matrix_csv",
-    "dump_decomposition_csv",
     "StrengthFunction",
     "ChaosReport",
     "CriticalResult",

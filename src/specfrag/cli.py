@@ -15,24 +15,26 @@ in order, floats are written with repr (shortest round-trip) and the
 timestamp lives only in the manifest.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
-message names the module and the scan point).
+message names the module and, where each point has its own solve, the scan
+point).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import __version__, henon_heiles, kepler, metrics
 from .errors import ConfigurationError, InputError, NumericalError
-from .linalg import eigh, projection_onto_subset
+from .linalg import ShellGroup, SpectralDecomposition, eigh, projection_onto_subset
 from .metrics import StateSelection, critical_parameter, spreading_width, strength_function
 
 KNOWN_METRICS = ("w-pt", "w-exact", "kappa", "strength-function")
@@ -274,71 +276,110 @@ def _crossing_entry(curve, threshold: float, axis: str) -> tuple:
     return res.critical, bracket
 
 
-def _run_henon_heiles(config: ExperimentConfig):
+@dataclass(frozen=True)
+class _Point:
+    """One scan point: the row's axis columns (plus w_pt when asked for),
+    the shell under study, the exact solve with the name a failure of it
+    goes by, and the map from the selected states' mean eigenvalue to the
+    row's exact-energy column."""
+
+    row: dict
+    group: ShellGroup
+    where: str
+    solve: Callable[[], SpectralDecomposition]
+    exact_energy: Callable[[float], float]
+
+
+@dataclass(frozen=True)
+class _System:
+    """What the scan driver needs to know about one worked system's scan
+    as a whole."""
+
+    columns: tuple[str, ...]  # the first one labels strength-function rows
+    curve_file: str
+    axis: str  # crossing axis name; the critical keys end in it
+    axis_column: str
+    exact_column: str
+    d0: float | None  # unperturbed spacing for kappa; None leaves kappa out
+
+
+def _solve(point: _Point) -> SpectralDecomposition:
+    try:
+        return point.solve()
+    except NumericalError as exc:
+        raise NumericalError(f"{point.where}: {exc}") from exc
+
+
+def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -> dict:
+    row = dict(point.row)
+    idx = point.group.indices
+    if "w-exact" in config.metrics:
+        picked = metrics.select_eigenstates(
+            decomp, idx, config.selection, shell_energy=point.group.energy
+        )
+        proj = projection_onto_subset(decomp, idx)
+        row["w_exact"] = float(1.0 - proj[picked].mean())
+        row[system.exact_column] = point.exact_energy(float(decomp.eigenvalues[picked].mean()))
+    if "kappa" in config.metrics:
+        width = spreading_width(strength_function(decomp, idx, label=point.group.label))
+        row["gamma_spr"] = width
+        if system.d0 is not None:
+            row["kappa"] = width / system.d0
+    if "strength-function" in config.metrics:
+        sf = strength_function(decomp, idx, label=point.group.label)
+        row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
+    return row
+
+
+def _scan(config: ExperimentConfig, system: _System, points: list[_Point]) -> tuple[list, dict]:
+    """Rows and critical values of one scan, points in order. Each point's
+    decomposition is released when its row is done, before the next solve."""
+    exact = bool(set(config.metrics) & EXACT_METRICS)
+    rows = [_measure(system, p, _solve(p) if exact else None, config) for p in points]
+    critical: dict = {}
+    suffix = system.axis.replace("-", "_")
+    for metric, column, threshold, name in (
+        ("w-pt", "w_pt", 0.5, "pt"),
+        ("w-exact", "w_exact", 0.5, "exact"),
+        ("kappa", "kappa", 1.0, "kappa"),
+    ):
+        if metric in config.metrics and (column != "kappa" or system.d0 is not None):
+            key = f"{name}_critical_{suffix}"
+            critical[key], critical[key + "_bracket"] = _crossing_entry(
+                [(r[system.axis_column], r[column]) for r in rows], threshold, system.axis
+            )
+    return rows, critical
+
+
+def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
     cfg = config.hh
-    states, partition = henon_heiles.enumerate_basis(cfg)
+    _, partition = henon_heiles.enumerate_basis(cfg)
     v = henon_heiles.build_v(cfg)
-    want = set(config.metrics)
-    decomp = None
-    if want & EXACT_METRICS:
-        try:
-            decomp = eigh(henon_heiles.build_h(cfg))
-        except NumericalError as exc:
-            raise NumericalError(f"henon-heiles-model eigendecomposition: {exc}") from exc
 
+    # one decomposition serves every shell of the scan
+    solve = functools.cache(lambda: eigh(henon_heiles.build_h(cfg)))
     lo, hi = config.shell_range
-    scan = list(range(lo, hi + 1))
-
-    def point(n: int) -> dict:
+    points = []
+    for n in range(lo, hi + 1):
         group = partition.group(n)
         row: dict = {"shell": n, "energy": group.energy}
-        if "w-pt" in want:
+        if "w-pt" in config.metrics:
             row["w_pt"] = metrics.w_perturbative(v, partition, n, cfg.lam)
-        if "w-exact" in want:
-            picked = metrics.select_eigenstates(
-                decomp, group.indices, config.selection, shell_energy=group.energy
-            )
-            proj = projection_onto_subset(decomp, group.indices)
-            row["w_exact"] = float(1.0 - proj[picked].mean())
-            row["energy_exact_mean"] = float(decomp.eigenvalues[picked].mean())
-        if "kappa" in want:
-            sf = strength_function(decomp, group.indices, label=n)
-            width = spreading_width(sf)
-            row["kappa"] = width / cfg.hbar  # D0 = hbar, uniform shell spacing
-            row["gamma_spr"] = width
-        if "strength-function" in want:
-            sf = strength_function(decomp, group.indices, label=n)
-            row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
-        return row
-
-    rows = [point(n) for n in scan]
-
-    critical: dict = {}
-    if "w-pt" in want:
-        value, bracket = _crossing_entry(
-            [(r["energy"], r["w_pt"]) for r in rows], 0.5, "energy"
-        )
-        critical["pt_critical_energy"] = value
-        critical["pt_critical_energy_bracket"] = bracket
-    if "w-exact" in want:
-        value, bracket = _crossing_entry(
-            [(r["energy"], r["w_exact"]) for r in rows], 0.5, "energy"
-        )
-        critical["exact_critical_energy"] = value
-        critical["exact_critical_energy_bracket"] = bracket
-    if "kappa" in want:
-        value, bracket = _crossing_entry(
-            [(r["energy"], r["kappa"]) for r in rows], 1.0, "energy"
-        )
-        critical["kappa_critical_energy"] = value
-        critical["kappa_critical_energy_bracket"] = bracket
-    return rows, critical, HH_COLUMNS, "hh_curves.csv", "shell"
+        points.append(_Point(row, group, "henon-heiles-model eigendecomposition", solve, float))
+    system = _System(
+        columns=HH_COLUMNS,
+        curve_file="hh_curves.csv",
+        axis="energy",
+        axis_column="energy",
+        exact_column="energy_exact_mean",
+        d0=cfg.hbar,  # the uniform shell spacing
+    )
+    return system, *_scan(config, system, points)
 
 
-def _run_kepler(config: ExperimentConfig):
+def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
     cfg = config.kepler_cfg
-    states, partition = kepler.enumerate_parabolic_basis(cfg)
-    want = set(config.metrics)
+    _, partition = kepler.enumerate_parabolic_basis(cfg)
     try:
         rho2 = kepler.build_rho2(cfg)
     except NumericalError as exc:
@@ -358,59 +399,39 @@ def _run_kepler(config: ExperimentConfig):
     # evaluation serves the whole grid
     w_pt_base = (
         metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0)
-        if "w-pt" in want
+        if "w-pt" in config.metrics
         else None
     )
 
-    def point(gamma: float) -> dict:
+    points = []
+    for gamma in cfg.gamma_grid:
         row: dict = {
             "gamma": gamma,
             "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma),
         }
-        try:
-            if "w-pt" in want:
-                coupling = gamma * gamma / 8.0
-                row["w_pt"] = w_pt_base * coupling * coupling
-            if want & EXACT_METRICS:
-                decomp = eigh(kepler.build_h(cfg, gamma, rho2))
-                if "w-exact" in want:
-                    picked = metrics.select_eigenstates(
-                        decomp, target.indices, config.selection, shell_energy=target.energy
-                    )
-                    proj = projection_onto_subset(decomp, target.indices)
-                    row["w_exact"] = float(1.0 - proj[picked].mean())
-                    row["scaled_energy_exact"] = kepler.scaled_energy(
-                        float(decomp.eigenvalues[picked].mean()), gamma
-                    )
-                if "kappa" in want:
-                    sf = strength_function(decomp, target.indices, label=cfg.target_shell)
-                    width = spreading_width(sf)
-                    row["gamma_spr"] = width
-                    if d0 is not None:
-                        row["kappa"] = width / d0
-                if "strength-function" in want:
-                    sf = strength_function(decomp, target.indices, label=cfg.target_shell)
-                    row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
-        except NumericalError as exc:
-            raise NumericalError(f"kepler-model at scan point gamma={gamma!r}: {exc}") from exc
-        return row
-
-    rows = [point(gamma) for gamma in cfg.gamma_grid]
-
-    critical: dict = {}
-    if "w-pt" in want:
-        value, bracket = _crossing_entry(
-            [(r["scaled_energy_pt"], r["w_pt"]) for r in rows], 0.5, "scaled-energy"
+        if w_pt_base is not None:
+            coupling = gamma * gamma / 8.0
+            row["w_pt"] = w_pt_base * coupling * coupling
+        points.append(
+            _Point(
+                row,
+                target,
+                f"kepler-model at scan point gamma={gamma!r}",
+                lambda gamma=gamma: eigh(kepler.build_h(cfg, gamma, rho2)),
+                functools.partial(kepler.scaled_energy, gamma=gamma),
+            )
         )
-        critical["pt_critical_scaled_energy"] = value
-        critical["pt_critical_scaled_energy_bracket"] = bracket
-    if "w-exact" in want:
+    system = _System(
+        columns=KEPLER_COLUMNS,
+        curve_file="kepler_curves.csv",
+        axis="scaled-energy",
         # headline axis: zeroth-order scaled energy of the target shell
-        value, bracket = _crossing_entry(
-            [(r["scaled_energy_pt"], r["w_exact"]) for r in rows], 0.5, "scaled-energy"
-        )
-        critical["exact_critical_scaled_energy"] = value
-        critical["exact_critical_scaled_energy_bracket"] = bracket
+        axis_column="scaled_energy_pt",
+        exact_column="scaled_energy_exact",
+        d0=d0,
+    )
+    rows, critical = _scan(config, system, points)
+    if "w-exact" in config.metrics:
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the
         # alternative is reported as undefined rather than guessed
@@ -424,20 +445,12 @@ def _run_kepler(config: ExperimentConfig):
             value, bracket = None, None
         critical["exact_critical_scaled_energy_mean_axis"] = value
         critical["exact_critical_scaled_energy_mean_axis_bracket"] = bracket
-    if "kappa" in want and d0 is not None:
-        value, bracket = _crossing_entry(
-            [(r["scaled_energy_pt"], r["kappa"]) for r in rows], 1.0, "scaled-energy"
-        )
-        critical["kappa_critical_scaled_energy"] = value
-        critical["kappa_critical_scaled_energy_bracket"] = bracket
-    return rows, critical, KEPLER_COLUMNS, "kepler_curves.csv", "gamma"
+    return system, rows, critical
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    if config.system == "henon-heiles":
-        rows, critical, columns, curve_name, axis_col = _run_henon_heiles(config)
-    else:
-        rows, critical, columns, curve_name, axis_col = _run_kepler(config)
+    runner = _run_henon_heiles if config.system == "henon-heiles" else _run_kepler
+    system, rows, critical = runner(config)
 
     config.output.mkdir(parents=True, exist_ok=True)
     echo = config.echo()
@@ -452,8 +465,8 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     files: list[str] = []
     metric_files: dict = {}
-    curve_path = config.output / curve_name
-    _write_csv(curve_path, columns, rows, meta)
+    curve_name = system.curve_file
+    _write_csv(config.output / curve_name, system.columns, rows, meta)
     files.append(curve_name)
     for name in config.metrics:
         if name != "strength-function":
@@ -461,6 +474,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     if "strength-function" in config.metrics:
         sf_name = "strength_function.csv"
+        axis_col = system.columns[0]
         sf_rows = []
         for row in rows:
             for energy, weight in row.get("_sf", ()):
@@ -478,22 +492,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         metric_files=metric_files,
         critical=critical,
     )
-    manifest_path = config.output / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "version": manifest.version,
-                "timestamp": manifest.timestamp,
-                "config": manifest.config,
-                "config_sha256": manifest.config_sha256,
-                "files": list(manifest.files),
-                "metric_files": manifest.metric_files,
-                "critical": manifest.critical,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+    with open(config.output / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
 

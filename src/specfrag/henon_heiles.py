@@ -84,32 +84,19 @@ def build_h0(cfg: HHConfig) -> SymmetricMatrix:
     return SymmetricMatrix(np.diag([s.energy(cfg.hbar) for s in states]))
 
 
-def _q_elem(m: int, n: int, hbar: float) -> float:
-    # <m|q|n>
-    if abs(m - n) != 1:
-        return 0.0
-    return math.sqrt(hbar / 2.0) * math.sqrt(max(m, n))
-
-
-def _q2_elem(m: int, n: int, hbar: float) -> float:
-    # <m|q^2|n>
-    if m == n:
-        return (hbar / 2.0) * (2 * n + 1)
-    if abs(m - n) == 2:
-        k = max(m, n)
-        return (hbar / 2.0) * math.sqrt(k * (k - 1))
-    return 0.0
-
-
-def _q3_elem(m: int, n: int, hbar: float) -> float:
-    # <m|q^3|n>
-    if abs(m - n) == 3:
-        k = max(m, n)
-        return (hbar / 2.0) ** 1.5 * math.sqrt(k * (k - 1) * (k - 2))
-    if abs(m - n) == 1:
-        k = min(m, n)
-        return (hbar / 2.0) ** 1.5 * 3.0 * (k + 1) ** 1.5
-    return 0.0
+def _ladder_tables(size: int, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-D tables of <m|q|n>, <m|q^2|n> and <m|q^3|n> for m, n < size (at
+    least 3, the reach of q^3)."""
+    c = hbar / 2.0
+    k = np.arange(size)
+    q = np.diag(math.sqrt(c) * np.sqrt(k[1:]), 1)
+    q2 = np.diag(c * np.sqrt(k[2:] * (k[2:] - 1)), 2)
+    # Python's float pow: numpy's vector pow can differ from it by an ulp
+    k32 = np.array([float(j) ** 1.5 for j in range(1, size)])
+    q3 = np.diag(c ** 1.5 * 3.0 * k32, 1) + np.diag(
+        c ** 1.5 * np.sqrt(k[3:] * (k[3:] - 1) * (k[3:] - 2)), 3
+    )
+    return q + q.T, q2 + q2.T + np.diag(c * (2 * k + 1)), q3 + q3.T
 
 
 def build_v(cfg: HHConfig) -> SymmetricMatrix:
@@ -117,25 +104,26 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
     callers form H = H0 + lambda*V so one build serves a whole scan).
 
     Elements vanish unless the shells differ by exactly 1 or 3, and V
-    conserves the parity of n1 since q1 only appears squared.
+    conserves the parity of n1 since q1 only appears squared. The build
+    fills one shell-pair block at a time from the 1-D ladder tables.
     """
-    states, _ = enumerate_basis(cfg)
-    dim = len(states)
-    v = np.zeros((dim, dim))
-    for j, ket in enumerate(states):
-        for i in range(j + 1):
-            bra = states[i]
-            dn = abs(bra.shell - ket.shell)
-            if dn != 1 and dn != 3:
+    size = cfg.num_shells
+    q, q2, q3 = _ladder_tables(max(size, 3), cfg.hbar)
+    starts = [n * (n + 1) // 2 for n in range(size)]
+    v = np.zeros((starts[-1] + size, starts[-1] + size))
+    for n in range(size):
+        for npr in (n + 1, n + 3):
+            if npr >= size:
                 continue
-            e = 0.0
-            if abs(bra.n2 - ket.n2) == 1 and (
-                bra.n1 == ket.n1 or abs(bra.n1 - ket.n1) == 2
-            ):
-                e += _q2_elem(bra.n1, ket.n1, cfg.hbar) * _q_elem(bra.n2, ket.n2, cfg.hbar)
-            if bra.n1 == ket.n1 and abs(bra.n2 - ket.n2) in (1, 3):
-                e -= _q3_elem(bra.n2, ket.n2, cfg.hbar) / 3.0
-            v[j, i] = e
+            # bra |i, n-i>, ket |j, npr-j>, by enumeration order; reversed
+            # slices give the n2 axes
+            block = q2[: n + 1, : npr + 1] * q[n::-1, npr::-1] - (
+                np.eye(n + 1, npr + 1) * q3[n::-1, npr::-1]
+            ) / 3.0
+            bra = slice(starts[n], starts[n] + n + 1)
+            ket = slice(starts[npr], starts[npr] + npr + 1)
+            v[bra, ket] = block
+            v[ket, bra] = block.T
     return SymmetricMatrix(v)
 
 

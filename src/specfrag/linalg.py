@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -311,62 +311,18 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
 def random_block_unitary(partition: ShellPartition, seed: int) -> np.ndarray:
     """Random real orthogonal matrix that is block-diagonal on a partition.
 
-    Each diagonal block is an orthogonalized standard-normal draw from a
-    PCG64 generator, so the result is deterministic per seed. Entries
-    outside the diagonal blocks are exactly zero, and U^T U = I holds to
-    1e-12 or better (modified Gram-Schmidt with a second pass).
+    Each diagonal block is the Q factor of a standard-normal draw from a
+    PCG64 generator, its columns' signs fixed so that R's diagonal is
+    nonnegative, so the result is deterministic per seed. Entries outside
+    the diagonal blocks are exactly zero, and U^T U = I holds to 1e-12 or
+    better (Householder QR).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     dim = partition.dim
     u = np.zeros((dim, dim))
     for g in partition.groups:
         idx = np.asarray(g.indices, dtype=int)
-        u[np.ix_(idx, idx)] = _random_orthogonal(rng, idx.size)
+        q, r = np.linalg.qr(rng.standard_normal((idx.size, idx.size)))
+        # a sign of +-1 per column, never 0, even where R's diagonal is
+        u[np.ix_(idx, idx)] = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return u
-
-
-def _random_orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:
-    for _ in range(8):
-        q = rng.standard_normal((k, k))
-        if _mgs(q):
-            return q
-    raise ConvergenceError(f"could not orthogonalize a random {k}x{k} block")
-
-
-def _mgs(q: np.ndarray) -> bool:
-    # in-place modified Gram-Schmidt; the second inner pass keeps the
-    # orthogonality defect near machine precision even for clustered draws
-    k = q.shape[0]
-    for j in range(k):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        if nrm < 1e-8:
-            return False
-        q[:, j] /= nrm
-    return True
-
-
-def dump_matrix_csv(m: SymmetricMatrix, path, metadata: dict | None = None) -> None:
-    """Debug dump of a matrix: ``#`` metadata lines, then one row per basis
-    index."""
-    _dump_rows(path, "symmetric-matrix", metadata, m.entries)
-
-
-def dump_decomposition_csv(d: SpectralDecomposition, path, metadata: dict | None = None) -> None:
-    """Debug dump of a decomposition: eigenvalue column followed by the
-    eigenvector coefficients of each eigenstate (one eigenstate per row)."""
-    rows = np.column_stack([d.eigenvalues, d.eigenvectors.T])
-    _dump_rows(path, "spectral-decomposition", metadata, rows)
-
-
-def _dump_rows(path, kind: str, metadata: dict | None, rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# kind: {kind}\n")
-        fh.write(f"# rows: {rows.shape[0]}\n")
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")

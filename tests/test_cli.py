@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 
@@ -113,6 +114,23 @@ class TestRun:
         assert ma["config_sha256"] == mb["config_sha256"]
         assert ma["critical"] == mb["critical"]
 
+    def test_kepler_point_decomposition_released_before_next_solve(self, tmp_path, monkeypatch):
+        real, done = cli.eigh, []
+
+        def tracked(m):
+            assert all(ref() is None for ref in done), "previous decomposition still alive"
+            d = real(m)
+            done.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(cli, "eigh", tracked)
+        assert main(
+            ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
+             "--gamma-grid", "0.004,0.008,0.016", "--metrics",
+             "w-exact,kappa,strength-function", "-o", str(tmp_path)]
+        ) == 0
+        assert len(done) == 3
+
     def test_lambda_zero_no_mixing(self, tmp_path):
         out = tmp_path / "frozen"
         assert main(
@@ -226,6 +244,37 @@ class TestErrors:
         )
         assert code == 3
         assert "synthetic blowup" in capsys.readouterr().err
+
+    def test_kepler_solve_failure_names_scan_point(self, tmp_path, capsys, monkeypatch):
+        real, calls = cli.eigh, []
+
+        def fail_second(m):
+            calls.append(m)
+            if len(calls) == 2:
+                raise NumericalError("synthetic blowup")
+            return real(m)
+
+        monkeypatch.setattr(cli, "eigh", fail_second)
+        code = main(
+            ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
+             "--gamma-grid", "0.004,0.008,0.016", "-o", str(tmp_path)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "kepler-model at scan point gamma=0.008: synthetic blowup" in err
+        assert len(calls) == 2
+
+    def test_henon_heiles_solve_failure_named(self, tmp_path, capsys, monkeypatch):
+        def fail(m):
+            raise NumericalError("synthetic blowup")
+
+        monkeypatch.setattr(cli, "eigh", fail)
+        code = main(
+            ["run", "--system", "henon-heiles", "--shells", "8", "-o", str(tmp_path)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "henon-heiles-model eigendecomposition: synthetic blowup" in err
 
     def test_small_basis_rejected(self, capsys):
         assert main(["run", "--system", "henon-heiles", "--shells", "3"]) == 2

@@ -81,6 +81,39 @@ class TestH0:
             assert tr == pytest.approx((n + 1) * cfg.hbar * (n + 1))
 
 
+def element_loop_v(cfg):
+    """V one basis pair at a time from the closed-form scalar elements of
+    q, q^2 and q^3: the loop that build_v's shell blocks replaced."""
+    c = cfg.hbar / 2.0
+
+    def q(m, n):
+        return math.sqrt(c) * math.sqrt(max(m, n)) if abs(m - n) == 1 else 0.0
+
+    def q2(m, n):
+        if m == n:
+            return c * (2 * n + 1)
+        k = max(m, n)
+        return c * math.sqrt(k * (k - 1)) if abs(m - n) == 2 else 0.0
+
+    def q3(m, n):
+        if abs(m - n) == 3:
+            k = max(m, n)
+            return c ** 1.5 * math.sqrt(k * (k - 1) * (k - 2))
+        if abs(m - n) == 1:
+            return c ** 1.5 * 3.0 * (min(m, n) + 1) ** 1.5
+        return 0.0
+
+    states, _ = enumerate_basis(cfg)
+    v = np.zeros((len(states), len(states)))
+    for j, ket in enumerate(states):
+        for i, bra in enumerate(states):
+            if abs(bra.shell - ket.shell) in (1, 3):
+                v[i, j] = q2(bra.n1, ket.n1) * q(bra.n2, ket.n2)
+                if bra.n1 == ket.n1:
+                    v[i, j] -= q3(bra.n2, ket.n2) / 3.0
+    return v
+
+
 class TestV:
     def test_diagonal_vanishes(self):
         v = build_v(HHConfig(num_shells=6))
@@ -112,17 +145,36 @@ class TestV:
         v2 = build_v(HHConfig(hbar=0.04, num_shells=6)).entries
         np.testing.assert_allclose(v2, (0.04 / 0.01) ** 1.5 * v1, rtol=1e-13)
 
-    def test_quadrature_oracle_six_shells(self):
-        cfg = HHConfig(num_shells=6)
+    @pytest.mark.parametrize("hbar", [0.01, 0.04])
+    def test_matches_element_loop(self, hbar):
+        # bitwise: the shell blocks do the loop's arithmetic; 12 shells
+        # reach k = 7, where numpy's vector pow and Python's k**1.5 differ
+        cfg = HHConfig(hbar=hbar, num_shells=12)
+        np.testing.assert_array_equal(build_v(cfg).entries, element_loop_v(cfg))
+
+    @pytest.mark.parametrize(
+        "num_shells, bra_shells",
+        [(6, range(6)), (12, (10, 11))],
+        ids=["six-shells", "twelve-shells-top-two"],
+    )
+    def test_quadrature_oracle(self, num_shells, bra_shells):
+        # the 12-shell case puts the bra in the top two shells, where the
+        # shell-pair blocks reach the edge of the 1-D ladder tables
+        cfg = HHConfig(num_shells=num_shells)
         states, _ = enumerate_basis(cfg)
         v = build_v(cfg).entries
         scale = np.abs(v).max()
+        checked = 0
         for i, bra in enumerate(states):
+            if bra.shell not in bra_shells:
+                continue
             for j, ket in enumerate(states):
                 q = hermite_v_element((bra.n1, bra.n2), (ket.n1, ket.n2), cfg.hbar)
                 err = abs(q - v[i, j])
                 live = max(abs(q), abs(v[i, j]))
                 assert err <= max(1e-10 * live, 1e-14 * scale), (bra, ket)
+                checked += 1
+        assert checked == len(states) * sum(n + 1 for n in bra_shells)
 
 
 class TestH:

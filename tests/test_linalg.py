@@ -8,8 +8,6 @@ from specfrag.linalg import (
     ShellGroup,
     ShellPartition,
     SymmetricMatrix,
-    dump_decomposition_csv,
-    dump_matrix_csv,
     eigh,
     projection_onto_subset,
     random_block_unitary,
@@ -308,24 +306,3 @@ class TestRandomBlockUnitary:
         assert not np.array_equal(
             random_block_unitary(p, seed=123), random_block_unitary(p, seed=124)
         )
-
-
-class TestCsvDumps:
-    def test_matrix_dump(self, tmp_path):
-        m = SymmetricMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        path = tmp_path / "m.csv"
-        dump_matrix_csv(m, path, metadata={"note": "toy"})
-        lines = path.read_text().splitlines()
-        headers = [ln for ln in lines if ln.startswith("#")]
-        assert headers and any("note" in h for h in headers)
-        data = [ln for ln in lines if not ln.startswith("#")]
-        assert len(data) == 2
-        assert [float(x) for x in data[1].split(",")] == [2.0, 4.0]
-
-    def test_decomposition_dump(self, tmp_path):
-        d = eigh(SymmetricMatrix(np.diag([2.0, 1.0])))
-        path = tmp_path / "d.csv"
-        dump_decomposition_csv(d, path)
-        lines = path.read_text().splitlines()
-        assert lines[-1].count(",") >= 1
-        assert any(ln.startswith("#") for ln in lines)
