@@ -7,7 +7,9 @@ basis size, scan-point count and a memory estimate without touching any
 output file.
 
 Configuration comes from flags, or from a JSON file via --config with
-flags overriding file values. The output directory falls back to the
+flags overriding file values. Each option is declared once, in OPTIONS:
+its config-file key (also the manifest key), its flags, its conversion,
+its default and its system. The output directory falls back to the
 SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
 Identical config and seed produce byte-identical CSVs on one platform with
 the BLAS thread setting held fixed, whatever --threads says: scan points run
@@ -16,7 +18,9 @@ timestamp lives only in the manifest.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
 message names the module and, where each point has its own solve, the scan
-point).
+point). Every bad input exits 2 before any compute: a malformed or unknown
+config value, an out-of-range option, or a scan too short or not monotone
+for the critical values asked for.
 """
 from __future__ import annotations
 
@@ -53,45 +57,82 @@ KEPLER_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    system: str
-    metrics: tuple[str, ...]
-    selection: StateSelection
-    output: Path
-    seed: int
-    threads: int
-    hh: henon_heiles.HHConfig | None = None
-    shell_range: tuple[int, int] | None = None
-    kepler_cfg: kepler.KeplerConfig | None = None
+class Option:
+    """One setting. ``key`` names it in a config file, as the argparse
+    dest and in the manifest echo; ``convert`` reads a flag string and a
+    file value alike. ``default`` None means unset or worked out from other
+    values; ``system`` None means the option serves both systems."""
 
-    def echo(self) -> dict:
-        d = {
-            "system": self.system,
-            "metrics": list(self.metrics),
-            "selection": self.selection.value,
-            "seed": self.seed,
-            "threads": self.threads,
-            "output": str(self.output),
-        }
-        if self.hh is not None:
-            d["hbar"] = self.hh.hbar
-            d["lambda"] = self.hh.lam
-            d["num_shells"] = self.hh.num_shells
-            d["shell_min"], d["shell_max"] = self.shell_range
-        if self.kepler_cfg is not None:
-            d["max_n"] = self.kepler_cfg.max_n
-            d["m"] = self.kepler_cfg.m
-            d["target_shell"] = self.kepler_cfg.target_shell
-            d["gamma_grid"] = list(self.kepler_cfg.gamma_grid)
-        return d
+    key: str
+    flags: tuple[str, ...]
+    convert: Callable
+    default: object = None
+    system: str | None = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+def _int(value) -> int:
+    """An integer; a float with a fraction is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _items(convert: Callable) -> Callable:
+    """A comma list (flag or file string) or a JSON array of items."""
+
+    def parse(value) -> list:
+        if isinstance(value, str):
+            value = [s for s in value.split(",") if s]
+        return [convert(v) for v in value]
+
+    return parse
+
+
+_HH, _KEPLER = henon_heiles.HHConfig(), kepler.KeplerConfig()
+OPTIONS = (
+    Option("system", ("--system",), str, choices=("henon-heiles", "kepler")),
+    Option("output", ("--output", "-o"), os.fspath, help="output directory"),
+    Option("seed", ("--seed",), _int, 0),
+    Option("metrics", ("--metrics",), _items(str), "w-pt,w-exact,kappa",
+           help="comma list from: " + ",".join(KNOWN_METRICS)),
+    Option("threads", ("--threads",), _int,
+           help="accepted, checked (>= 1) and echoed in the manifest; scan "
+           "points run in order, and BLAS's own threads are the only "
+           "parallel layer (default: cpu count)"),
+    Option("selection", ("--selection",), str, StateSelection.PROJECTION_WINDOW.value,
+           choices=tuple(s.value for s in StateSelection),
+           help="exact-curve eigenstate selection rule (default projection-window)"),
+    Option("hbar", ("--hbar",), float, _HH.hbar, "henon-heiles", "HH: effective hbar"),
+    Option("lambda", ("--lambda",), float, _HH.lam, "henon-heiles", "HH: coupling strength"),
+    Option("num_shells", ("--shells",), _int, _HH.num_shells, "henon-heiles",
+           "HH: number of shell groups in the basis"),
+    Option("shell_min", ("--shell-min",), _int, 1, "henon-heiles", "HH: first scanned shell"),
+    Option("shell_max", ("--shell-max",), _int, None, "henon-heiles", "HH: last scanned shell"),
+    Option("max_n", ("--max-n",), _int, _KEPLER.max_n, "kepler",
+           "Kepler: number of shells in the basis"),
+    Option("m", (), _int, _KEPLER.m, "kepler"),  # config file only; must be 0
+    Option("target_shell", ("--target-shell",), _int, _KEPLER.target_shell, "kepler",
+           "Kepler: shell under study"),
+    Option("gamma_grid", ("--gamma-grid",), _items(float), _KEPLER.gamma_grid, "kepler",
+           "Kepler: comma list of field strengths"),
+)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The model of the chosen system and its normalised options: the
+    shared ones and the system's own, keyed and valued as the manifest
+    echoes them."""
+
+    model: henon_heiles.HHConfig | kepler.KeplerConfig
+    options: dict
 
     def result_key(self) -> dict:
         # everything that determines the numbers; output dir and worker
         # count are excluded so identical scans hash identically
-        d = self.echo()
-        del d["output"]
-        del d["threads"]
-        return d
+        return {k: v for k, v in self.options.items() if k not in ("output", "threads")}
 
 
 @dataclass(frozen=True)
@@ -113,31 +154,10 @@ def _parser() -> argparse.ArgumentParser:
         ("validate", "dry-run: report basis size and scan shape, write nothing"),
     ):
         q = sub.add_parser(name, help=helptext)
-        q.add_argument("--system", choices=("henon-heiles", "kepler"))
         q.add_argument("--config", type=Path, help="JSON config file; flags override it")
-        q.add_argument("--output", "-o", type=Path, help="output directory")
-        q.add_argument("--seed", type=int)
-        q.add_argument("--metrics", help="comma list from: " + ",".join(KNOWN_METRICS))
-        q.add_argument(
-            "--threads",
-            type=int,
-            help="accepted, checked (>= 1) and echoed in the manifest; scan "
-            "points run in order, and BLAS's own threads are the only "
-            "parallel layer (default: cpu count)",
-        )
-        q.add_argument(
-            "--selection",
-            choices=[s.value for s in StateSelection],
-            help="exact-curve eigenstate selection rule (default projection-window)",
-        )
-        q.add_argument("--shells", type=int, help="HH: number of shell groups in the basis")
-        q.add_argument("--hbar", type=float, help="HH: effective hbar")
-        q.add_argument("--lambda", dest="lam", type=float, help="HH: coupling strength")
-        q.add_argument("--shell-min", type=int, help="HH: first scanned shell")
-        q.add_argument("--shell-max", type=int, help="HH: last scanned shell")
-        q.add_argument("--max-n", type=int, help="Kepler: number of shells in the basis")
-        q.add_argument("--target-shell", type=int, help="Kepler: shell under study")
-        q.add_argument("--gamma-grid", help="Kepler: comma list of field strengths")
+        for opt in OPTIONS:
+            if opt.flags:
+                q.add_argument(*opt.flags, dest=opt.key, choices=opt.choices, help=opt.help)
     return p
 
 
@@ -152,107 +172,85 @@ def _merge(args: argparse.Namespace) -> dict:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(raw, dict):
             raise ConfigurationError("config file must hold a JSON object")
-    flag_map = {
-        "system": args.system,
-        "output": args.output,
-        "seed": args.seed,
-        "metrics": args.metrics,
-        "threads": args.threads,
-        "selection": args.selection,
-        "num_shells": args.shells,
-        "hbar": args.hbar,
-        "lambda": args.lam,
-        "shell_min": args.shell_min,
-        "shell_max": args.shell_max,
-        "max_n": args.max_n,
-        "target_shell": args.target_shell,
-        "gamma_grid": args.gamma_grid,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            raw[key] = value
-    return raw
+    flags = vars(args)
+    return raw | {o.key: flags[o.key] for o in OPTIONS if flags.get(o.key) is not None}
+
+
+def _convert(opt: Option, value):
+    if value is None:
+        value = opt.default
+    if value is not None:
+        try:
+            value = opt.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{opt.key}: cannot read {value!r}: {exc}") from None
+    if opt.choices and value not in opt.choices:
+        raise ConfigurationError(f"{opt.key} must be one of {list(opt.choices)}, got {value!r}")
+    return value
 
 
 def _build_config(raw: dict) -> ExperimentConfig:
-    system = raw.get("system")
-    if system not in ("henon-heiles", "kepler"):
-        raise ConfigurationError("--system must be henon-heiles or kepler")
+    unknown_keys = sorted(set(raw) - {o.key for o in OPTIONS})
+    if unknown_keys:
+        raise ConfigurationError(
+            f"unknown config keys {unknown_keys}; choose from {[o.key for o in OPTIONS]}"
+        )
+    # every given value is read, the other system's too; only the chosen
+    # system's options are kept
+    values = {o.key: _convert(o, raw.get(o.key)) for o in OPTIONS}
+    system = values["system"]
+    opts = {o.key: values[o.key] for o in OPTIONS if o.system in (None, system)}
 
-    m = raw.get("metrics", "w-pt,w-exact,kappa")
-    if isinstance(m, str):
-        m = [s for s in m.split(",") if s]
-    metric_list = tuple(m)
-    if not metric_list:
+    if not opts["metrics"]:
         raise ConfigurationError("metric set must be nonempty")
-    unknown = [s for s in metric_list if s not in KNOWN_METRICS]
+    unknown = [s for s in opts["metrics"] if s not in KNOWN_METRICS]
     if unknown:
         raise ConfigurationError(
             f"unknown metrics {unknown}; choose from {list(KNOWN_METRICS)}"
         )
+    output = opts["output"] or os.environ.get("SPECFRAG_OUTPUT_DIR") or "specfrag-out"
+    opts["output"] = str(Path(output))
+    if opts["threads"] is None:
+        opts["threads"] = os.cpu_count() or 1
+    if opts["threads"] < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {opts['threads']}")
 
-    try:
-        selection = StateSelection(raw.get("selection", "projection-window"))
-    except ValueError:
-        raise ConfigurationError(
-            f"unknown selection {raw.get('selection')!r}; choose from "
-            f"{[s.value for s in StateSelection]}"
-        )
-    output = Path(raw.get("output") or os.environ.get("SPECFRAG_OUTPUT_DIR") or "specfrag-out")
-    seed = int(raw.get("seed", 0))
-    threads = int(raw.get("threads") or os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-
-    hh_cfg = None
-    shell_range = None
-    kep_cfg = None
     if system == "henon-heiles":
-        hh_cfg = henon_heiles.HHConfig(
-            hbar=float(raw.get("hbar", 0.01)),
-            lam=float(raw.get("lambda", 1.0)),
-            num_shells=int(raw.get("num_shells", 30)),
+        model = henon_heiles.HHConfig(
+            hbar=opts["hbar"], lam=opts["lambda"], num_shells=opts["num_shells"]
         )
-        if hh_cfg.num_shells < 4:
+        if model.num_shells < 4:
             raise ConfigurationError(
                 "the cubic coupling reaches 3 shells away; the experiment needs "
-                f"num_shells >= 4, got {hh_cfg.num_shells}"
+                f"num_shells >= 4, got {model.num_shells}"
             )
         # the top 3 shells of H are contaminated by the basis edge, so the
         # default scan stops 4 below the cut (and never above shell 26)
-        shell_min = int(raw.get("shell_min", 1))
-        shell_max = int(raw.get("shell_max", min(hh_cfg.num_shells - 4, 26)))
-        if not (0 <= shell_min <= shell_max <= hh_cfg.num_shells - 1):
+        if opts["shell_max"] is None:
+            opts["shell_max"] = min(model.num_shells - 4, 26)
+        if not (0 <= opts["shell_min"] <= opts["shell_max"] <= model.num_shells - 1):
             raise ConfigurationError(
-                f"shell scan [{shell_min}, {shell_max}] must fit in "
-                f"[0, {hh_cfg.num_shells - 1}]"
+                f"shell scan [{opts['shell_min']}, {opts['shell_max']}] must fit in "
+                f"[0, {model.num_shells - 1}]"
             )
-        shell_range = (shell_min, shell_max)
+        scan, scan_keys = range(opts["shell_min"], opts["shell_max"] + 1), "shell_min/shell_max"
     else:
-        grid = raw.get("gamma_grid")
-        if isinstance(grid, str):
-            grid = [float(s) for s in grid.split(",") if s]
-        kwargs = {}
-        if grid is not None:
-            kwargs["gamma_grid"] = tuple(grid)
-        kep_cfg = kepler.KeplerConfig(
-            max_n=int(raw.get("max_n", 20)),
-            m=int(raw.get("m", 0)),
-            target_shell=int(raw.get("target_shell", 10)),
-            **kwargs,
+        model = kepler.KeplerConfig(
+            max_n=opts["max_n"],
+            m=opts["m"],
+            target_shell=opts["target_shell"],
+            gamma_grid=opts["gamma_grid"],
         )
-
-    return ExperimentConfig(
-        system=system,
-        metrics=metric_list,
-        selection=selection,
-        output=output,
-        seed=seed,
-        threads=threads,
-        hh=hh_cfg,
-        shell_range=shell_range,
-        kepler_cfg=kep_cfg,
-    )
+        scan, scan_keys = opts["gamma_grid"], "gamma_grid"
+    # a critical value interpolates along a strictly monotone axis
+    if set(opts["metrics"]) & {"w-pt", "w-exact", "kappa"}:
+        steps = [b - a for a, b in zip(scan, scan[1:])]
+        if not steps or not (all(d > 0 for d in steps) or all(d < 0 for d in steps)):
+            raise ConfigurationError(
+                f"{scan_keys}: a critical value needs at least 2 scan points on a "
+                f"strictly monotone axis, got {list(scan)}"
+            )
+    return ExperimentConfig(model, opts)
 
 
 def _fmt(x) -> str:
@@ -313,19 +311,18 @@ def _solve(point: _Point) -> SpectralDecomposition:
 def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -> dict:
     row = dict(point.row)
     idx = point.group.indices
-    if "w-exact" in config.metrics:
-        picked = metrics.select_eigenstates(
-            decomp, idx, config.selection, shell_energy=point.group.energy
-        )
+    if "w-exact" in config.options["metrics"]:
+        rule = StateSelection(config.options["selection"])
+        picked = metrics.select_eigenstates(decomp, idx, rule, shell_energy=point.group.energy)
         proj = projection_onto_subset(decomp, idx)
         row["w_exact"] = float(1.0 - proj[picked].mean())
         row[system.exact_column] = point.exact_energy(float(decomp.eigenvalues[picked].mean()))
-    if "kappa" in config.metrics:
+    if "kappa" in config.options["metrics"]:
         width = spreading_width(strength_function(decomp, idx, label=point.group.label))
         row["gamma_spr"] = width
         if system.d0 is not None:
             row["kappa"] = width / system.d0
-    if "strength-function" in config.metrics:
+    if "strength-function" in config.options["metrics"]:
         sf = strength_function(decomp, idx, label=point.group.label)
         row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
     return row
@@ -334,7 +331,7 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
 def _scan(config: ExperimentConfig, system: _System, points: list[_Point]) -> tuple[list, dict]:
     """Rows and critical values of one scan, points in order. Each point's
     decomposition is released when its row is done, before the next solve."""
-    exact = bool(set(config.metrics) & EXACT_METRICS)
+    exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
     rows = [_measure(system, p, _solve(p) if exact else None, config) for p in points]
     critical: dict = {}
     suffix = system.axis.replace("-", "_")
@@ -343,7 +340,7 @@ def _scan(config: ExperimentConfig, system: _System, points: list[_Point]) -> tu
         ("w-exact", "w_exact", 0.5, "exact"),
         ("kappa", "kappa", 1.0, "kappa"),
     ):
-        if metric in config.metrics and (column != "kappa" or system.d0 is not None):
+        if metric in config.options["metrics"] and (column != "kappa" or system.d0 is not None):
             key = f"{name}_critical_{suffix}"
             critical[key], critical[key + "_bracket"] = _crossing_entry(
                 [(r[system.axis_column], r[column]) for r in rows], threshold, system.axis
@@ -352,18 +349,17 @@ def _scan(config: ExperimentConfig, system: _System, points: list[_Point]) -> tu
 
 
 def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
-    cfg = config.hh
+    cfg = config.model
     _, partition = henon_heiles.enumerate_basis(cfg)
     v = henon_heiles.build_v(cfg)
 
     # one decomposition serves every shell of the scan
     solve = functools.cache(lambda: eigh(henon_heiles.build_h(cfg)))
-    lo, hi = config.shell_range
     points = []
-    for n in range(lo, hi + 1):
+    for n in range(config.options["shell_min"], config.options["shell_max"] + 1):
         group = partition.group(n)
         row: dict = {"shell": n, "energy": group.energy}
-        if "w-pt" in config.metrics:
+        if "w-pt" in config.options["metrics"]:
             row["w_pt"] = metrics.w_perturbative(v, partition, n, cfg.lam)
         points.append(_Point(row, group, "henon-heiles-model eigendecomposition", solve, float))
     system = _System(
@@ -378,7 +374,7 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
 
 
 def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
-    cfg = config.kepler_cfg
+    cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     try:
         rho2 = kepler.build_rho2(cfg)
@@ -399,7 +395,7 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
     # evaluation serves the whole grid
     w_pt_base = (
         metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0)
-        if "w-pt" in config.metrics
+        if "w-pt" in config.options["metrics"]
         else None
     )
 
@@ -431,7 +427,7 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
         d0=d0,
     )
     rows, critical = _scan(config, system, points)
-    if "w-exact" in config.metrics:
+    if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the
         # alternative is reported as undefined rather than guessed
@@ -449,81 +445,73 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    runner = _run_henon_heiles if config.system == "henon-heiles" else _run_kepler
+    runner = _run_henon_heiles if config.options["system"] == "henon-heiles" else _run_kepler
     system, rows, critical = runner(config)
 
-    config.output.mkdir(parents=True, exist_ok=True)
-    echo = config.echo()
+    out = Path(config.options["output"])
+    out.mkdir(parents=True, exist_ok=True)
     sha = hashlib.sha256(
         json.dumps(config.result_key(), sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     meta = {
         "tool": f"specfrag {__version__}",
-        "system": config.system,
+        "system": config.options["system"],
         "config-sha256": sha,
     }
 
     files: list[str] = []
     metric_files: dict = {}
     curve_name = system.curve_file
-    _write_csv(config.output / curve_name, system.columns, rows, meta)
+    _write_csv(out / curve_name, system.columns, rows, meta)
     files.append(curve_name)
-    for name in config.metrics:
+    for name in config.options["metrics"]:
         if name != "strength-function":
             metric_files[name] = curve_name
 
-    if "strength-function" in config.metrics:
+    if "strength-function" in config.options["metrics"]:
         sf_name = "strength_function.csv"
         axis_col = system.columns[0]
         sf_rows = []
         for row in rows:
             for energy, weight in row.get("_sf", ()):
                 sf_rows.append({axis_col: row[axis_col], "eigen_energy": energy, "weight": weight})
-        _write_csv(config.output / sf_name, (axis_col, "eigen_energy", "weight"), sf_rows, meta)
+        _write_csv(out / sf_name, (axis_col, "eigen_energy", "weight"), sf_rows, meta)
         files.append(sf_name)
         metric_files["strength-function"] = sf_name
 
     manifest = RunManifest(
         version=__version__,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        config=echo,
+        config=config.options,
         config_sha256=sha,
         files=tuple(files),
         metric_files=metric_files,
         critical=critical,
     )
-    with open(config.output / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    if config.system == "henon-heiles":
-        cfg = config.hh
-        dim = cfg.num_shells * (cfg.num_shells + 1) // 2
-        lo, hi = config.shell_range
-        points = hi - lo + 1
-        lines = [
-            "system: henon-heiles",
-            f"{dim} states, {cfg.num_shells} shells",
-            f"scan points: {points} (shells {lo}..{hi})",
-        ]
+    opts = config.options
+    if opts["system"] == "henon-heiles":
+        shells, points = opts["num_shells"], opts["shell_max"] - opts["shell_min"] + 1
+        span = f"shells {opts['shell_min']}..{opts['shell_max']}"
     else:
-        cfg = config.kepler_cfg
-        dim = cfg.max_n * (cfg.max_n + 1) // 2
-        points = len(cfg.gamma_grid)
-        lines = [
-            "system: kepler",
-            f"{dim} states, {cfg.max_n} shells",
-            f"scan points: {points} (gamma {cfg.gamma_grid[0]:.6g}..{cfg.gamma_grid[-1]:.6g})",
-        ]
-    # dense H, eigenvectors and a workspace copy dominate
-    mem_mb = 3 * dim * dim * 8 / 1e6
-    lines.append(f"estimated peak memory: {mem_mb:.1f} MB")
-    lines.append(f"metrics: {','.join(config.metrics)}")
-    lines.append(f"selection: {config.selection.value}")
-    return lines
+        shells, grid = opts["max_n"], opts["gamma_grid"]
+        points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
+    dim = shells * (shells + 1) // 2
+    return [
+        f"system: {opts['system']}",
+        f"{dim} states, {shells} shells",
+        f"scan points: {points} ({span})",
+        # dense H, eigenvectors and a workspace copy dominate
+        f"estimated peak memory: {3 * dim * dim * 8 / 1e6:.1f} MB",
+        f"metrics: {','.join(opts['metrics'])}",
+        f"selection: {opts['selection']}",
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -535,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             return 0
         manifest = run(config)
-        print(f"wrote {', '.join(manifest.files)} and manifest.json to {config.output}")
+        print(f"wrote {', '.join(manifest.files)} and manifest.json to {config.options['output']}")
         for key, value in sorted(manifest.critical.items()):
             if not key.endswith("_bracket"):
                 print(f"{key}: {value}")

@@ -105,8 +105,8 @@ class KeplerConfig:
                 f"target_shell must lie in [1, max_n={self.max_n}], got {self.target_shell}"
             )
         grid = tuple(float(g) for g in self.gamma_grid)
-        if any(not math.isfinite(g) or g <= 0 for g in grid):
-            raise ConfigurationError("gamma grid values must be positive and finite")
+        if not grid or any(not math.isfinite(g) or g <= 0 for g in grid):
+            raise ConfigurationError("gamma_grid must hold one or more positive finite values")
         object.__setattr__(self, "gamma_grid", grid)
 
 

@@ -283,3 +283,151 @@ class TestErrors:
         assert main(
             ["validate", "--system", "kepler", "--gamma-grid", "0.001,-0.002"]
         ) == 2
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, form, threads):
+        given = {"system": "kepler", "threads": threads}
+        assert main(["validate", *_given(tmp_path, form, given)]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "form, given, key",
+        [
+            ("flag", {"system": "henon-heiles", "num_shells": "abc"}, "num_shells"),
+            ("file", {"system": "henon-heiles", "num_shells": "abc"}, "num_shells"),
+            ("file", {"system": "henon-heiles", "num_shells": 10.5}, "num_shells"),
+            ("file", {"system": "kepler", "gamma_grid": 5}, "gamma_grid"),
+            ("flag", {"system": "kepler", "gamma_grid": "0.01,abc"}, "gamma_grid"),
+            ("file", {"system": "kepler", "gamma_grid": [0.01, "abc"]}, "gamma_grid"),
+            ("file", {"system": "kepler", "output": 5}, "output"),
+        ],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, form, given, key):
+        assert main(["validate", *_given(tmp_path, form, given)]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        given = {"system": "henon-heiles", "num_shell": 40}
+        assert main(["validate", *_given(tmp_path, "file", given)]) == 2
+        assert "num_shell" in capsys.readouterr().err
+
+    def test_other_systems_keys_ignored(self, tmp_path, capsys):
+        given = {"system": "henon-heiles", "num_shells": 8,
+                 "max_n": 12, "m": 0, "gamma_grid": [0.1]}
+        assert main(["validate", *_given(tmp_path, "file", given)]) == 0
+        assert "36 states, 8 shells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--system", "kepler", "--gamma-grid", ",", "--metrics", "strength-function"],
+             "gamma_grid"),
+            (["--system", "kepler", "--gamma-grid", "0.01"], "gamma_grid"),
+            (["--system", "kepler", "--gamma-grid", "0.01,0.01,0.02"], "gamma_grid"),
+            (["--system", "kepler", "--gamma-grid", "0.01,0.03,0.02", "--metrics", "kappa"],
+             "gamma_grid"),
+            (["--system", "henon-heiles", "--shells", "8", "--shell-min", "3", "--shell-max", "3"],
+             "shell_min"),
+        ],
+    )
+    def test_scan_shape_rejected_before_compute(self, tmp_path, capsys, monkeypatch, flags, key):
+        solves = []
+        monkeypatch.setattr(cli, "eigh", lambda m: solves.append(m))
+        assert main(["validate", *flags]) == 2
+        assert key in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", *flags, "-o", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists()
+
+    def test_one_point_strength_function_scan_runs(self, tmp_path):
+        assert main(
+            ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
+             "--gamma-grid", "0.01", "--metrics", "strength-function", "-o", str(tmp_path)]
+        ) == 0
+        _, _, rows = read_csv(tmp_path / "kepler_curves.csv")
+        assert len(rows) == 1
+
+
+def _given(tmp_path, form, given):
+    """The arguments that pass `given` (config key -> value) as flags or
+    as a --config file."""
+    if form == "file":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(given))
+        return ["--config", str(path)]
+    flag = {o.key: o.flags[0] for o in cli.OPTIONS if o.flags}
+    return [arg for key, value in given.items() for arg in (flag[key], str(value))]
+
+
+# one value per option, as a flag string and as a config-file value
+SAMPLES = {
+    "henon-heiles": {
+        "system": ("henon-heiles", "henon-heiles"),
+        "seed": ("3", 3),
+        "metrics": ("w-pt,kappa", ["w-pt", "kappa"]),
+        "threads": ("2", 2),
+        "selection": ("energy-window", "energy-window"),
+        "hbar": ("0.02", 0.02),
+        "lambda": ("0.5", 0.5),
+        "num_shells": ("8", 8),
+        "shell_min": ("2", 2),
+        "shell_max": ("4", 4),
+    },
+    "kepler": {
+        "system": ("kepler", "kepler"),
+        "seed": ("4", 4),
+        "metrics": ("w-pt,w-exact,strength-function", ["w-pt", "w-exact", "strength-function"]),
+        "threads": ("1", 1),
+        "selection": ("top-projection", "top-projection"),
+        "max_n": ("6", 6),
+        "target_shell": ("3", 3),
+        "gamma_grid": ("0.004,0.008,0.016", [0.004, 0.008, 0.016]),
+    },
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("system", sorted(SAMPLES))
+    def test_flag_and_file_forms_agree(self, tmp_path, system):
+        flagged = {o.key for o in cli.OPTIONS if o.flags and o.system in (None, system)}
+        assert flagged - {"output"} == set(SAMPLES[system])
+        out = str(tmp_path / "out")
+        flags = {key: text for key, (text, _) in SAMPLES[system].items()}
+        values = {key: value for key, (_, value) in SAMPLES[system].items()}
+        manifests = []
+        for form, given in (("flag", flags | {"output": out}), ("file", values | {"output": out})):
+            assert main(["run", *_given(tmp_path, form, given)]) == 0
+            manifests.append(json.loads((tmp_path / "out" / "manifest.json").read_text()))
+        by_flag, by_file = manifests
+        # the keys the config hash is taken over: shared ones plus the system's own
+        shared = {"system", "output", "seed", "metrics", "threads", "selection"}
+        own = {
+            "henon-heiles": {"hbar", "lambda", "num_shells", "shell_min", "shell_max"},
+            "kepler": {"max_n", "m", "target_shell", "gamma_grid"},
+        }[system]
+        assert set(by_flag["config"]) == shared | own
+        assert by_flag["config"] == by_file["config"]
+        assert by_flag["config_sha256"] == by_file["config_sha256"]
+        assert by_flag["config"]["seed"] == values["seed"]
+
+    def test_traced_hook_points_exist(self):
+        # perfbench/tracer.py wraps these module attributes by name
+        import specfrag.henon_heiles as hh
+        import specfrag.kepler as kep
+        import specfrag.metrics as met
+
+        hooks = {
+            cli: ("eigh", "projection_onto_subset", "strength_function", "spreading_width",
+                  "critical_parameter", "run", "_run_henon_heiles", "_run_kepler", "_write_csv"),
+            met: ("projection_onto_subset", "w_perturbative", "select_eigenstates"),
+            hh: ("enumerate_basis", "build_v", "build_h"),
+            kep: ("enumerate_parabolic_basis", "build_rho2", "build_h"),
+        }
+        for module, names in hooks.items():
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
