@@ -19,14 +19,16 @@ element between shells n and n' then separates into two 1D integrals
 and  <n1 n2|rho^2|n1' n2'> = (C_n C_n'/4) * (J_2(n1,n1') J_1(n2,n2')
                               + J_1(n1,n1') J_2(n2,n2')),  C_n = sqrt(2)/n^2.
 
-The integrands are polynomials times the generalized Laguerre weight, so
-Gauss-Laguerre rules sized past the degree bound evaluate them exactly; the
-build still re-evaluates everything at twice the node count and rejects the
-matrix if any element moves.
+Each integrand is e^-t times a polynomial of degree at most 2 max_n, so
+one N-node Gauss-Laguerre rule (numpy's laggauss) with t^k folded into its
+weights gives J_1 and J_2 exactly, since N >= max_n + 4. Both k share one
+pair of Laguerre tables (lagvander), built for all shell pairs at once. The
+build still re-evaluates everything at twice the node count and rejects
+the matrix if any element moves.
 
 The bound basis is incomplete (no continuum), so results depend on the
-20-shell truncation convention; that convention is part of the model here,
-not a numerical knob.
+truncation at max_n shells (default 20); that cut is part of the model
+here, not a numerical knob.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_laguerre, roots_genlaguerre
+from numpy.polynomial import laguerre
 
 from .errors import ConfigurationError, InputError, NumericalError
 from .linalg import ShellGroup, ShellPartition, SymmetricMatrix
@@ -129,44 +131,39 @@ def enumerate_parabolic_basis(cfg: KeplerConfig) -> tuple[list[ParabolicState], 
     return states, ShellPartition(tuple(groups))
 
 
-def _laguerre_tables(max_order: int, scaled_nodes: np.ndarray) -> np.ndarray:
-    orders = np.arange(max_order + 1)[:, None]
-    return eval_laguerre(orders, scaled_nodes[None, :])
-
-
 def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
     states, partition = enumerate_parabolic_basis(cfg)
-    dim = len(states)
-    pmax = cfg.max_n - 1
-    rules = {k: roots_genlaguerre(nodes, k) for k in (1, 2)}
-    rho2 = np.zeros((dim, dim))
-    starts = {g.label: g.indices[0] for g in partition.groups}
+    t, w = laguerre.laggauss(nodes)
+    # every shell pair n <= n' at once
+    ns, nps = np.triu_indices(cfg.max_n)
+    ns, nps = ns + 1, nps + 1
+    a = (ns + nps) / (2.0 * ns * nps)
+    # left[pair, p, node] = L_p(t/(a n)), right[pair, node, p'] = L_p'(t/(a n'))
+    left = np.swapaxes(laguerre.lagvander(t / (a * ns)[:, None], cfg.max_n - 1), 1, 2)
+    right = laguerre.lagvander(t / (a * nps)[:, None], cfg.max_n - 1)
+    diag = ns == nps
+    j = []
+    for k in (1, 2):
+        jk = a[:, None, None] ** (-(k + 1)) * ((left * (w * t ** k)) @ right)
+        # analytically symmetric, but the matmul's reduction order is
+        # position-dependent; symmetrize so the n1<->n2 exchange holds bitwise
+        jk[diag] = 0.5 * (jk[diag] + np.swapaxes(jk[diag], 1, 2))
+        j.append(jk)
 
-    for n in range(1, cfg.max_n + 1):
-        for npr in range(n, cfg.max_n + 1):
-            a = (n + npr) / (2.0 * n * npr)
-            j = {}
-            for k in (1, 2):
-                t, w = rules[k]
-                left = _laguerre_tables(pmax, t / (a * n))
-                right = _laguerre_tables(pmax, t / (a * npr))
-                j[k] = a ** (-(k + 1)) * (left * w) @ right.T
-                if n == npr:
-                    # analytically symmetric, but the matmul's reduction
-                    # order is position-dependent; symmetrize so the
-                    # n1<->n2 exchange holds bitwise
-                    j[k] = 0.5 * (j[k] + j[k].T)
-            pref = (math.sqrt(2.0) / n ** 2) * (math.sqrt(2.0) / npr ** 2) / 4.0
-            # bra |p1 p2> = |bi, n-1-bi>, ket |q1 q2> = |kj, npr-1-kj>, by
-            # enumeration order; reversed slices give the p2, q2 axes
-            block = pref * (
-                j[2][:n, :npr] * j[1][n - 1::-1, npr - 1::-1]
-                + j[1][:n, :npr] * j[2][n - 1::-1, npr - 1::-1]
-            )
-            bra = slice(starts[n], starts[n] + n)
-            ket = slice(starts[npr], starts[npr] + npr)
-            rho2[bra, ket] = block
-            rho2[ket, bra] = block.T
+    rho2 = np.zeros((len(states), len(states)))
+    starts = {g.label: g.indices[0] for g in partition.groups}
+    for n, npr, j1, j2 in zip(ns.tolist(), nps.tolist(), *j):
+        pref = (math.sqrt(2.0) / n ** 2) * (math.sqrt(2.0) / npr ** 2) / 4.0
+        # bra |p1 p2> = |bi, n-1-bi>, ket |q1 q2> = |kj, npr-1-kj>, by
+        # enumeration order; reversed slices give the p2, q2 axes
+        block = pref * (
+            j2[:n, :npr] * j1[n - 1::-1, npr - 1::-1]
+            + j1[:n, :npr] * j2[n - 1::-1, npr - 1::-1]
+        )
+        bra = slice(starts[n], starts[n] + n)
+        ket = slice(starts[npr], starts[npr] + npr)
+        rho2[bra, ket] = block
+        rho2[ket, bra] = block.T
     return rho2
 
 

@@ -104,13 +104,18 @@ def spreading_width(sf: StrengthFunction, return_window: bool = False):
     """Minimal energy interval capturing at least half the probability.
 
     Two-pointer sweep over contiguous eigenstate runs; 0 if a single level
-    already holds >= 0.5. Rejects distributions whose weights do not sum
-    to 1 within WEIGHT_SUM_TOL.
+    already holds >= 0.5. Rejects anything that is not a distribution over
+    an ascending finite spectrum: non-finite energies or weights, negative
+    weights, or weights that do not sum to 1 within WEIGHT_SUM_TOL.
     """
     e = np.asarray(sf.eigen_energies, dtype=float)
     p = np.asarray(sf.weights, dtype=float)
     if e.shape != p.shape or e.ndim != 1 or e.size == 0:
         raise InputError("strength function needs matching 1D energies and weights")
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(p))):
+        raise InputError("eigen energies and weights must be finite")
+    if np.any(p < 0):
+        raise InputError("weights must be non-negative")
     if np.any(np.diff(e) < 0):
         raise InputError("eigen energies must be ascending")
     total = p.sum()
@@ -274,11 +279,13 @@ def critical_parameter(
     Grid scan plus linear interpolation between the bracketing samples; a
     sample landing exactly on the threshold is itself the crossing. The
     axis must be strictly monotone. No crossing gives critical=None with
-    the curve attached.
+    the curve attached. Non-finite samples are rejected.
     """
     samples = tuple((float(x), float(w)) for x, w in curve)
     if len(samples) < 2:
         raise InputError("need at least 2 samples to bracket a crossing")
+    if not np.all(np.isfinite(samples)):
+        raise InputError("curve samples must be finite")
     xs = np.array([x for x, _ in samples])
     dx = np.diff(xs)
     if not (np.all(dx > 0) or np.all(dx < 0)):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import specfrag
 import specfrag.cli as cli
 from specfrag.cli import main
 from specfrag.errors import NumericalError
@@ -431,3 +436,23 @@ class TestOptionTable:
         for module, names in hooks.items():
             for name in names:
                 assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_runtime_is_scipy_free():
+    """numpy is the package's only runtime dependency: importing it, the CLI's
+    validate and a rho^2 build load no scipy module."""
+    script = (
+        "import sys, specfrag, specfrag.cli\n"
+        "from specfrag.kepler import KeplerConfig, build_rho2\n"
+        "assert specfrag.cli.main(['validate', '--system', 'kepler']) == 0\n"
+        "build_rho2(KeplerConfig(max_n=6, target_shell=3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    # the child imports the same specfrag sources as this process
+    paths = [str(Path(specfrag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

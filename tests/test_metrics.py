@@ -116,6 +116,33 @@ class TestSpreadingWidth:
         with pytest.raises(InputError):
             spreading_width(sf)
 
+    @pytest.mark.parametrize(
+        "energies, weights",
+        [
+            ([0.0, 1.0, 2.0], [0.5, np.nan, 0.5]),
+            ([0.0, np.nan, 2.0], [0.3, 0.3, 0.4]),
+            ([0.0, 1.0, np.inf], [0.3, 0.3, 0.4]),
+            ([0.0, 1.0, 2.0], [np.inf, 0.5, 0.5]),
+        ],
+        ids=["nan-weight", "nan-energy", "inf-energy", "inf-weight"],
+    )
+    def test_rejects_non_finite(self, energies, weights):
+        sf = StrengthFunction(
+            eigen_energies=np.array(energies), weights=np.array(weights), label=None
+        )
+        with pytest.raises(InputError, match="finite"):
+            spreading_width(sf)
+
+    def test_rejects_negative_weights(self):
+        # sums to 1, and without the check the sweep reports width 0
+        sf = StrengthFunction(
+            eigen_energies=np.array([0.0, 1.0, 2.0]),
+            weights=np.array([-0.5, 1.0, 0.5]),
+            label=None,
+        )
+        with pytest.raises(InputError, match="non-negative"):
+            spreading_width(sf)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
@@ -304,6 +331,20 @@ class TestCriticalParameter:
     def test_rejects_short_curve(self):
         with pytest.raises(InputError):
             critical_parameter([(1.0, 0.2)], axis="x")
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            [(0.0, 0.1), (1.0, np.nan), (2.0, 0.9)],
+            [(0.0, 0.1), (1.0, np.inf)],
+            [(0.0, 0.1), (np.inf, 0.9)],
+            [(np.nan, 0.1), (1.0, 0.9)],
+        ],
+        ids=["nan-value", "inf-value", "inf-axis", "nan-axis"],
+    )
+    def test_rejects_non_finite(self, curve):
+        with pytest.raises(InputError, match="finite"):
+            critical_parameter(curve, axis="x")
 
     def test_first_crossing_reported(self):
         curve = [(1.0, 0.4), (2.0, 0.6), (3.0, 0.4), (4.0, 0.6)]
