@@ -95,6 +95,23 @@ class TestRho2:
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6 * scale)
         assert (np.abs(a - b) / denom).max() <= 1e-8
 
+    def test_spherical_basis_oracle(self):
+        direct = build_rho2(small_cfg(4)).entries
+        via, u = oracles.rho2_parabolic_via_spherical(4)
+        assert np.abs(u @ u.T - np.eye(10)).max() <= 1e-10
+        scale = np.abs(direct).max()
+        denom = np.maximum(np.maximum(np.abs(via), np.abs(direct)), 1e-6 * scale)
+        assert (np.abs(via - direct) / denom).max() <= 1e-8
+
+    def test_spherical_basis_oracle_twelve_shells(self):
+        # at max_n = 12 the quadrature rule spans 16 nodes, past the 12-node floor
+        direct = build_rho2(small_cfg(12)).entries
+        via, u = oracles.rho2_parabolic_via_spherical(12)
+        assert np.abs(u @ u.T - np.eye(78)).max() <= 1e-10
+        scale = np.abs(direct).max()
+        denom = np.maximum(np.maximum(np.abs(via), np.abs(direct)), 1e-6 * scale)
+        assert (np.abs(via - direct) / denom).max() <= 1e-8
+
     def test_self_check_failure_named(self, monkeypatch):
         monkeypatch.setattr(kepler_mod, "QUADRATURE_AGREEMENT_RTOL", 0.0)
         with pytest.raises(NumericalError, match="rho\\^2"):
