@@ -11,10 +11,18 @@ flags overriding file values. Each option is declared once, in OPTIONS:
 its config-file key (also the manifest key), its flags, its conversion,
 its default and its system. The output directory falls back to the
 SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
-Identical config and seed produce byte-identical CSVs on one platform with
-the BLAS thread setting held fixed, whatever --threads says: scan points run
-in order, floats are written with repr (shortest round-trip) and the
-timestamp lives only in the manifest.
+
+Scan points run on --threads worker threads (default: the CPUs this process
+may use), with numpy's bundled OpenBLAS pinned to one thread for the length
+of the scan, so each point's solve runs on its own worker. Rows are
+collected in scan order. Identical config and seed produce byte-identical
+CSVs on one platform whatever --threads says. The Kepler CSVs are also the
+same whatever the BLAS thread setting, since every Kepler solve is a scan
+point. Henon-Heiles solves once, before the scan, with BLAS's own threads,
+so its CSVs hold only with that setting fixed. Where no such OpenBLAS is
+found, the scan runs on one worker and the BLAS setting applies throughout.
+Floats are written with repr (shortest round-trip) and the timestamp lives
+only in the manifest.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
 message names the module and, where each point has its own solve, the scan
@@ -32,13 +40,21 @@ import hashlib
 import json
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from . import __version__, henon_heiles, kepler, metrics
 from .errors import ConfigurationError, InputError, NumericalError
-from .linalg import ShellGroup, SpectralDecomposition, eigh, projection_onto_subset
+from .linalg import (
+    ShellGroup,
+    SpectralDecomposition,
+    eigh,
+    projection_onto_subset,
+    single_threaded_blas,
+)
 from .metrics import StateSelection, critical_parameter, spreading_width, strength_function
 
 KNOWN_METRICS = ("w-pt", "w-exact", "kappa", "strength-function")
@@ -98,9 +114,8 @@ OPTIONS = (
     Option("metrics", ("--metrics",), _items(str), "w-pt,w-exact,kappa",
            help="comma list from: " + ",".join(KNOWN_METRICS)),
     Option("threads", ("--threads",), _int,
-           help="accepted, checked (>= 1) and echoed in the manifest; scan "
-           "points run in order, and BLAS's own threads are the only "
-           "parallel layer (default: cpu count)"),
+           help="worker threads for the scan points, each with a one-thread "
+           "BLAS (default: the CPUs this process may use)"),
     Option("selection", ("--selection",), str, StateSelection.PROJECTION_WINDOW.value,
            choices=tuple(s.value for s in StateSelection),
            help="exact-curve eigenstate selection rule (default projection-window)"),
@@ -144,6 +159,7 @@ class RunManifest:
     files: tuple[str, ...]
     metric_files: dict
     critical: dict
+    scan: dict  # how the scan ran: worker count and whether BLAS was pinned
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -189,6 +205,14 @@ def _convert(opt: Option, value):
     return value
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; cpu_count overcounts under an
+    affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_config(raw: dict) -> ExperimentConfig:
     unknown_keys = sorted(set(raw) - {o.key for o in OPTIONS})
     if unknown_keys:
@@ -211,7 +235,7 @@ def _build_config(raw: dict) -> ExperimentConfig:
     output = opts["output"] or os.environ.get("SPECFRAG_OUTPUT_DIR") or "specfrag-out"
     opts["output"] = str(Path(output))
     if opts["threads"] is None:
-        opts["threads"] = os.cpu_count() or 1
+        opts["threads"] = _usable_cpus()
     if opts["threads"] < 1:
         raise ConfigurationError(f"threads must be >= 1, got {opts['threads']}")
 
@@ -301,11 +325,11 @@ class _System:
     d0: float | None  # unperturbed spacing for kappa; None leaves kappa out
 
 
-def _solve(point: _Point) -> SpectralDecomposition:
+def _solve(where: str, solve: Callable[[], SpectralDecomposition]) -> SpectralDecomposition:
     try:
-        return point.solve()
+        return solve()
     except NumericalError as exc:
-        raise NumericalError(f"{point.where}: {exc}") from exc
+        raise NumericalError(f"{where}: {exc}") from exc
 
 
 def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -> dict:
@@ -328,11 +352,35 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
     return row
 
 
-def _scan(config: ExperimentConfig, system: _System, points: list[_Point]) -> tuple[list, dict]:
-    """Rows and critical values of one scan, points in order. Each point's
-    decomposition is released when its row is done, before the next solve."""
+def _scan(
+    config: ExperimentConfig, system: _System, points: list[_Point]
+) -> tuple[list, dict, dict]:
+    """Rows and critical values of one scan, and how it ran.
+
+    Points run on up to --threads workers while BLAS is pinned to one
+    thread; pool.map hands the rows back in scan order. A point's
+    decomposition is released when its row is done, so each worker holds
+    at most one. Once a point fails, points not yet started are skipped,
+    and the failure is raised when its row is reached.
+    """
     exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
-    rows = [_measure(system, p, _solve(p) if exact else None, config) for p in points]
+    failed = threading.Event()
+
+    def measure(point: _Point) -> dict | None:
+        if failed.is_set():
+            return None
+        try:
+            return _measure(
+                system, point, _solve(point.where, point.solve) if exact else None, config
+            )
+        except BaseException:
+            failed.set()
+            raise
+
+    with single_threaded_blas() as pinned:
+        workers = min(config.options["threads"], len(points)) if pinned else 1
+        with ThreadPoolExecutor(workers) as pool:
+            rows = list(pool.map(measure, points))
     critical: dict = {}
     suffix = system.axis.replace("-", "_")
     for metric, column, threshold, name in (
@@ -345,23 +393,29 @@ def _scan(config: ExperimentConfig, system: _System, points: list[_Point]) -> tu
             critical[key], critical[key + "_bracket"] = _crossing_entry(
                 [(r[system.axis_column], r[column]) for r in rows], threshold, system.axis
             )
-    return rows, critical
+    return rows, critical, {"workers": workers, "blas_pinned": pinned}
 
 
-def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
+def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
     cfg = config.model
     _, partition = henon_heiles.enumerate_basis(cfg)
     v = henon_heiles.build_v(cfg)
 
-    # one decomposition serves every shell of the scan
-    solve = functools.cache(lambda: eigh(henon_heiles.build_h(cfg)))
+    # one decomposition serves every shell of the scan; it is solved here,
+    # with BLAS's own threads, so no two workers race for it
+    where = "henon-heiles-model eigendecomposition"
+    decomp = (
+        _solve(where, lambda: eigh(henon_heiles.build_h(cfg)))
+        if set(config.options["metrics"]) & EXACT_METRICS
+        else None
+    )
     points = []
     for n in range(config.options["shell_min"], config.options["shell_max"] + 1):
         group = partition.group(n)
         row: dict = {"shell": n, "energy": group.energy}
         if "w-pt" in config.options["metrics"]:
             row["w_pt"] = metrics.w_perturbative(v, partition, n, cfg.lam)
-        points.append(_Point(row, group, "henon-heiles-model eigendecomposition", solve, float))
+        points.append(_Point(row, group, where, lambda: decomp, float))
     system = _System(
         columns=HH_COLUMNS,
         curve_file="hh_curves.csv",
@@ -373,7 +427,7 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
     return system, *_scan(config, system, points)
 
 
-def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
+def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     try:
@@ -426,7 +480,7 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
         exact_column="scaled_energy_exact",
         d0=d0,
     )
-    rows, critical = _scan(config, system, points)
+    rows, critical, scan = _scan(config, system, points)
     if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the
@@ -441,12 +495,12 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict]:
             value, bracket = None, None
         critical["exact_critical_scaled_energy_mean_axis"] = value
         critical["exact_critical_scaled_energy_mean_axis_bracket"] = bracket
-    return system, rows, critical
+    return system, rows, critical, scan
 
 
 def run(config: ExperimentConfig) -> RunManifest:
     runner = _run_henon_heiles if config.options["system"] == "henon-heiles" else _run_kepler
-    system, rows, critical = runner(config)
+    system, rows, critical, scan = runner(config)
 
     out = Path(config.options["output"])
     out.mkdir(parents=True, exist_ok=True)
@@ -487,6 +541,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         files=tuple(files),
         metric_files=metric_files,
         critical=critical,
+        scan=scan,
     )
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)

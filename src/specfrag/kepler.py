@@ -206,18 +206,20 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")
     states, _ = enumerate_parabolic_basis(cfg)
-    h = np.diag([s.energy for s in states])
-    exchange = None
-    if gamma > 0:
-        if rho2 is None:
-            rho2 = build_rho2(cfg)
-        if rho2.dim != len(states):
-            raise InputError(
-                f"rho2 has dim {rho2.dim} but the basis holds {len(states)} states"
-            )
-        h = h + (gamma * gamma / 8.0) * rho2.entries
-        # within a shell, |n2 n1> sits n2 - n1 places after |n1 n2>
-        exchange = [i + s.n2 - s.n1 for i, s in enumerate(states)]
+    energies = np.array([s.energy for s in states])
+    if gamma == 0:
+        return SymmetricMatrix(np.diag(energies))
+    if rho2 is None:
+        rho2 = build_rho2(cfg)
+    if rho2.dim != len(states):
+        raise InputError(
+            f"rho2 has dim {rho2.dim} but the basis holds {len(states)} states"
+        )
+    # one dim x dim array; the same sums as diag(E) + c * rho2
+    h = (gamma * gamma / 8.0) * rho2.entries
+    h[np.diag_indices_from(h)] += energies
+    # within a shell, |n2 n1> sits n2 - n1 places after |n1 n2>
+    exchange = [i + s.n2 - s.n1 for i, s in enumerate(states)]
     return SymmetricMatrix(h, perm=exchange)
 
 

@@ -8,12 +8,22 @@ odd sectors as separate blocks. Decompositions are validated on the spot:
 orthogonality, residual and completeness checks run on every block right
 after its solve, and a violation raises ConvergenceError instead of letting
 bad numbers propagate into the metrics.
+
+numpy's solves release the GIL, so independent decompositions can run on
+several Python threads at once. single_threaded_blas pins numpy's bundled
+OpenBLAS to one thread around such a pool: each solve then runs entirely on
+its caller's thread, and its result no longer depends on the BLAS thread
+setting of the environment.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -55,14 +65,19 @@ class SymmetricMatrix:
             raise InputError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
-        lower = np.tril(a)
-        full = lower + lower.T
-        del lower
+        if np.array_equal(a, a.T):
+            # adding 0.0 copies and, as the mirror below does, turns an
+            # off-diagonal -0.0 into +0.0
+            full = a + 0.0
+        else:
+            lower = np.tril(a)
+            full = lower + lower.T
+            del lower
         np.fill_diagonal(full, a.diagonal())
         declared = perm is not None or sign is not None
         p, sgn = _involution(dim, perm, sign)
         if declared:
-            pfp = full.take(p, axis=0).take(p, axis=1)
+            pfp = full[np.ix_(p, p)]
             pfp *= sgn[:, None]
             pfp *= sgn
             if not np.array_equal(pfp, full):
@@ -306,6 +321,52 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
             f"but dim = {d.dim}"
         )
     return (d.eigenvectors[idx, :] ** 2).sum(axis=0)
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None when numpy ships no OpenBLAS that exposes them."""
+    root = Path(np.__file__).parent
+    for lib_path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                            *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas() -> Iterator[bool]:
+    """Run the body with numpy's bundled OpenBLAS on one thread.
+
+    Yields True once the thread count is pinned to 1, and on exit, also
+    when the body raises, restores the count it found. Yields False and
+    changes nothing when no such OpenBLAS is found (another BLAS): the
+    caller should then keep to one thread of its own. The count is
+    process-wide, so two of these contexts must not overlap on different
+    threads.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield False
+        return
+    get, set_ = lib
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
 
 
 def random_block_unitary(partition: ShellPartition, seed: int) -> np.ndarray:

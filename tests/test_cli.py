@@ -5,12 +5,17 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specfrag
 import specfrag.cli as cli
+from specfrag import kepler, linalg
 from specfrag.cli import main
 from specfrag.errors import NumericalError
+
+KEPLER_SMALL = ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
+                "--gamma-grid", "0.004,0.008,0.016"]
 
 
 def read_csv(path):
@@ -120,21 +125,78 @@ class TestRun:
         assert ma["critical"] == mb["critical"]
 
     def test_kepler_point_decomposition_released_before_next_solve(self, tmp_path, monkeypatch):
-        real, done = cli.eigh, []
+        _check_decompositions_alive(tmp_path, monkeypatch, threads=1)
 
-        def tracked(m):
-            assert all(ref() is None for ref in done), "previous decomposition still alive"
-            d = real(m)
-            done.append(weakref.ref(d))
-            return d
+    def test_kepler_point_decompositions_one_per_worker(self, tmp_path, monkeypatch):
+        _check_decompositions_alive(tmp_path, monkeypatch, threads=2)
 
-        monkeypatch.setattr(cli, "eigh", tracked)
-        assert main(
-            ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
-             "--gamma-grid", "0.004,0.008,0.016", "--metrics",
-             "w-exact,kappa,strength-function", "-o", str(tmp_path)]
-        ) == 0
-        assert len(done) == 3
+    def test_kepler_csv_independent_of_blas_and_worker_threads(self, tmp_path):
+        # at max_n 24 these points' CSV moves with OPENBLAS_NUM_THREADS
+        # when the solves use BLAS's own threads
+        args = ["run", "--system", "kepler", "--max-n", "24",
+                "--gamma-grid", "0.0005,0.0008,0.0013,0.0021"]
+        paths = [str(Path(specfrag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        digests = set()
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"b{blas}-t{threads}"
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+                           OPENBLAS_NUM_THREADS=blas)
+                done = subprocess.run(
+                    [sys.executable, "-m", "specfrag.cli", *args, "--threads", threads,
+                     "-o", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+                digests.add((out / "kepler_curves.csv").read_bytes())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_blas_thread_count_restored(self, tmp_path, monkeypatch, code):
+        lib = linalg._openblas()
+        if lib is None:
+            pytest.skip("numpy's BLAS exposes no thread count")
+        get, set_ = lib
+        before = get()
+        set_(2)
+        try:
+            if code == 3:
+                monkeypatch.setattr(cli, "eigh", _fail)
+            assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(tmp_path)]) == code
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_unpinned_blas_runs_one_worker(self, tmp_path, monkeypatch):
+        pinned, unpinned = tmp_path / "pinned", tmp_path / "unpinned"
+        assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(pinned)]) == 0
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(unpinned)]) == 0
+        manifest = json.loads((unpinned / "manifest.json").read_text())
+        assert manifest["scan"] == {"workers": 1, "blas_pinned": False}
+        assert read_csv(pinned / "kepler_curves.csv") == read_csv(unpinned / "kepler_curves.csv")
+
+    def test_manifest_records_scan(self, tmp_path):
+        assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        pinned = linalg._openblas() is not None
+        assert manifest["scan"] == {"workers": 2 if pinned else 1, "blas_pinned": pinned}
+
+    @pytest.mark.parametrize("metrics, solves", [
+        ("w-pt,w-exact,kappa,strength-function", 1),
+        ("w-pt", 0),
+    ])
+    def test_henon_heiles_solves_once(self, tmp_path, monkeypatch, metrics, solves):
+        real, calls = cli.eigh, []
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(cli, "eigh", counted)
+        assert main(["run", "--system", "henon-heiles", "--shells", "9", "--metrics", metrics,
+                     "--threads", "2", "-o", str(tmp_path)]) == 0
+        assert len(calls) == solves
 
     def test_lambda_zero_no_mixing(self, tmp_path):
         out = tmp_path / "frozen"
@@ -251,29 +313,17 @@ class TestErrors:
         assert "synthetic blowup" in capsys.readouterr().err
 
     def test_kepler_solve_failure_names_scan_point(self, tmp_path, capsys, monkeypatch):
-        real, calls = cli.eigh, []
+        # one worker skips the point after the failure
+        assert _solves_until_failure(tmp_path, capsys, monkeypatch, threads=1) == 2
 
-        def fail_second(m):
-            calls.append(m)
-            if len(calls) == 2:
-                raise NumericalError("synthetic blowup")
-            return real(m)
-
-        monkeypatch.setattr(cli, "eigh", fail_second)
-        code = main(
-            ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
-             "--gamma-grid", "0.004,0.008,0.016", "-o", str(tmp_path)]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "kepler-model at scan point gamma=0.008: synthetic blowup" in err
-        assert len(calls) == 2
+    def test_kepler_solve_failure_names_scan_point_two_workers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the other worker may already be solving the third point
+        assert _solves_until_failure(tmp_path, capsys, monkeypatch, threads=2) in (2, 3)
 
     def test_henon_heiles_solve_failure_named(self, tmp_path, capsys, monkeypatch):
-        def fail(m):
-            raise NumericalError("synthetic blowup")
-
-        monkeypatch.setattr(cli, "eigh", fail)
+        monkeypatch.setattr(cli, "eigh", _fail)
         code = main(
             ["run", "--system", "henon-heiles", "--shells", "8", "-o", str(tmp_path)]
         )
@@ -356,6 +406,49 @@ class TestErrors:
         ) == 0
         _, _, rows = read_csv(tmp_path / "kepler_curves.csv")
         assert len(rows) == 1
+
+
+def _fail(m):
+    raise NumericalError("synthetic blowup")
+
+
+def _check_decompositions_alive(tmp_path, monkeypatch, threads):
+    """Each worker holds one decomposition at most: at any solve, only the
+    other workers' ones may still be alive."""
+    real, done = cli.eigh, []
+
+    def tracked(m):
+        alive = sum(ref() is not None for ref in done)
+        assert alive <= threads - 1, f"{alive} earlier decompositions still alive"
+        d = real(m)
+        done.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(cli, "eigh", tracked)
+    assert main(
+        [*KEPLER_SMALL, "--metrics", "w-exact,kappa,strength-function",
+         "--threads", str(threads), "-o", str(tmp_path)]
+    ) == 0
+    assert len(done) == 3
+
+
+def _solves_until_failure(tmp_path, capsys, monkeypatch, threads) -> int:
+    """Fail the solve of the gamma = 0.008 point's matrix, check that the
+    error names that point and return how many solves were started."""
+    bad = kepler.build_h(kepler.KeplerConfig(max_n=6, target_shell=3), 0.008).entries
+    real, calls = cli.eigh, []
+
+    def fail_at_second_point(m):
+        calls.append(m)
+        if np.array_equal(m.entries, bad):
+            raise NumericalError("synthetic blowup")
+        return real(m)
+
+    monkeypatch.setattr(cli, "eigh", fail_at_second_point)
+    code = main([*KEPLER_SMALL, "--threads", str(threads), "-o", str(tmp_path)])
+    assert code == 3
+    assert "kepler-model at scan point gamma=0.008: synthetic blowup" in capsys.readouterr().err
+    return len(calls)
 
 
 def _given(tmp_path, form, given):

@@ -149,6 +149,13 @@ class TestHamiltonian:
             atol=1e-15 * np.abs(rho2.entries).max(),
         )
 
+    def test_bitwise_equal_to_diagonal_plus_scaled_rho2(self):
+        cfg = small_cfg(6)
+        states, _ = enumerate_parabolic_basis(cfg)
+        rho2 = build_rho2(cfg)
+        expected = np.diag([s.energy for s in states]) + (0.3 ** 2 / 8.0) * rho2.entries
+        assert build_h(cfg, 0.3, rho2=rho2).entries.tobytes() == expected.tobytes()
+
     def test_rejects_negative_gamma(self):
         with pytest.raises(InputError):
             build_h(small_cfg(3), -0.1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specfrag import henon_heiles, kepler
+from specfrag import henon_heiles, kepler, linalg
 from specfrag.errors import ConvergenceError, InputError
 from specfrag.linalg import (
     BLOCK_UNITARY_TOL,
@@ -11,6 +11,7 @@ from specfrag.linalg import (
     eigh,
     projection_onto_subset,
     random_block_unitary,
+    single_threaded_blas,
 )
 
 
@@ -29,6 +30,16 @@ class TestSymmetricMatrix:
         m = SymmetricMatrix(np.array([[1.0, 99.0], [2.0, 3.0]]))
         assert m.entries[0, 1] == 2.0
         assert m.entries[1, 0] == 2.0
+
+    def test_symmetric_input_copied_as_the_mirror_would(self):
+        a = np.array([[-0.0, -0.0, 1.5], [-0.0, 2.0, 0.0], [1.5, 0.0, -0.0]])
+        m = SymmetricMatrix(a)
+        lower = np.tril(a)
+        mirrored = lower + lower.T
+        np.fill_diagonal(mirrored, a.diagonal())
+        assert m.entries.tobytes() == mirrored.tobytes()
+        a[0, 2] = a[2, 0] = 7.0
+        assert m.entries[0, 2] == 1.5
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
@@ -306,3 +317,26 @@ class TestRandomBlockUnitary:
         assert not np.array_equal(
             random_block_unitary(p, seed=123), random_block_unitary(p, seed=124)
         )
+
+
+class TestSingleThreadedBlas:
+    def test_pins_and_restores_on_error(self):
+        lib = linalg._openblas()
+        if lib is None:
+            pytest.skip("numpy's BLAS exposes no thread count")
+        get, set_ = lib
+        before = get()
+        set_(2)
+        try:
+            with pytest.raises(RuntimeError):
+                with single_threaded_blas() as pinned:
+                    assert pinned and get() == 1
+                    raise RuntimeError
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_reports_unpinned_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        with single_threaded_blas() as pinned:
+            assert pinned is False
