@@ -44,7 +44,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__, henon_heiles, kepler, metrics
 from .errors import ConfigurationError, InputError, NumericalError
@@ -283,13 +283,27 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, columns, rows, meta: dict) -> None:
+def _write_csv(path: Path, columns, lines: Iterable[str], meta: dict) -> None:
+    """Header comments, the column names, then the data lines as given:
+    formatted with _fmt, comma-joined and newline-terminated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+        fh.writelines(lines)
+
+
+def _curve_lines(columns, rows: list[dict]) -> Iterator[str]:
+    for row in rows:
+        yield ",".join(_fmt(row.get(c)) for c in columns) + "\n"
+
+
+def _strength_lines(axis_col: str, rows: list[dict]) -> Iterator[str]:
+    # one line per (energy, weight); both are Python floats, so repr is _fmt
+    for row in rows:
+        head = _fmt(row[axis_col]) + ","
+        for energy, weight in row.get("_sf", ()):
+            yield f"{head}{energy!r},{weight!r}\n"
 
 
 def _crossing_entry(curve, threshold: float, axis: str) -> tuple:
@@ -516,7 +530,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     files: list[str] = []
     metric_files: dict = {}
     curve_name = system.curve_file
-    _write_csv(out / curve_name, system.columns, rows, meta)
+    _write_csv(out / curve_name, system.columns, _curve_lines(system.columns, rows), meta)
     files.append(curve_name)
     for name in config.options["metrics"]:
         if name != "strength-function":
@@ -525,11 +539,12 @@ def run(config: ExperimentConfig) -> RunManifest:
     if "strength-function" in config.options["metrics"]:
         sf_name = "strength_function.csv"
         axis_col = system.columns[0]
-        sf_rows = []
-        for row in rows:
-            for energy, weight in row.get("_sf", ()):
-                sf_rows.append({axis_col: row[axis_col], "eigen_energy": energy, "weight": weight})
-        _write_csv(out / sf_name, (axis_col, "eigen_energy", "weight"), sf_rows, meta)
+        _write_csv(
+            out / sf_name,
+            (axis_col, "eigen_energy", "weight"),
+            _strength_lines(axis_col, rows),
+            meta,
+        )
         files.append(sf_name)
         metric_files["strength-function"] = sf_name
 
@@ -558,12 +573,15 @@ def validate(config: ExperimentConfig) -> list[str]:
         shells, grid = opts["max_n"], opts["gamma_grid"]
         points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
     dim = shells * (shells + 1) // 2
+    # a solve holds its dense H and about as much again in sector blocks,
+    # block eigenvectors and workspace; HH solves once, each Kepler worker
+    # once per point
+    solves = 1 if opts["system"] == "henon-heiles" else min(opts["threads"], points)
     return [
         f"system: {opts['system']}",
         f"{dim} states, {shells} shells",
         f"scan points: {points} ({span})",
-        # dense H, eigenvectors and a workspace copy dominate
-        f"estimated peak memory: {3 * dim * dim * 8 / 1e6:.1f} MB",
+        f"estimated peak memory: {solves * 2 * dim * dim * 8 / 1e6:.1f} MB",
         f"metrics: {','.join(opts['metrics'])}",
         f"selection: {opts['selection']}",
     ]

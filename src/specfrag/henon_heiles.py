@@ -104,8 +104,9 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
     callers form H = H0 + lambda*V so one build serves a whole scan).
 
     Elements vanish unless the shells differ by exactly 1 or 3, and V
-    conserves the parity of n1 since q1 only appears squared. The build
-    fills one shell-pair block at a time from the 1-D ladder tables.
+    conserves the parity of n1 since q1 only appears squared; the matrix
+    declares that symmetry, and construction checks it. The build fills
+    one shell-pair block at a time from the 1-D ladder tables.
     """
     size = cfg.num_shells
     q, q2, q3 = _ladder_tables(max(size, 3), cfg.hbar)
@@ -124,21 +125,23 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
             ket = slice(starts[npr], starts[npr] + npr + 1)
             v[bra, ket] = block
             v[ket, bra] = block.T
-    return SymmetricMatrix(v)
+    # basis index starts[n] + i holds n1 = i
+    n1 = np.concatenate([np.arange(n + 1) for n in range(size)])
+    return SymmetricMatrix(v, sign=np.where(n1 % 2, -1.0, 1.0))
 
 
 def build_h(cfg: HHConfig) -> SymmetricMatrix:
-    """Full Hamiltonian H0 + lambda*V.
+    """Full Hamiltonian H0 + lambda*V, bitwise the sum diag(H0) + lambda*V.
 
     Declares the exact Z2 symmetry it has: the parity of n1 (the reflection
     q1 -> -q1 of the potential's C3v symmetry), so eigh solves the even-n1
-    and odd-n1 states as separate blocks.
+    and odd-n1 states as separate blocks. The symmetry is V's, checked in
+    build_v; the diagonal H0 needs only the O(dim) check of
+    SymmetricMatrix.scaled_plus_diagonal.
     """
     states, _ = enumerate_basis(cfg)
-    h0 = build_h0(cfg)
-    v = build_v(cfg)
-    parity = [(-1.0) ** s.n1 for s in states]
-    return SymmetricMatrix(h0.entries + cfg.lam * v.entries, sign=parity)
+    energies = np.array([s.energy(cfg.hbar) for s in states])
+    return build_v(cfg).scaled_plus_diagonal(cfg.lam, energies)
 
 
 def bound_energy_ceiling(lam: float) -> float:

@@ -174,6 +174,9 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     the base rule is already exact; a second evaluation at twice the node
     count must agree to QUADRATURE_AGREEMENT_RTOL relative, else the
     offending element is named in a NumericalError.
+
+    The matrix declares its exact Z2 symmetry, the n1 <-> n2 exchange, and
+    that is checked here, once; build_h carries it to every H(gamma).
     """
     nodes = max(cfg.max_n + 4, 12)
     first = _rho2_entries(cfg, nodes)
@@ -188,7 +191,15 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
             f"quadrature self-check failed for <{states[i]}|rho^2|{states[jdx]}>: "
             f"{first[i, jdx]!r} vs {second[i, jdx]!r} at {nodes}/{2 * nodes} nodes"
         )
-    return SymmetricMatrix(first)
+    return SymmetricMatrix(first, perm=_exchange(cfg.max_n))
+
+
+def _exchange(max_n: int) -> np.ndarray:
+    """The n1 <-> n2 exchange (z-parity) as a permutation of the basis:
+    within a shell, |n2 n1> sits n2 - n1 places after |n1 n2>."""
+    return np.concatenate(
+        [np.arange(n * (n - 1) // 2, n * (n + 1) // 2)[::-1] for n in range(1, max_n + 1)]
+    )
 
 
 def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None) -> SymmetricMatrix:
@@ -197,11 +208,13 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None
     gamma = 0 returns the bare Coulomb diagonal. Pass a prebuilt rho2 to
     amortize the quadrature across a gamma scan.
 
-    For gamma > 0 the matrix declares its exact Z2 symmetry, the n1 <-> n2
-    exchange (z-parity), so eigh solves its two sectors as separate blocks.
-    The diagonal gamma = 0 matrix declares none: its basis states already
-    are its eigenvectors, and the sectors' +-1/sqrt(2) combinations would
-    only add roundoff to them.
+    For gamma > 0 the matrix declares rho2's symmetry, carried over by
+    SymmetricMatrix.scaled_plus_diagonal without a new dim x dim check.
+    build_rho2 declares the exact one, the n1 <-> n2 exchange (z-parity),
+    so eigh solves its two sectors as separate blocks. The diagonal
+    gamma = 0 matrix declares none: its basis states already are its
+    eigenvectors, and the sectors' +-1/sqrt(2) combinations would only add
+    roundoff to them.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")
@@ -215,12 +228,7 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None
         raise InputError(
             f"rho2 has dim {rho2.dim} but the basis holds {len(states)} states"
         )
-    # one dim x dim array; the same sums as diag(E) + c * rho2
-    h = (gamma * gamma / 8.0) * rho2.entries
-    h[np.diag_indices_from(h)] += energies
-    # within a shell, |n2 n1> sits n2 - n1 places after |n1 n2>
-    exchange = [i + s.n2 - s.n1 for i, s in enumerate(states)]
-    return SymmetricMatrix(h, perm=exchange)
+    return rho2.scaled_plus_diagonal(gamma * gamma / 8.0, energies)
 
 
 def scaled_energy(e: float, gamma: float) -> float:

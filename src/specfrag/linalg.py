@@ -4,10 +4,17 @@ Every matrix in this package is small (a few hundred to a few thousand
 rows), so storage is plain dense float64 throughout. A matrix may declare
 an exact Z2 symmetry, a signed involution of its basis; construction checks
 bitwise that the matrix commutes with it, and eigh then solves the even and
-odd sectors as separate blocks. Decompositions are validated on the spot:
-orthogonality, residual and completeness checks run on every block right
-after its solve, and a violation raises ConvergenceError instead of letting
-bad numbers propagate into the metrics.
+odd sectors as separate blocks. The symmetry is checked once per model:
+SymmetricMatrix.scaled_plus_diagonal forms c*A + diag(d) from an already
+checked A and checks only that d is invariant, so a scan over couplings
+never repeats the dim x dim check. Decompositions are validated on the
+spot: orthogonality, residual and completeness checks run on every block
+right after its solve, and a violation raises ConvergenceError instead of
+letting bad numbers propagate into the metrics.
+
+Decompositions stay in sector form. projection_onto_subset, and with it
+every metric, reads the block eigenvectors directly; the full-basis
+eigenvectors are assembled only when first asked for.
 
 numpy's solves release the GIL, so independent decompositions can run on
 several Python threads at once. single_threaded_blas pins numpy's bundled
@@ -21,6 +28,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -88,6 +96,38 @@ class SymmetricMatrix:
         object.__setattr__(self, "perm", p)
         object.__setattr__(self, "sign", sgn)
 
+    def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
+        """c * A + diag(diagonal), with A's symmetry and no O(dim^2) check.
+
+        Every entry is the sum diag(diagonal) + c * A forms, bitwise, signed
+        zeros included (an off-diagonal -0.0 of c * A becomes +0.0). The
+        result keeps A's perm and sign: c * A commutes with P bitwise
+        because A does, and so does the sum once the diagonal is invariant
+        under the permutation, diagonal[perm[i]] == diagonal[i], since the
+        same operands then go through the same operations. That O(dim)
+        condition is what is checked; InputError if it or finiteness fails.
+        """
+        c = float(c)
+        d = np.asarray(diagonal, dtype=float)
+        if d.shape != (self.dim,):
+            raise InputError(f"diagonal must hold {self.dim} entries, got shape {d.shape}")
+        if not (math.isfinite(c) and np.all(np.isfinite(d))):
+            raise InputError("scale and diagonal must be finite")
+        if not np.array_equal(d[self.perm], d):
+            raise InputError("diagonal is not invariant under the declared symmetry")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            out = c * self.entries
+            out += 0.0
+            out[np.diag_indices(self.dim)] = d + c * self.entries.diagonal()
+        if not np.all(np.isfinite(out)):
+            raise InputError("matrix entries must be finite")
+        out.flags.writeable = False
+        # past the constructor, whose checks the reasoning above replaces
+        m = object.__new__(SymmetricMatrix)
+        for name, value in (("entries", out), ("perm", self.perm), ("sign", self.sign)):
+            object.__setattr__(m, name, value)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMatrix is immutable")
 
@@ -114,17 +154,52 @@ def _involution(dim: int, perm, sign) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class SectorEigenpairs:
+    """One symmetry sector's share of a decomposition: the sector's basis,
+    its block's eigenvalues (ascending) and eigenvectors in sector
+    coordinates (one column each), and the columns those eigenstates take
+    in the decomposition's merged order."""
+
+    sector: _Sector
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    columns: np.ndarray
+
+
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix. Column i of ``eigenvectors`` holds the coefficients of
-    eigenstate i in the basis the matrix was written in."""
+    matrix, kept per symmetry sector.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    Column i of ``eigenvectors`` holds the coefficients of eigenstate i in
+    the basis the matrix was written in. That dim x dim array is assembled
+    from the sectors on first access, once, even when several threads ask
+    at the same time; the metrics never need it (see
+    projection_onto_subset).
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, sectors: tuple[SectorEigenpairs, ...]) -> None:
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "_vectors", None)
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpectralDecomposition is immutable")
 
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        with self._lock:
+            if self._vectors is None:
+                vecs = np.zeros((self.dim, self.dim))
+                for part in self.sectors:
+                    part.sector.scatter(part.vectors, vecs, part.columns)
+                vecs.flags.writeable = False
+                object.__setattr__(self, "_vectors", vecs)
+            return self._vectors
 
 
 @dataclass(frozen=True)
@@ -188,10 +263,10 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     bitwise that the symmetry commutes with the matrix, so no entry couples
     two sectors and the blocks are exact. Every block is checked for
     orthogonality, residual (against the block's own Frobenius norm) and
-    completeness at the module tolerances. The blocks' eigenvectors are
-    then written back in the full basis, with the eigenvalues merged into
+    completeness at the module tolerances. The eigenvalues are merged into
     one ascending order; a stable merge keeps equal eigenvalues in sector
-    order, so the result is deterministic.
+    order, so the result is deterministic. The block eigenvectors are kept
+    as they are, with the merged column each one takes.
 
     Raises InputError for non-finite entries and ConvergenceError (naming
     the full matrix dimension) if a block solve fails or violates a
@@ -208,16 +283,17 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     order = np.argsort(vals, kind="stable")
     cols = np.empty(dim, dtype=int)
     cols[order] = np.arange(dim)
-    vecs = np.zeros((dim, dim))
+    parts = []
     start = 0
-    for sec, (_, y) in zip(sectors, solved):
-        sec.scatter(y, vecs, cols[start:start + sec.size])
+    for sec, (v, y) in zip(sectors, solved):
+        part = SectorEigenpairs(sec, v, y, cols[start:start + sec.size])
         start += sec.size
+        for arr in (v, y, part.columns):
+            arr.flags.writeable = False
+        parts.append(part)
     vals = vals[order]
-
     vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return SpectralDecomposition(vals, tuple(parts))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -245,11 +321,19 @@ class _Sector:
         # here, and the block comes out bitwise symmetric.
         nf = self.fixed.size
         b = np.empty((self.size, self.size))
+        rows = h[self.reps]  # one row gather serves the three column picks
         b[:nf, :nf] = h[np.ix_(self.fixed, self.fixed)]
-        b[nf:, :nf] = _SQRT2 * h[np.ix_(self.reps, self.fixed)]
+        b[nf:, :nf] = _SQRT2 * rows[:, self.fixed]
         b[:nf, nf:] = b[nf:, :nf].T
-        b[nf:, nf:] = h[np.ix_(self.reps, self.reps)] + h[np.ix_(self.reps, self.partners)] * self.coef
+        b[nf:, nf:] = rows[:, self.reps] + rows[:, self.partners] * self.coef
         return b
+
+    def share(self, inside: np.ndarray) -> np.ndarray:
+        """Per sector row, the share of its basis states that the 0/1
+        indicator inside marks: 0 or 1 for a fixed state, 0, 1/2 or 1 for
+        a pair, each of whose states holds half the row's weight."""
+        pair = inside[self.reps] + inside[self.partners]
+        return np.concatenate([inside[self.fixed], 0.5 * pair])
 
     def scatter(self, y: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
         """Write the full-basis coefficients of the block eigenvectors y
@@ -309,6 +393,11 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
     Returns w_i = sum over alpha in subset of c_i^alpha squared, one value
     per eigenstate. Each w_i lies in [0, 1] and the w_i sum to |subset|
     (completeness of the truncated space).
+
+    Computed in sector coordinates, for any subset: a sector eigenvector y
+    puts y_r^2 on a fixed state and y_r^2 / 2 on each state of a pair, so
+    w_i sums y_r^2 over the sector rows r, weighted by each row's share of
+    states inside the subset (_Sector.share). Rows are summed in order.
     """
     idx = np.asarray(list(subset), dtype=int)
     if idx.size == 0:
@@ -320,7 +409,14 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
             f"basis index out of range: subset spans [{idx.min()}, {idx.max()}] "
             f"but dim = {d.dim}"
         )
-    return (d.eigenvectors[idx, :] ** 2).sum(axis=0)
+    inside = np.zeros(d.dim)
+    inside[idx] = 1.0
+    w = np.empty(d.dim)
+    for part in d.sectors:
+        share = part.sector.share(inside)
+        rows = np.flatnonzero(share)
+        w[part.columns] = (part.vectors[rows] ** 2 * share[rows, None]).sum(axis=0)
+    return w
 
 
 @functools.cache

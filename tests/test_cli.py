@@ -44,6 +44,27 @@ class TestValidate:
         assert "210 states, 20 shells" in out
         assert "scan points: 61" in out
 
+    @staticmethod
+    def estimate_mb(capsys, argv) -> float:
+        assert main(["validate", *argv]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "peak memory" in l)
+        return float(line.split(": ")[1].split()[0])
+
+    def test_memory_estimate_scales_with_kepler_workers(self, capsys):
+        argv = ["--system", "kepler", "--max-n", "30", "--threads"]
+        one, two, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "2", "4"))
+        per_worker = 2 * 465 ** 2 * 8 / 1e6
+        for estimate, workers in ((one, 1), (two, 2), (four, 4)):
+            assert estimate == pytest.approx(workers * per_worker, abs=0.05)
+        # never more workers than points
+        grid = ["--gamma-grid", "0.004,0.008"]
+        assert self.estimate_mb(capsys, argv + ["4"] + grid) == two
+
+    def test_memory_estimate_of_henon_heiles_ignores_threads(self, capsys):
+        argv = ["--system", "henon-heiles", "--shells", "60", "--threads"]
+        one, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "4"))
+        assert one == four == pytest.approx(2 * 1830 ** 2 * 8 / 1e6, abs=0.05)
+
     def test_zero_shells_config_error(self, capsys):
         assert main(["validate", "--system", "henon-heiles", "--shells", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -275,6 +296,26 @@ class TestRun:
         assert rows
         manifest = json.loads((out / "manifest.json").read_text())
         assert "strength-function" in manifest["metric_files"]
+
+    def test_strength_function_lines_formatted_per_cell(self, tmp_path):
+        """Every cell is repr of a float, the shell column too."""
+        from specfrag.henon_heiles import HHConfig, build_h, enumerate_basis
+        from specfrag.metrics import strength_function
+
+        out = tmp_path / "sf"
+        argv = ["run", "--system", "henon-heiles", "--shells", "8",
+                "--metrics", "strength-function", "-o", str(out)]
+        assert main(argv) == 0
+        cfg = HHConfig(num_shells=8)
+        d = linalg.eigh(build_h(cfg))
+        _, partition = enumerate_basis(cfg)
+        expected = []
+        for n in range(1, 5):
+            sf = strength_function(d, partition.group(n).indices)
+            for e, w in zip(sf.eigen_energies.tolist(), sf.weights.tolist()):
+                expected.append(f"{float(n)!r},{e!r},{w!r}")
+        text = (out / "strength_function.csv").read_text()
+        assert [l for l in text.splitlines() if not l.startswith("#")][1:] == expected
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

@@ -14,7 +14,7 @@ from specfrag.henon_heiles import (
     build_v,
     enumerate_basis,
 )
-from specfrag.linalg import eigh
+from specfrag.linalg import SymmetricMatrix, eigh
 
 
 def test_single_shell_basis():
@@ -215,6 +215,23 @@ class TestH:
             )
         )
         np.testing.assert_allclose(full, block_union, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_bitwise_equal_to_h0_plus_lambda_v(self, lam):
+        """H is the constructor's image of the sum H0 + lambda*V, bit for
+        bit, signed zeros included."""
+        cfg = HHConfig(lam=lam, num_shells=12)
+        states, _ = enumerate_basis(cfg)
+        parity = [(-1.0) ** s.n1 for s in states]
+        expected = SymmetricMatrix(
+            build_h0(cfg).entries + lam * build_v(cfg).entries, sign=parity
+        )
+        assert build_h(cfg).entries.tobytes() == expected.entries.tobytes()
+
+    def test_v_declares_n1_parity(self):
+        cfg = HHConfig(num_shells=7)
+        states, _ = enumerate_basis(cfg)
+        np.testing.assert_array_equal(build_v(cfg).sign, [(-1.0) ** s.n1 for s in states])
 
     def test_declares_n1_parity(self):
         cfg = HHConfig(num_shells=10)

@@ -81,6 +81,14 @@ class TestRho2:
         swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
         np.testing.assert_array_equal(rho2, rho2[np.ix_(swap, swap)])
 
+    def test_declares_exchange(self):
+        cfg = small_cfg(5)
+        states, _ = enumerate_parabolic_basis(cfg)
+        rho2 = build_rho2(cfg)
+        swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
+        np.testing.assert_array_equal(rho2.perm, swap)
+        np.testing.assert_array_equal(rho2.sign, np.ones(len(states)))
+
     def test_positive_semidefinite(self):
         rho2 = build_rho2(KeplerConfig()).entries
         eigs = np.linalg.eigvalsh(rho2)

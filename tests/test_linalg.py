@@ -173,6 +173,24 @@ class TestSymmetryBlocks:
         with pytest.raises(InputError):
             SymmetricMatrix(np.eye(3), perm=[1, 0, 2], sign=[1.0, -1.0, 1.0])
 
+    def test_decomposition_kept_per_sector(self):
+        h = commuting_matrix(self.PERM, self.SIGN, seed=8)
+        d = eigh(SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN))
+        assert [part.vectors.shape for part in d.sectors] == [(4, 4), (3, 3)]
+        cols = np.concatenate([part.columns for part in d.sectors])
+        np.testing.assert_array_equal(np.sort(cols), np.arange(7))
+        for part in d.sectors:
+            np.testing.assert_array_equal(d.eigenvalues[part.columns], part.eigenvalues)
+
+    def test_eigenvectors_assembled_once(self):
+        h = commuting_matrix(self.PERM, self.SIGN, seed=9)
+        d = eigh(SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN))
+        assert d.eigenvectors is d.eigenvectors
+        with pytest.raises(ValueError):
+            d.eigenvectors[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            d.sectors = ()
+
     def test_failed_block_solve_names_full_dimension(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("synthetic")
@@ -182,6 +200,48 @@ class TestSymmetryBlocks:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match="4x4 block of a 7x7 matrix"):
             eigh(m)
+
+
+class TestScaledPlusDiagonal:
+    PERM = TestSymmetryBlocks.PERM
+    SIGN = TestSymmetryBlocks.SIGN
+
+    def checked(self, seed):
+        return SymmetricMatrix(commuting_matrix(self.PERM, self.SIGN, seed), self.PERM, self.SIGN)
+
+    def test_bitwise_equal_to_the_constructors_sum(self):
+        a = self.checked(seed=4)
+        d = np.arange(7.0)[self.PERM] + np.arange(7.0)
+        for c in (0.0, -0.0, 0.37, -2.5):
+            m = a.scaled_plus_diagonal(c, d)
+            expected = SymmetricMatrix(np.diag(d) + c * a.entries, self.PERM, self.SIGN)
+            assert m.entries.tobytes() == expected.entries.tobytes()
+            assert m.perm is a.perm and m.sign is a.sign
+            with pytest.raises(ValueError):
+                m.entries[0, 0] = 1.0
+
+    def test_off_diagonal_negative_zero_becomes_positive(self):
+        a = SymmetricMatrix(np.array([[1.0, -2.0], [-2.0, 3.0]]))
+        m = a.scaled_plus_diagonal(0.0, [5.0, 6.0])
+        assert m.entries.tobytes() == np.array([[5.0, 0.0], [0.0, 6.0]]).tobytes()
+
+    def test_rejects_diagonal_not_invariant(self):
+        a = self.checked(seed=6)
+        d = np.zeros(7)
+        d[1] = 1.0  # 1 and 4 are swapped
+        with pytest.raises(InputError, match="invariant"):
+            a.scaled_plus_diagonal(1.0, d)
+
+    def test_rejects_bad_input(self):
+        a = self.checked(seed=6)
+        with pytest.raises(InputError):
+            a.scaled_plus_diagonal(1.0, np.zeros(6))
+        with pytest.raises(InputError):
+            a.scaled_plus_diagonal(np.inf, np.zeros(7))
+        with pytest.raises(InputError):
+            a.scaled_plus_diagonal(1.0, np.full(7, np.nan))
+        with pytest.raises(InputError, match="finite"):
+            a.scaled_plus_diagonal(1e308, np.zeros(7))
 
 
 def hh30():
@@ -232,6 +292,15 @@ class TestProjection:
         a = rng.standard_normal((10, 10))
         d = eigh(SymmetricMatrix(a + a.T))
         assert abs(projection_onto_subset(d, [2, 5, 6]).sum() - 3.0) <= 1e-10
+
+    def test_pair_split_by_subset(self):
+        # one pair (0, 1) of the swap; its sector rows put half their
+        # weight on each state, so the subset {0} reads exactly 1/2
+        h = np.array([[1.0, 0.5], [0.5, 1.0]])
+        d = eigh(SymmetricMatrix(h, perm=[1, 0]))
+        w = projection_onto_subset(d, [0])
+        np.testing.assert_allclose(w, [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, d.eigenvectors[0] ** 2, rtol=0, atol=1e-15)
 
     def test_rejects_bad_subset(self):
         d = eigh(SymmetricMatrix(np.eye(3)))
