@@ -22,13 +22,15 @@ point. Henon-Heiles solves once, before the scan, with BLAS's own threads,
 so its CSVs hold only with that setting fixed. Where no such OpenBLAS is
 found, the scan runs on one worker and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
-only in the manifest.
+only in the manifest. No step of a run is random, so --seed enters only the
+config echo and hash.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
 message names the module and, where each point has its own solve, the scan
 point). Every bad input exits 2 before any compute: a malformed or unknown
-config value, an out-of-range option, or a scan too short or not monotone
-for the critical values asked for.
+config value, an out-of-range option, a Kepler basis without a shell next to
+the target (max_n < 2), or a scan too short or not monotone for the
+critical values asked for.
 """
 from __future__ import annotations
 
@@ -265,6 +267,11 @@ def _build_config(raw: dict) -> ExperimentConfig:
             target_shell=opts["target_shell"],
             gamma_grid=opts["gamma_grid"],
         )
+        if model.max_n < 2:
+            raise ConfigurationError(
+                "kappa's D0 is the gap to a neighbouring shell; the experiment needs "
+                f"max_n >= 2, got {model.max_n}"
+            )
         scan, scan_keys = opts["gamma_grid"], "gamma_grid"
     # a critical value interpolates along a strictly monotone axis
     if set(opts["metrics"]) & {"w-pt", "w-exact", "kappa"}:
@@ -302,7 +309,7 @@ def _strength_lines(axis_col: str, rows: list[dict]) -> Iterator[str]:
     # one line per (energy, weight); both are Python floats, so repr is _fmt
     for row in rows:
         head = _fmt(row[axis_col]) + ","
-        for energy, weight in row.get("_sf", ()):
+        for energy, weight in row["_sf"]:
             yield f"{head}{energy!r},{weight!r}\n"
 
 
@@ -336,10 +343,11 @@ class _System:
     axis: str  # crossing axis name; the critical keys end in it
     axis_column: str
     exact_column: str
-    d0: float | None  # unperturbed spacing for kappa; None leaves kappa out
+    d0: float  # kappa's unperturbed spacing to the nearest neighbouring shell
 
 
-def _solve(where: str, solve: Callable[[], SpectralDecomposition]) -> SpectralDecomposition:
+def _solve(where: str, solve: Callable):
+    """solve(), with a numerical failure of it named by where."""
     try:
         return solve()
     except NumericalError as exc:
@@ -358,8 +366,7 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
     if "kappa" in config.options["metrics"]:
         width = spreading_width(strength_function(decomp, idx, label=point.group.label))
         row["gamma_spr"] = width
-        if system.d0 is not None:
-            row["kappa"] = width / system.d0
+        row["kappa"] = width / system.d0
     if "strength-function" in config.options["metrics"]:
         sf = strength_function(decomp, idx, label=point.group.label)
         row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
@@ -402,7 +409,7 @@ def _scan(
         ("w-exact", "w_exact", 0.5, "exact"),
         ("kappa", "kappa", 1.0, "kappa"),
     ):
-        if metric in config.options["metrics"] and (column != "kappa" or system.d0 is not None):
+        if metric in config.options["metrics"]:
             key = f"{name}_critical_{suffix}"
             critical[key], critical[key + "_bracket"] = _crossing_entry(
                 [(r[system.axis_column], r[column]) for r in rows], threshold, system.axis
@@ -413,7 +420,15 @@ def _scan(
 def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
     cfg = config.model
     _, partition = henon_heiles.enumerate_basis(cfg)
-    v = henon_heiles.build_v(cfg)
+    shells = range(config.options["shell_min"], config.options["shell_max"] + 1)
+    groups = [partition.group(n) for n in shells]
+    rows = [{"shell": g.label, "energy": g.energy} for g in groups]
+    if "w-pt" in config.options["metrics"]:
+        # V goes before build_h forms its own, so the run holds one at a time
+        v = henon_heiles.build_v(cfg)
+        for row, g in zip(rows, groups):
+            row["w_pt"] = metrics.w_perturbative(v, partition, g.label, cfg.lam)
+        del v
 
     # one decomposition serves every shell of the scan; it is solved here,
     # with BLAS's own threads, so no two workers race for it
@@ -423,13 +438,7 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
         if set(config.options["metrics"]) & EXACT_METRICS
         else None
     )
-    points = []
-    for n in range(config.options["shell_min"], config.options["shell_max"] + 1):
-        group = partition.group(n)
-        row: dict = {"shell": n, "energy": group.energy}
-        if "w-pt" in config.options["metrics"]:
-            row["w_pt"] = metrics.w_perturbative(v, partition, n, cfg.lam)
-        points.append(_Point(row, group, where, lambda: decomp, float))
+    points = [_Point(row, g, where, lambda: decomp, float) for row, g in zip(rows, groups)]
     system = _System(
         columns=HH_COLUMNS,
         curve_file="hh_curves.csv",
@@ -444,20 +453,14 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
 def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
-    try:
-        rho2 = kepler.build_rho2(cfg)
-    except NumericalError as exc:
-        raise NumericalError(f"kepler-model rho^2 build: {exc}") from exc
+    rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
     target = partition.group(cfg.target_shell)
-
-    # nearest unperturbed neighbor gap for kappa
-    energies = {g.label: g.energy for g in partition.groups}
-    gaps = []
-    if cfg.target_shell + 1 in energies:
-        gaps.append(energies[cfg.target_shell + 1] - target.energy)
-    if cfg.target_shell - 1 in energies:
-        gaps.append(target.energy - energies[cfg.target_shell - 1])
-    d0 = min(gaps) if gaps else None
+    # kappa's D0: the gap to the nearest shell; _build_config sees one exists
+    d0 = min(
+        abs(g.energy - target.energy)
+        for g in partition.groups
+        if abs(g.label - cfg.target_shell) == 1
+    )
 
     # W is exactly quadratic in the coupling, so one unit-coupling
     # evaluation serves the whole grid

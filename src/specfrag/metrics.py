@@ -181,13 +181,7 @@ def select_eigenstates(
         picked = np.arange(start, start + dim_t)
     else:
         raise ConfigurationError(f"unknown selection {selection!r}")
-
-    picked = np.sort(picked)
-    if picked.size != dim_t:
-        raise ConfigurationError(
-            f"selection produced {picked.size} eigenstates, expected {dim_t}"
-        )
-    return picked
+    return np.sort(picked)
 
 
 def w_exact(

@@ -10,12 +10,13 @@ import pytest
 
 import specfrag
 import specfrag.cli as cli
-from specfrag import kepler, linalg
+from specfrag import henon_heiles, kepler, linalg, metrics
 from specfrag.cli import main
 from specfrag.errors import NumericalError
 
 KEPLER_SMALL = ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
                 "--gamma-grid", "0.004,0.008,0.016"]
+ALL_METRICS = "w-pt,w-exact,kappa,strength-function"
 
 
 def read_csv(path):
@@ -427,6 +428,8 @@ class TestErrors:
              "gamma_grid"),
             (["--system", "henon-heiles", "--shells", "8", "--shell-min", "3", "--shell-max", "3"],
              "shell_min"),
+            # one shell has no neighbour to give kappa its D0
+            (["--system", "kepler", "--max-n", "1", "--target-shell", "1"], "max_n"),
         ],
     )
     def test_scan_shape_rejected_before_compute(self, tmp_path, capsys, monkeypatch, flags, key):
@@ -440,6 +443,15 @@ class TestErrors:
         assert solves == []
         assert not out.exists()
 
+    def test_rho2_build_failure_named(self, tmp_path, capsys, monkeypatch):
+        # a negative tolerance fails build_rho2's own quadrature self-check
+        monkeypatch.setattr(kepler, "QUADRATURE_AGREEMENT_RTOL", -1.0)
+        out = tmp_path / "out"
+        assert main([*KEPLER_SMALL, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "kepler-model rho^2 build: quadrature self-check failed" in err
+        assert not out.exists()
+
     def test_one_point_strength_function_scan_runs(self, tmp_path):
         assert main(
             ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
@@ -447,6 +459,58 @@ class TestErrors:
         ) == 0
         _, _, rows = read_csv(tmp_path / "kepler_curves.csv")
         assert len(rows) == 1
+
+
+class TestLibraryNumbers:
+    """Every w_pt, w_exact, gamma_spr and kappa cell the CLI writes is the
+    number the library's metric functions give for that scan point."""
+
+    @staticmethod
+    def columns(path) -> list[dict]:
+        _, header, rows = read_csv(path)
+        return [dict(zip(header, row)) for row in rows]
+
+    @staticmethod
+    def assert_row(row, w_pt, decomp, group, d0):
+        expected = {
+            "w_pt": w_pt,
+            "w_exact": metrics.w_exact(decomp, group.indices, shell_energy=group.energy),
+            "gamma_spr": metrics.spreading_width(metrics.strength_function(decomp, group.indices)),
+        }
+        expected["kappa"] = metrics.chaoticity(expected["gamma_spr"], d0).kappa
+        for column, value in expected.items():
+            assert float(row[column]) == pytest.approx(value, rel=0, abs=1e-12), column
+
+    def test_henon_heiles(self, tmp_path):
+        assert main(["run", "--system", "henon-heiles", "--shells", "10",
+                     "--metrics", ALL_METRICS, "-o", str(tmp_path)]) == 0
+        cfg = henon_heiles.HHConfig(num_shells=10)
+        _, partition = henon_heiles.enumerate_basis(cfg)
+        v = henon_heiles.build_v(cfg)
+        decomp = linalg.eigh(henon_heiles.build_h(cfg))
+        rows = self.columns(tmp_path / "hh_curves.csv")
+        assert [float(r["shell"]) for r in rows] == list(range(1, 7))
+        for row in rows:
+            n = int(float(row["shell"]))
+            w_pt = metrics.w_perturbative(v, partition, n, cfg.lam)
+            self.assert_row(row, w_pt, decomp, partition.group(n), cfg.hbar)
+
+    def test_kepler(self, tmp_path):
+        grid = kepler.default_gamma_grid(target_shell=4, points=5)
+        assert main(["run", "--system", "kepler", "--max-n", "8", "--target-shell", "4",
+                     "--gamma-grid", ",".join(map(repr, grid)),
+                     "--metrics", ALL_METRICS, "-o", str(tmp_path)]) == 0
+        cfg = kepler.KeplerConfig(max_n=8, target_shell=4, gamma_grid=grid)
+        _, partition = kepler.enumerate_parabolic_basis(cfg)
+        rho2 = kepler.build_rho2(cfg)
+        e = kepler.shell_energy
+        d0 = min(e(5) - e(4), e(4) - e(3))
+        rows = self.columns(tmp_path / "kepler_curves.csv")
+        assert [float(r["gamma"]) for r in rows] == list(grid)
+        for row, gamma in zip(rows, grid):
+            w_pt = metrics.w_perturbative(rho2, partition, 4, gamma * gamma / 8.0)
+            decomp = linalg.eigh(kepler.build_h(cfg, gamma, rho2))
+            self.assert_row(row, w_pt, decomp, partition.group(4), d0)
 
 
 def _fail(m):

@@ -1,6 +1,9 @@
 """Property tests of the sector-form decomposition and of
 SymmetricMatrix.scaled_plus_diagonal, on random signed involutions, random
-matrices that commute with them and random subsets of the basis."""
+matrices that commute with them and random subsets of the basis; and of the
+spreading width, the crossing interpolation, the shell partition's
+validation and W's block-rotation invariance, on random distributions,
+curves, partitions and small models."""
 import threading
 
 import numpy as np
@@ -8,9 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_spreading_width
 from specfrag import henon_heiles, kepler
 from specfrag.errors import InputError
-from specfrag.linalg import SymmetricMatrix, eigh, projection_onto_subset
+from specfrag.linalg import (
+    ShellGroup,
+    ShellPartition,
+    SymmetricMatrix,
+    eigh,
+    projection_onto_subset,
+)
+from specfrag.metrics import (
+    StrengthFunction,
+    critical_parameter,
+    invariance_gap,
+    spreading_width,
+    w_perturbative,
+)
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -134,3 +151,145 @@ def test_threads_read_one_assembled_eigenvectors():
         t.join()
     assert seen[0] is seen[1]
     assert_hygienic(h.entries, d)
+
+
+@st.composite
+def distributions(draw):
+    """Ascending energies, some of them equal, and weights in multiples of
+    1/32 that sum to 1: every partial sum, and with it each window's mass,
+    is exact, and windows holding exactly one half are common."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=8))  # sum <= 32
+    counts.insert(draw(st.integers(0, len(counts))), 32 - sum(counts))
+    energy = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+    energies = sorted(draw(st.lists(energy, min_size=len(counts), max_size=len(counts))))
+    return np.array(energies), np.array(counts) / 32.0
+
+
+@PROPERTY
+@given(distributions())
+def test_spreading_width_matches_brute_force(dist):
+    energies, weights = dist
+    width = spreading_width(StrengthFunction(energies, weights))
+    assert width == brute_force_spreading_width(energies, weights)
+
+
+def first_straddle(samples, threshold):
+    """The bracket of the first sample on the threshold or neighbouring pair
+    on either side of it, or None."""
+    for k, (x, w) in enumerate(samples):
+        if w == threshold:
+            return x, x
+        if k + 1 < len(samples):
+            x2, w2 = samples[k + 1]
+            if min(w, w2) < threshold < max(w, w2):
+                return x, x2
+    return None
+
+
+@st.composite
+def curves(draw):
+    """A curve on a strictly ascending or descending axis, some samples
+    landing on the threshold 0.5 itself."""
+    xs = draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=10, unique=True))
+    xs.sort(reverse=draw(st.booleans()))
+    ws = draw(st.lists(st.one_of(st.just(0.5), st.floats(-2.0, 3.0)),
+                       min_size=len(xs), max_size=len(xs)))
+    return list(zip(xs, ws))
+
+
+@PROPERTY
+@given(curves())
+def test_critical_parameter_inside_straddling_bracket(curve):
+    res = critical_parameter(curve, threshold=0.5)
+    bracket = first_straddle(curve, 0.5)
+    if bracket is None:
+        assert res.critical is None and res.bracket is None
+        return
+    assert res.bracket == bracket
+    assert min(bracket) <= res.critical <= max(bracket)
+
+
+@st.composite
+def partitions(draw):
+    """The groups of a valid partition: a shuffled basis cut into nonempty
+    runs with strictly increasing energies."""
+    dim = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(dim)))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), min_size=1)))
+    runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, dim])]
+    energies = np.cumsum(draw(st.lists(st.floats(0.01, 10.0), min_size=len(runs),
+                                       max_size=len(runs))))
+    return [ShellGroup(k, tuple(run), float(e)) for k, (run, e) in enumerate(zip(runs, energies))]
+
+
+def regroup(group, indices=None, energy=None):
+    return ShellGroup(group.label, tuple(group.indices if indices is None else indices),
+                      group.energy if energy is None else energy)
+
+
+@PROPERTY
+@given(partitions())
+def test_partition_accepts_valid_groups(groups):
+    assert ShellPartition(tuple(groups)).dim == sum(len(g.indices) for g in groups)
+
+
+@PROPERTY
+@given(partitions(), st.data())
+def test_partition_rejects_overlap(groups, data):
+    i, j = data.draw(st.permutations(range(len(groups))))[:2]
+    shared = data.draw(st.sampled_from(groups[i].indices))
+    groups[j] = regroup(groups[j], groups[j].indices + (shared,))
+    with pytest.raises(InputError, match="overlap"):
+        ShellPartition(tuple(groups))
+
+
+@PROPERTY
+@given(partitions(), st.data())
+def test_partition_rejects_non_covering(groups, data):
+    i = data.draw(st.integers(0, len(groups) - 1))
+    dim = sum(len(g.indices) for g in groups)
+    indices = list(groups[i].indices)
+    # dropping dim - 1 would leave a valid partition of 0..dim-2
+    inner = [k for k, a in enumerate(indices) if a != dim - 1]
+    if len(indices) > 1 and inner and data.draw(st.booleans()):
+        del indices[data.draw(st.sampled_from(inner))]  # a gap in 0..dim-1
+    else:
+        k = data.draw(st.integers(0, len(indices) - 1))
+        indices[k] = data.draw(st.sampled_from([-1, dim, dim + 5]))  # outside it
+    groups[i] = regroup(groups[i], indices)
+    with pytest.raises(InputError, match="cover"):
+        ShellPartition(tuple(groups))
+
+
+@PROPERTY
+@given(partitions(), st.data())
+def test_partition_rejects_non_increasing_energies(groups, data):
+    k = data.draw(st.integers(1, len(groups) - 1))
+    lower = groups[k - 1].energy - data.draw(st.sampled_from([0.0, 1e-12, 1.0]))
+    groups[k] = regroup(groups[k], energy=lower)
+    with pytest.raises(InputError, match="increase"):
+        ShellPartition(tuple(groups))
+
+
+@st.composite
+def couplings(draw):
+    """(V, partition, target shell, coupling) of a small model of either system."""
+    if draw(st.booleans()):
+        cfg = henon_heiles.HHConfig(hbar=draw(st.floats(0.005, 0.05)),
+                                    num_shells=draw(st.integers(4, 10)))
+        _, partition = henon_heiles.enumerate_basis(cfg)
+        v = henon_heiles.build_v(cfg)
+    else:
+        cfg = kepler.KeplerConfig(max_n=draw(st.integers(2, 6)), target_shell=1)
+        _, partition = kepler.enumerate_parabolic_basis(cfg)
+        v = kepler.build_rho2(cfg)
+    target = draw(st.sampled_from(partition.labels()))
+    return v, partition, target, draw(st.floats(0.1, 2.0))
+
+
+@PROPERTY
+@given(couplings(), st.integers(0, 2**32 - 1))
+def test_w_perturbative_invariant_under_block_rotation(case, seed):
+    v, partition, target, lam = case
+    w = w_perturbative(v, partition, target, lam)
+    assert invariance_gap(v, partition, target, lam, seed) <= 1e-10 * w
