@@ -2,8 +2,8 @@
 transition in perturbed integrable quantum systems.
 
 Two worked systems are included: the Henon-Heiles oscillator in a 2D
-Cartesian oscillator basis (henon_heiles) and the diamagnetic Kepler
-problem in the m=0 parabolic basis (kepler). The metrics module computes
+oscillator basis, Cartesian or circular (henon_heiles), and the diamagnetic
+Kepler problem in the m=0 parabolic basis (kepler). The metrics module computes
 strength functions, spreading widths, the chaoticity ratio kappa, exact
 complement projections, and the first-order estimate W whose 0.5 crossing
 locates the transition analytically.

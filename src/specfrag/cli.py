@@ -15,12 +15,12 @@ SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
 Scan points run on --threads worker threads (default: the CPUs this process
 may use), with numpy's bundled OpenBLAS pinned to one thread for the length
 of the scan, so each point's solve runs on its own worker. Rows are
-collected in scan order. Identical config and seed produce byte-identical
-CSVs on one platform whatever --threads says. The Kepler CSVs are also the
-same whatever the BLAS thread setting, since every Kepler solve is a scan
-point. Henon-Heiles solves once, before the scan, with BLAS's own threads,
-so its CSVs hold only with that setting fixed. Where no such OpenBLAS is
-found, the scan runs on one worker and the BLAS setting applies throughout.
+collected in scan order. Henon-Heiles builds and solves its one
+decomposition before the scan, serially, with the same one-thread pin, in
+the circular basis whose C3v blocks it solves separately. Identical config
+and seed therefore produce byte-identical CSVs on one platform whatever
+--threads and the BLAS thread setting say. Where no such OpenBLAS is found,
+the scan runs on one worker and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash.
@@ -430,14 +430,16 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
             row["w_pt"] = metrics.w_perturbative(v, partition, g.label, cfg.lam)
         del v
 
-    # one decomposition serves every shell of the scan; it is solved here,
-    # with BLAS's own threads, so no two workers race for it
+    # one decomposition serves every shell of the scan; it is built and
+    # solved here, in C3v blocks, serially on one BLAS thread, so its bytes
+    # do not depend on the BLAS thread setting
     where = "henon-heiles-model eigendecomposition"
-    decomp = (
-        _solve(where, lambda: eigh(henon_heiles.build_h(cfg)))
-        if set(config.options["metrics"]) & EXACT_METRICS
-        else None
-    )
+    decomp = None
+    if set(config.options["metrics"]) & EXACT_METRICS:
+        with single_threaded_blas():
+            h = _solve("henon-heiles-model build", lambda: henon_heiles.build_h_circular(cfg))
+            decomp = _solve(where, lambda: eigh(h))
+        del h
     points = [_Point(row, g, where, lambda: decomp, float) for row, g in zip(rows, groups)]
     system = _System(
         columns=HH_COLUMNS,

@@ -1,4 +1,4 @@
-"""Truncated Henon-Heiles Hamiltonian in the 2D Cartesian oscillator basis.
+"""Truncated Henon-Heiles Hamiltonian in the 2D oscillator basis.
 
 The system is the unit-mass, unit-frequency planar oscillator with the odd
 cubic coupling q1^2 q2 - q2^3/3. Matrix elements come from ladder algebra,
@@ -7,6 +7,15 @@ element is an exact integer expression under a square root times
 (hbar/2)^(3/2), so the build has no truncation error of its own. The only
 truncation is the basis cut itself, which contaminates the top three shells
 of H; analyses therefore stay below that edge.
+
+build_v and build_h write the model in the Cartesian basis |n1, n2>.
+build_v_circular and build_h_circular rotate build_v's matrix, shell by
+shell, into a real circular basis |N, l>, where the potential's C3v
+symmetry is exact block structure: the coupling r^3 sin(3 phi) / 3 changes
+the angular momentum l by 3, so the classes l mod 3 are blocks, and the
+mirror q1 -> -q1 maps l to -l. eigh then solves H as three blocks (A1, A2
+and one E, which serves both E partners) instead of two n1-parity halves.
+Shell projections, and with them every metric, are the same in both bases.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NumericalError
 from .linalg import ShellGroup, ShellPartition, SymmetricMatrix
 
 
@@ -137,11 +146,116 @@ def build_h(cfg: HHConfig) -> SymmetricMatrix:
     q1 -> -q1 of the potential's C3v symmetry), so eigh solves the even-n1
     and odd-n1 states as separate blocks. The symmetry is V's, checked in
     build_v; the diagonal H0 needs only the O(dim) check of
-    SymmetricMatrix.scaled_plus_diagonal.
+    SymmetricMatrix.scaled_plus_diagonal. build_h_circular declares all of
+    C3v and splits the same spectrum into three blocks.
     """
     states, _ = enumerate_basis(cfg)
     energies = np.array([s.energy(cfg.hbar) for s in states])
     return build_v(cfg).scaled_plus_diagonal(cfg.lam, energies)
+
+
+# largest entry the circular rotation may leave where the selection rules
+# put an exact zero, or between mirror-image entries, relative to max |V|
+CIRCULAR_RESIDUE_RTOL = 1e-12
+
+
+def _circular_rotations(size: int) -> list[np.ndarray]:
+    """U_N for N < size, the real part of each shell's Cartesian-to-circular
+    rotation.
+
+    With a_+ = (a1 - i a2) / sqrt(2) and a_- = (a1 + i a2) / sqrt(2), the
+    state of p a_+ quanta and N - p a_- quanta (angular momentum
+    l = 2p - N) has Cartesian coefficient i^n2 U_N[n1, p] on |n1, n2>, with
+    U_N[n1, p] = K sqrt(C(N, p)) / (sqrt(C(N, n1)) 2^(N/2)) and K the
+    coefficient of t^n2 in (1 + t)^p (1 - t)^(N - p). K is kept in exact
+    integers, shell N + 1's from shell N's by one more factor (1 - t), or
+    (1 + t) for p = N + 1, so U_N is orthogonal to roundoff; a float
+    recurrence loses digits to cancellation. Columns p and N - p are equal
+    up to the sign (-1)^n2, bitwise.
+    """
+    rotations = []
+    k = np.ones((1, 1), dtype=object)  # K of shell 0, rows n2, columns p
+    for n in range(size):
+        root_c = np.sqrt(np.array([math.comb(n, j) for j in range(n + 1)], dtype=float))
+        # row n1 holds n2 = N - n1
+        rotations.append(k[::-1].astype(float) * root_c / (root_c[:, None] * math.sqrt(2.0**n)))
+        nxt = np.zeros((n + 2, n + 2), dtype=object)
+        nxt[:-1, :-1] = k
+        nxt[1:, :-1] -= k
+        nxt[:-1, -1] = k[:, -1]
+        nxt[1:, -1] += k[:, -1]
+        k = nxt
+    return rotations
+
+
+def build_v_circular(cfg: HHConfig) -> SymmetricMatrix:
+    """build_v's matrix in the real circular basis, with C3v declared.
+
+    Shell N keeps the indices enumerate_basis gives it; its state p is
+    i^l times the circular state of _circular_rotations, l = 2p - N. That
+    phase makes V real: with z = q1 + i q2 = sqrt(hbar) (a_- + a_+^dagger),
+    V = Im(z^3) / 3 links l only to l +- 3, and each shell-pair block is
+    G o (U_N^T (S o V_NM) U_M), where S = (-1)^((d - 1) / 2) for the odd
+    step d = m2 - n2 of a nonzero element and G = +1 or -1 for
+    l' - l = +3 or -3.
+
+    The matrix declares the blocks l mod 3 and the mirror l <-> -l (sign
+    +1, the reflection q1 -> -q1), which swaps blocks 1 and 2. Entries the
+    selection rule makes zero and the gap between mirror-image entries are
+    roundoff; NumericalError if either exceeds CIRCULAR_RESIDUE_RTOL *
+    max |V|. They are then written exactly: zeros between the classes, and
+    each block's second half of entries copied from its mirror image, so
+    the declared structure holds bitwise. The Cartesian V is dropped before
+    the circular matrix is declared.
+    """
+    size = cfg.num_shells
+    starts = [n * (n + 1) // 2 for n in range(size)]
+    shell = np.repeat(np.arange(size), np.arange(1, size + 1))
+    p = np.arange(shell.size) - np.repeat(starts, np.arange(1, size + 1))
+    ell = 2 * p - shell  # the angular momentum l
+    v = build_v(cfg).entries
+    tol = CIRCULAR_RESIDUE_RTOL * max(v.max(), -v.min())
+    rot = _circular_rotations(size)
+    blocks = []
+    for n in range(size):
+        for npr in (n + 1, n + 3):
+            if npr >= size:
+                continue
+            bra = slice(starts[n], starts[n] + n + 1)
+            ket = slice(starts[npr], starts[npr] + npr + 1)
+            d = (npr - np.arange(npr + 1)) - (n - np.arange(n + 1))[:, None]
+            block = rot[n].T @ (np.where(d % 4 == 1, 1.0, -1.0) * v[bra, ket]) @ rot[npr]
+            dl = ell[ket] - ell[bra, None]
+            residue = np.abs(block[np.abs(dl) != 3]).max(initial=0.0)
+            block *= np.sign(dl) * (np.abs(dl) == 3)
+            residue = max(residue, np.abs(block - block[::-1, ::-1]).max())
+            if residue > tol:
+                raise NumericalError(
+                    f"circular rotation of shells {n} and {npr} left {residue:.3e}, "
+                    f"more than {tol:.3e}"
+                )
+            # the mirror reverses both axes of a block, and so its flat order
+            flat = block.reshape(-1)
+            half = flat.size // 2
+            flat[flat.size - half:] = flat[:half][::-1]
+            blocks.append((bra, ket, block))
+    # the blocks hold all of V that is needed; the dense Cartesian copy goes
+    # before the circular one is allocated
+    del v
+    vc = np.zeros((shell.size, shell.size))
+    for bra, ket, block in blocks:
+        vc[bra, ket] = block
+        vc[ket, bra] = block.T
+    return SymmetricMatrix(vc, perm=np.arange(shell.size) + shell - 2 * p, blocks=ell % 3)
+
+
+def build_h_circular(cfg: HHConfig) -> SymmetricMatrix:
+    """H0 + lambda*V in build_v_circular's basis, bitwise the sum
+    diag(H0) + lambda*V, with its C3v structure declared. H0 is the same
+    diagonal as in build_h, since the rotation stays inside each shell."""
+    states, _ = enumerate_basis(cfg)
+    energies = np.array([s.energy(cfg.hbar) for s in states])
+    return build_v_circular(cfg).scaled_plus_diagonal(cfg.lam, energies)
 
 
 def bound_energy_ceiling(lam: float) -> float:

@@ -2,15 +2,19 @@
 
 Every matrix in this package is small (a few hundred to a few thousand
 rows), so storage is plain dense float64 throughout. A matrix may declare
-an exact Z2 symmetry, a signed involution of its basis; construction checks
-bitwise that the matrix commutes with it, and eigh then solves the even and
-odd sectors as separate blocks. The symmetry is checked once per model:
-SymmetricMatrix.scaled_plus_diagonal forms c*A + diag(d) from an already
-checked A and checks only that d is invariant, so a scan over couplings
-never repeats the dim x dim check. Decompositions are validated on the
-spot: orthogonality, residual and completeness checks run on every block
-right after its solve, and a violation raises ConvergenceError instead of
-letting bad numbers propagate into the metrics.
+an exact Z2 symmetry, a signed involution of its basis, and a block label
+per basis state; construction checks bitwise that the matrix commutes with
+the involution, that no entry joins two blocks and that the involution maps
+blocks onto blocks. eigh then solves the even and odd sectors of each orbit
+of blocks as separate blocks, and those of a pair of blocks the involution
+swaps only once, since both have the same block matrix. The structure is
+checked once per model: SymmetricMatrix.scaled_plus_diagonal forms
+c*A + diag(d) from an already checked A and checks only that d is
+invariant, so a scan over couplings never repeats the dim x dim check.
+Decompositions are validated on the spot: orthogonality, residual and
+completeness checks run on every block right after its solve, and a
+violation raises ConvergenceError instead of letting bad numbers propagate
+into the metrics.
 
 Decompositions stay in sector form. projection_onto_subset, and with it
 every metric, reads the block eigenvectors directly; the full-basis
@@ -44,7 +48,8 @@ BLOCK_UNITARY_TOL = 1e-12
 
 
 class SymmetricMatrix:
-    """Dense real symmetric matrix with an optional exact Z2 symmetry.
+    """Dense real symmetric matrix with an optional exact Z2 symmetry and
+    optional exact blocks.
 
     The lower triangle of the input is authoritative; construction mirrors
     it onto the upper triangle, so ``entries[i, j] == entries[j, i]`` holds
@@ -58,13 +63,19 @@ class SymmetricMatrix:
     matrix exactly: ``entries[i, j] == sign[i] * sign[j] *
     entries[perm[i], perm[j]]`` for every pair, else InputError.
 
-    Entries, perm and sign are frozen after construction and safe to share
-    across threads.
+    blocks gives each basis state an integer label; omitted, every state is
+    in block 0. Declared blocks must be exact, ``entries[i, j] == 0`` for
+    every pair with different labels, and perm must map blocks onto blocks:
+    all states of one block go to states of one block, which may be the same
+    one or another, else InputError.
+
+    Entries, perm, sign and blocks are frozen after construction and safe to
+    share across threads.
     """
 
-    __slots__ = ("entries", "perm", "sign")
+    __slots__ = ("entries", "perm", "sign", "blocks")
 
-    def __init__(self, entries, perm=None, sign=None) -> None:
+    def __init__(self, entries, perm=None, sign=None, blocks=None) -> None:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
@@ -73,7 +84,7 @@ class SymmetricMatrix:
             raise InputError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
-        if np.array_equal(a, a.T):
+        if all(np.array_equal(a[rows], a[:, rows].T) for rows in _bands(dim)):
             # adding 0.0 copies and, as the mirror below does, turns an
             # off-diagonal -0.0 into +0.0
             full = a + 0.0
@@ -84,28 +95,39 @@ class SymmetricMatrix:
         np.fill_diagonal(full, a.diagonal())
         declared = perm is not None or sign is not None
         p, sgn = _involution(dim, perm, sign)
-        if declared:
-            pfp = full[np.ix_(p, p)]
-            pfp *= sgn[:, None]
-            pfp *= sgn
-            if not np.array_equal(pfp, full):
-                raise InputError("matrix does not commute with its declared symmetry")
-        for arr in (full, p, sgn):
+        labels = _blocks(dim, p, blocks)
+        permuted = not np.array_equal(p, np.arange(dim))
+        signed = bool(np.any(sgn < 0.0))
+        # a band of rows at a time, so no check holds a dim x dim temporary
+        for rows in _bands(dim):
+            band = full[rows]
+            if declared:
+                image = full[p[rows]][:, p] if permuted else band.copy()
+                if signed:
+                    image *= sgn[rows, None]
+                    image *= sgn
+                if not np.array_equal(image, band):
+                    raise InputError("matrix does not commute with its declared symmetry")
+            if blocks is not None and np.any((band != 0.0) & (labels[rows, None] != labels)):
+                raise InputError("matrix has a nonzero entry between two declared blocks")
+        for arr in (full, p, sgn, labels):
             arr.flags.writeable = False
         object.__setattr__(self, "entries", full)
         object.__setattr__(self, "perm", p)
         object.__setattr__(self, "sign", sgn)
+        object.__setattr__(self, "blocks", labels)
 
     def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
         """c * A + diag(diagonal), with A's symmetry and no O(dim^2) check.
 
         Every entry is the sum diag(diagonal) + c * A forms, bitwise, signed
         zeros included (an off-diagonal -0.0 of c * A becomes +0.0). The
-        result keeps A's perm and sign: c * A commutes with P bitwise
+        result keeps A's perm, sign and blocks: c * A commutes with P bitwise
         because A does, and so does the sum once the diagonal is invariant
         under the permutation, diagonal[perm[i]] == diagonal[i], since the
-        same operands then go through the same operations. That O(dim)
-        condition is what is checked; InputError if it or finiteness fails.
+        same operands then go through the same operations. An entry between
+        two blocks is c * 0.0 + 0.0 == 0.0. The O(dim) condition is what is
+        checked; InputError if it or finiteness fails.
         """
         c = float(c)
         d = np.asarray(diagonal, dtype=float)
@@ -124,8 +146,8 @@ class SymmetricMatrix:
         out.flags.writeable = False
         # past the constructor, whose checks the reasoning above replaces
         m = object.__new__(SymmetricMatrix)
-        for name, value in (("entries", out), ("perm", self.perm), ("sign", self.sign)):
-            object.__setattr__(m, name, value)
+        for name in self.__slots__:
+            object.__setattr__(m, name, out if name == "entries" else getattr(self, name))
         return m
 
     def __setattr__(self, name, value):
@@ -151,6 +173,31 @@ def _involution(dim: int, perm, sign) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.abs(sgn) == 1.0) or not np.array_equal(sgn[p], sgn):
         raise InputError("symmetry sign must be +1 or -1 and equal on each swapped pair")
     return p, sgn
+
+
+def _blocks(dim: int, perm: np.ndarray, blocks) -> np.ndarray:
+    """Checked block labels, all 0 when none are declared; the matrix
+    entries between blocks are checked by the caller."""
+    if blocks is None:
+        return np.zeros(dim, dtype=int)
+    labels = np.array(blocks)
+    if labels.shape != (dim,) or not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"blocks must hold {dim} integer labels")
+    # one image block per block: no label pairs with two image labels
+    pairs = set(zip(labels.tolist(), labels[perm].tolist()))
+    if len({label for label, _ in pairs}) != len(pairs):
+        raise InputError("symmetry perm does not map blocks onto blocks")
+    return labels
+
+
+_BAND_ENTRIES = 1 << 18
+
+
+def _bands(dim: int) -> Iterator[slice]:
+    """Consecutive row slices of a dim x dim matrix, about _BAND_ENTRIES
+    entries each."""
+    step = max(1, _BAND_ENTRIES // dim)
+    return (slice(start, start + step) for start in range(0, dim, step))
 
 
 @dataclass(frozen=True)
@@ -257,11 +304,14 @@ class ShellPartition:
 def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, validated.
 
-    Each sector of the matrix's Z2 symmetry (one sector when none is
-    declared) is gathered into its own block and solved with LAPACK's
-    divide-and-conquer driver (numpy.linalg.eigh). SymmetricMatrix checked
-    bitwise that the symmetry commutes with the matrix, so no entry couples
-    two sectors and the blocks are exact. Every block is checked for
+    Each sector of the matrix's Z2 symmetry, per orbit of its blocks (one
+    sector when nothing is declared), is gathered into its own block and
+    solved with LAPACK's divide-and-conquer driver (numpy.linalg.eigh).
+    SymmetricMatrix checked bitwise that the symmetry commutes with the
+    matrix and that no entry joins two blocks, so no entry couples two
+    sectors and the blocks are exact. The two sectors of a pair of blocks
+    that the symmetry swaps have the same block matrix (see _sectors), which
+    is solved once and serves both. Every solved block is checked for
     orthogonality, residual (against the block's own Frobenius norm) and
     completeness at the module tolerances. The eigenvalues are merged into
     one ascending order; a stable merge keeps equal eigenvalues in sector
@@ -276,8 +326,10 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     if not np.all(np.isfinite(h)):
         raise InputError("matrix entries must be finite")
     dim = m.dim
-    sectors = _sectors(m.perm, m.sign)
-    solved = [_solve_block(sec.block(h), dim) for sec in sectors]
+    sectors = _sectors(m.perm, m.sign, m.blocks)
+    solved: list[tuple[np.ndarray, np.ndarray]] = []
+    for sec in sectors:
+        solved.append(solved[-1] if sec.twin else _solve_block(sec.block(h), dim))
 
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")
@@ -301,15 +353,17 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class _Sector:
-    """Orthonormal basis of one eigenspace of a signed involution P: the
-    fixed basis states (perm[i] == i) whose sign is the eigenvalue s, then
-    one vector (e_r + coef * e_q) / sqrt(2) per swapped pair r < q =
-    perm[r], with coef = s * sign[q]."""
+    """Orthonormal basis of one eigenspace of a signed involution P inside
+    one orbit of blocks: the fixed basis states (perm[i] == i) whose sign is
+    the eigenvalue s, then one vector (e_r + coef * e_q) / sqrt(2) per
+    swapped pair r, q = perm[r], with coef = s * sign[q]. twin marks a
+    sector whose block matrix equals the previous sector's."""
 
     fixed: np.ndarray
     reps: np.ndarray
     partners: np.ndarray
     coef: np.ndarray
+    twin: bool = False
 
     @property
     def size(self) -> int:
@@ -345,16 +399,35 @@ class _Sector:
         out[np.ix_(self.partners, cols)] = self.coef[:, None] * pair
 
 
-def _sectors(perm: np.ndarray, sign: np.ndarray) -> list[_Sector]:
-    """The nonempty sectors of P, even (s = +1) first."""
+def _sectors(perm: np.ndarray, sign: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
+    """The nonempty sectors of P, orbit by orbit of the blocks under P in
+    ascending order of the orbit's lowest label, even (s = +1) first.
+
+    A block that P maps onto itself has the sectors of P restricted to it.
+    A pair of blocks that P swaps has no fixed states; each swapped pair's
+    representative r is taken from the lower-labelled block. No entry joins
+    the two blocks, so h[r, perm[r']] is an exact zero and both sectors'
+    block matrices hold the values h[r, r']: the odd one is a twin, solved
+    with the even one.
+    """
     idx = np.arange(perm.size)
-    fixed = idx[perm == idx]
-    reps = idx[perm > idx]
-    partners = perm[reps]
-    sectors = [
-        _Sector(fixed[sign[fixed] == s], reps, partners, s * sign[partners])
-        for s in (1.0, -1.0)
-    ]
+    sectors = []
+    for label in np.unique(blocks):
+        inside = blocks == label
+        image = blocks[perm[np.argmax(inside)]]
+        if image < label:
+            continue  # the orbit was handled at its lower label
+        if image == label:
+            fixed = idx[inside & (perm == idx)]
+            reps = idx[inside & (perm > idx)]
+        else:
+            fixed, reps = idx[:0], idx[inside]
+        partners = perm[reps]
+        sectors += [
+            _Sector(fixed[sign[fixed] == s], reps, partners, s * sign[partners],
+                    twin=bool(s < 0 and image != label))
+            for s in (1.0, -1.0)
+        ]
     return [sec for sec in sectors if sec.size]
 
 

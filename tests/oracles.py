@@ -3,9 +3,10 @@ against.
 
 Everything here deliberately avoids the code paths under test: the oscillator
 cubic-coupling elements are integrated on a position-space grid instead of
-ladder algebra, the parabolic rho^2 elements are recomputed in the spherical
-basis and rotated over, and the spreading width is found by enumerating every
-contiguous window.
+ladder algebra, the circular-basis coupling is multiplied out from circular
+ladder operators instead of rotated from the Cartesian matrix, the parabolic
+rho^2 elements are recomputed in the spherical basis and rotated over, and
+the spreading width is found by enumerating every contiguous window.
 """
 from __future__ import annotations
 
@@ -48,6 +49,28 @@ def hermite_v_element(bra: tuple, ket: tuple, hbar: float, nodes: int = 24) -> f
     iy1 = np.sum(w * fy * x)
     iy3 = np.sum(w * fy * x ** 3)
     return hbar ** 1.5 * (ix2 * iy1 - ix0 * iy3 / 3.0)
+
+
+def circular_v_matrix(num_shells: int, hbar: float) -> np.ndarray:
+    """q1^2 q2 - q2^3/3 = Im(z^3) / 3 between the real circular states of
+    the first num_shells shells, from circular ladder operators alone.
+
+    z = q1 + i q2 = sqrt(hbar) (a_- + a_+^dagger), with
+    a_+- = (a1 -+ i a2) / sqrt(2). Shell N holds the states
+    i^l |n_+, n_->, l = n_+ - n_-, in ascending n_+. z^3 raises l by 3, so
+    on these states the phases turn (z^3 - z^3^dagger) / 6i into the real
+    (z^3 + z^3^T) / 6. z only raises n_+ and lowers n_-, so every product
+    between basis states stays inside the basis's occupations and the
+    truncated ladder matrices multiply out exactly.
+    """
+    top = num_shells - 1  # the largest occupation of either mode
+    a = np.diag(np.sqrt(np.arange(1.0, top + 1)), 1)
+    eye = np.eye(top + 1)
+    a_plus, a_minus = np.kron(a, eye), np.kron(eye, a)  # index n_+ (top+1) + n_-
+    z = math.sqrt(hbar) * (a_minus + a_plus.T)
+    z3 = z @ z @ z
+    keep = [p * (top + 1) + (n - p) for n in range(num_shells) for p in range(n + 1)]
+    return ((z3 + z3.T) / 6.0)[np.ix_(keep, keep)]
 
 
 # ------------------------------------------------------- kepler, spherical

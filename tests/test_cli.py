@@ -173,6 +173,27 @@ class TestRun:
                 digests.add((out / "kepler_curves.csv").read_bytes())
         assert len(digests) == 1
 
+    def test_henon_heiles_csvs_independent_of_blas_and_worker_threads(self, tmp_path):
+        # HH 30 is the smallest model whose CSVs moved with
+        # OPENBLAS_NUM_THREADS when its one solve used BLAS's own threads
+        args = ["run", "--system", "henon-heiles", "--shells", "30", "--metrics", ALL_METRICS]
+        paths = [str(Path(specfrag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        digests = set()
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"b{blas}-t{threads}"
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+                           OPENBLAS_NUM_THREADS=blas)
+                done = subprocess.run(
+                    [sys.executable, "-m", "specfrag.cli", *args, "--threads", threads,
+                     "-o", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+                digests.add(tuple((out / name).read_bytes()
+                                  for name in ("hh_curves.csv", "strength_function.csv")))
+        assert len(digests) == 1
+
     @pytest.mark.parametrize("code", [0, 3])
     def test_blas_thread_count_restored(self, tmp_path, monkeypatch, code):
         lib = linalg._openblas()
@@ -300,7 +321,7 @@ class TestRun:
 
     def test_strength_function_lines_formatted_per_cell(self, tmp_path):
         """Every cell is repr of a float, the shell column too."""
-        from specfrag.henon_heiles import HHConfig, build_h, enumerate_basis
+        from specfrag.henon_heiles import HHConfig, build_h_circular, enumerate_basis
         from specfrag.metrics import strength_function
 
         out = tmp_path / "sf"
@@ -308,7 +329,7 @@ class TestRun:
                 "--metrics", "strength-function", "-o", str(out)]
         assert main(argv) == 0
         cfg = HHConfig(num_shells=8)
-        d = linalg.eigh(build_h(cfg))
+        d = linalg.eigh(build_h_circular(cfg))
         _, partition = enumerate_basis(cfg)
         expected = []
         for n in range(1, 5):
@@ -592,6 +613,42 @@ SAMPLES = {
         "gamma_grid": ("0.004,0.008,0.016", [0.004, 0.008, 0.016]),
     },
 }
+
+
+class TestCircularSolve:
+    """The C3v decomposition the CLI solves Henon-Heiles with gives the
+    Cartesian solve's exact columns, whatever the selection rule, even
+    where a rule's choice falls inside an exactly degenerate E pair."""
+
+    @pytest.mark.parametrize("selection", [s.value for s in metrics.StateSelection])
+    def test_exact_columns_match_cartesian_solve(self, tmp_path, selection):
+        assert main(["run", "--system", "henon-heiles", "--shells", "30", "--lambda", "1",
+                     "--metrics", "w-exact", "--selection", selection, "-o", str(tmp_path)]) == 0
+        cfg = henon_heiles.HHConfig(num_shells=30, lam=1.0)
+        _, partition = henon_heiles.enumerate_basis(cfg)
+        ref = linalg.eigh(henon_heiles.build_h(cfg))
+        rows = TestLibraryNumbers.columns(tmp_path / "hh_curves.csv")
+        assert [int(float(r["shell"])) for r in rows] == list(range(1, 27))
+        for row in rows:
+            g = partition.group(int(float(row["shell"])))
+            picked = metrics.select_eigenstates(
+                ref, g.indices, metrics.StateSelection(selection), shell_energy=g.energy
+            )
+            proj = linalg.projection_onto_subset(ref, g.indices)
+            assert abs(float(row["w_exact"]) - (1.0 - proj[picked].mean())) <= 1e-9
+            assert abs(float(row["energy_exact_mean"]) - ref.eigenvalues[picked].mean()) <= 1e-9
+
+    def test_e_partners_bitwise_equal(self):
+        cfg = henon_heiles.HHConfig(num_shells=30)
+        d = linalg.eigh(henon_heiles.build_h_circular(cfg))
+        _, partition = henon_heiles.enumerate_basis(cfg)
+        pairs = [(a, b) for a, b in zip(d.sectors, d.sectors[1:]) if b.sector.twin]
+        assert len(pairs) == 1
+        even, odd = pairs[0]
+        assert d.eigenvalues[even.columns].tobytes() == d.eigenvalues[odd.columns].tobytes()
+        for g in partition.groups:
+            w = linalg.projection_onto_subset(d, g.indices)
+            assert w[even.columns].tobytes() == w[odd.columns].tobytes()
 
 
 class TestOptionTable:

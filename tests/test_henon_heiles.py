@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import hermite_v_element
-from specfrag.errors import ConfigurationError, InputError
+from oracles import circular_v_matrix, hermite_v_element
+from specfrag import henon_heiles
+from specfrag.errors import ConfigurationError, InputError, NumericalError
 from specfrag.henon_heiles import (
     HHConfig,
     OscState,
     bound_energy_ceiling,
     build_h,
     build_h0,
+    build_h_circular,
     build_v,
+    build_v_circular,
     enumerate_basis,
 )
 from specfrag.linalg import SymmetricMatrix, eigh
@@ -239,6 +242,57 @@ class TestH:
         h = build_h(cfg)
         np.testing.assert_array_equal(h.perm, np.arange(len(states)))
         np.testing.assert_array_equal(h.sign, [(-1.0) ** s.n1 for s in states])
+
+
+class TestCircular:
+    def test_v_matches_ladder_oracle(self):
+        cfg = HHConfig(num_shells=12)
+        v = build_v_circular(cfg).entries
+        oracle = circular_v_matrix(12, cfg.hbar)
+        # the i^l phases leave no sign freedom: the gauge between the two
+        # is the identity
+        assert np.abs(v - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+    def test_rotations_orthogonal(self):
+        for n, u in enumerate(henon_heiles._circular_rotations(60)):
+            assert np.abs(u.T @ u - np.eye(n + 1)).max() <= 1e-14, n
+
+    def test_declares_c3v(self):
+        cfg = HHConfig(num_shells=9)
+        v = build_v_circular(cfg)
+        _, partition = enumerate_basis(cfg)
+        for g in partition.groups:
+            idx = np.array(g.indices)
+            l = 2 * np.arange(g.label + 1) - g.label
+            np.testing.assert_array_equal(v.blocks[idx], l % 3)
+            np.testing.assert_array_equal(v.perm[idx], idx[::-1])  # l <-> -l
+        np.testing.assert_array_equal(v.sign, np.ones(v.dim))
+        # mirror images are exact copies, and the classes exact zeros
+        assert np.array_equal(v.entries, v.entries[np.ix_(v.perm, v.perm)])
+        assert np.all(v.entries[v.blocks[:, None] != v.blocks] == 0.0)
+
+    def test_same_spectrum_as_cartesian(self):
+        cfg = HHConfig(num_shells=16)
+        h = build_h(cfg)
+        circular, cartesian = eigh(build_h_circular(cfg)), eigh(h)
+        gap = np.abs(circular.eigenvalues - cartesian.eigenvalues).max()
+        assert gap <= 1e-12 * np.linalg.norm(h.entries)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_h_bitwise_equal_to_h0_plus_lambda_v(self, lam):
+        cfg = HHConfig(lam=lam, num_shells=12)
+        v = build_v_circular(cfg)
+        expected = SymmetricMatrix(build_h0(cfg).entries + lam * v.entries, v.perm,
+                                   blocks=v.blocks)
+        h = build_h_circular(cfg)
+        assert h.entries.tobytes() == expected.entries.tobytes()
+        for name in ("perm", "sign", "blocks"):
+            np.testing.assert_array_equal(getattr(h, name), getattr(v, name))
+
+    def test_residue_over_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(henon_heiles, "CIRCULAR_RESIDUE_RTOL", -1.0)
+        with pytest.raises(NumericalError, match="shells 0 and 1"):
+            build_v_circular(HHConfig(num_shells=6))
 
 
 def test_bound_energy_ceiling():

@@ -273,6 +273,88 @@ def test_builder_blocks_match_one_sector_solve(build, sizes, monkeypatch):
         )
 
 
+class TestBlocks:
+    # blocks 4 and 9 swapped by the involution, block 2 mapped onto itself
+    # with a fixed state and a pair; states interleaved
+    PERM = [3, 2, 1, 0, 4, 6, 5]
+    SIGN = [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
+    BLOCKS = [4, 2, 2, 9, 2, 9, 4]
+
+    def matrix(self, seed):
+        h = commuting_matrix(self.PERM, self.SIGN, seed)
+        blocks = np.array(self.BLOCKS)
+        h[blocks[:, None] != blocks] = 0.0
+        return h
+
+    def test_undeclared_is_one_block(self):
+        np.testing.assert_array_equal(SymmetricMatrix(np.eye(3)).blocks, [0, 0, 0])
+
+    def test_swapped_pair_solved_once(self, monkeypatch):
+        h = self.matrix(seed=3)
+        m = SymmetricMatrix(h, self.PERM, self.SIGN, self.BLOCKS)
+        sizes = record_block_sizes(monkeypatch)
+        d = eigh(m)
+        # block 2: even sector 1 pair, odd sector the fixed state (sign -1)
+        # and 1 pair; blocks 4 and 9: one 2x2 block for both their sectors
+        assert sizes == [1, 2, 2]
+        assert [part.vectors.shape[0] for part in d.sectors] == [1, 2, 2, 2]
+        even, odd = d.sectors[2:]
+        assert odd.vectors is even.vectors and odd.eigenvalues is even.eigenvalues
+        ref = eigh(SymmetricMatrix(h))
+        np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, atol=1e-12 * np.linalg.norm(h))
+        rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
+        assert np.abs(rebuilt - h).max() <= 1e-10 * np.abs(h).max()
+
+    def test_rejects_entry_between_blocks(self):
+        h = self.matrix(seed=4)
+        h[5, 0] = h[0, 5] = 1e-300
+        with pytest.raises(InputError, match="between two declared blocks"):
+            SymmetricMatrix(h, blocks=self.BLOCKS)
+
+    def test_rejects_perm_not_mapping_blocks_onto_blocks(self):
+        # the swap (0, 1) takes block 1 = {1, 2} partly onto block 0 and
+        # partly onto itself
+        with pytest.raises(InputError, match="blocks onto blocks"):
+            SymmetricMatrix(np.eye(3), perm=[1, 0, 2], blocks=[0, 1, 1])
+
+    def test_rejects_malformed_blocks(self):
+        with pytest.raises(InputError):
+            SymmetricMatrix(np.eye(3), blocks=[0, 1])
+        with pytest.raises(InputError):
+            SymmetricMatrix(np.eye(3), blocks=[0.0, 1.0, 1.0])
+
+    def test_scaled_plus_diagonal_keeps_blocks(self):
+        m = SymmetricMatrix(self.matrix(seed=6), self.PERM, self.SIGN, self.BLOCKS)
+        s = m.scaled_plus_diagonal(-2.0, np.ones(7))
+        np.testing.assert_array_equal(s.blocks, self.BLOCKS)
+        rechecked = SymmetricMatrix(s.entries, s.perm, s.sign, s.blocks)
+        assert rechecked.entries.tobytes() == s.entries.tobytes()
+
+
+def hh_circular(num_shells):
+    cfg = henon_heiles.HHConfig(num_shells=num_shells)
+    return henon_heiles.build_h_circular(cfg), henon_heiles.enumerate_basis(cfg)[1]
+
+
+@pytest.mark.parametrize("shells, sizes", [(30, [85, 70, 155]), (60, [320, 290, 610])])
+def test_circular_builder_solves_three_blocks(shells, sizes, monkeypatch):
+    """The C3v form solves A1, A2 and one E block, and moves neither the
+    spectrum nor any shell's projections of the Cartesian solve."""
+    h, partition = hh_circular(shells)
+    ref = eigh(henon_heiles.build_h(henon_heiles.HHConfig(num_shells=shells)))
+    solved = record_block_sizes(monkeypatch)
+    d = eigh(h)
+    assert solved == sizes
+    assert np.abs(d.eigenvalues - ref.eigenvalues).max() <= 1e-12 * np.linalg.norm(h.entries)
+    for g in partition.groups:
+        np.testing.assert_allclose(
+            projection_onto_subset(d, g.indices),
+            projection_onto_subset(ref, g.indices),
+            rtol=0,
+            atol=1e-10,
+        )
+
+
 class TestProjection:
     def test_full_subset_is_ones(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,12 @@
 """Property tests of the sector-form decomposition and of
 SymmetricMatrix.scaled_plus_diagonal, on random signed involutions, random
-matrices that commute with them and random subsets of the basis; and of the
+matrices that commute with them (some split into blocks the involution
+swaps) and random subsets of the basis; and of the
 spreading width, the crossing interpolation, the shell partition's
 validation and W's block-rotation invariance, on random distributions,
 curves, partitions and small models."""
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +120,64 @@ def test_scaled_plus_diagonal_rejects_diagonal_not_invariant(case, data):
     diagonal[data.draw(st.sampled_from(swapped.tolist()))] = 1.0
     with pytest.raises(InputError, match="invariant"):
         SymmetricMatrix(h, perm, sign).scaled_plus_diagonal(1.0, diagonal)
+
+
+@st.composite
+def swapped_blocks(draw):
+    """(h, perm, sign, blocks, sizes): a block P maps onto itself, holding a
+    random commuting matrix, and a pair of blocks P swaps, each holding the
+    other's image; states interleaved and labels drawn at random. sizes are
+    the blocks LAPACK should see: the self-mapped block's nonempty sectors
+    and the swapped pair's one shared block."""
+    h0, perm0, sign0 = draw(commuting())
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal((k, k))
+    c = c + c.T
+    s = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+    n0 = perm0.size
+    dim = n0 + 2 * k
+    canon = np.zeros((dim, dim))
+    canon[:n0, :n0] = h0
+    canon[n0:n0 + k, n0:n0 + k] = c
+    canon[n0 + k:, n0 + k:] = c * np.outer(s, s)
+    reps = np.arange(n0, n0 + k)
+    perm = np.concatenate([perm0, reps + k, reps])
+    sign = np.concatenate([sign0, s, s])
+    labels = draw(st.lists(st.integers(-5, 20), min_size=3, max_size=3, unique=True))
+    blocks = np.repeat(labels, [n0, k, k])
+    # state i of the canonical order sits at index at[i]
+    at = np.array(draw(st.permutations(range(dim))))
+    h = np.empty_like(canon)
+    h[np.ix_(at, at)] = canon
+    out_perm, out_sign, out_blocks = np.empty_like(perm), np.empty_like(sign), np.empty_like(blocks)
+    out_perm[at], out_sign[at], out_blocks[at] = at[perm], sign, blocks
+    fixed = perm0 == np.arange(n0)
+    pairs = int((~fixed).sum()) // 2
+    sectors = [n for n in (int((fixed & (sign0 == v)).sum()) + pairs for v in (1.0, -1.0)) if n]
+    # orbits are solved in the order of their lowest label
+    sizes = sectors + [k] if labels[0] < min(labels[1:]) else [k] + sectors
+    return h, out_perm, out_sign, out_blocks, sizes
+
+
+@PROPERTY
+@given(swapped_blocks(), st.data())
+def test_swapped_blocks_match_one_sector_solve(case, data):
+    h, perm, sign, blocks, sizes = case
+    m = SymmetricMatrix(h, perm, sign, blocks)
+    ref = eigh(SymmetricMatrix(h))
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as solve:
+        d = eigh(m)
+    assert [call.args[0].shape[0] for call in solve.call_args_list] == sizes
+    assert np.abs(d.eigenvalues - ref.eigenvalues).max() <= 1e-12 * np.linalg.norm(h)
+    for _ in range(3):
+        # closed under perm, so each state of a degenerate pair holds the
+        # same weight in it, whichever pair basis a solve picks
+        idx = data.draw(subsets(perm))
+        idx = np.union1d(idx, perm[idx])
+        np.testing.assert_allclose(
+            projection_onto_subset(d, idx), projection_onto_subset(ref, idx), rtol=0, atol=1e-10
+        )
 
 
 def test_kepler_hamiltonians_pass_public_check():
