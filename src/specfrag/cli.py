@@ -305,12 +305,24 @@ def _curve_lines(columns, rows: list[dict]) -> Iterator[str]:
         yield ",".join(_fmt(row.get(c)) for c in columns) + "\n"
 
 
+def _repr_floats(values) -> list[str]:
+    """repr of each float of a 1-D array, from one repr of the whole list:
+    a list's repr joins its items' reprs with ", ", which no float's holds."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 def _strength_lines(axis_col: str, rows: list[dict]) -> Iterator[str]:
-    # one line per (energy, weight); both are Python floats, so repr is _fmt
+    # one line per (energy, weight), each float written as _fmt writes it;
+    # rows that share one decomposition share its energies' text
+    energies, energy_text = None, None
     for row in rows:
         head = _fmt(row[axis_col]) + ","
-        for energy, weight in row["_sf"]:
-            yield f"{head}{energy!r},{weight!r}\n"
+        row_energies, weights = row["_sf"]
+        if row_energies is not energies:
+            energies, energy_text = row_energies, _repr_floats(row_energies)
+        yield "".join(
+            f"{head}{e},{w}\n" for e, w in zip(energy_text, _repr_floats(weights))
+        )
 
 
 def _crossing_entry(curve, threshold: float, axis: str) -> tuple:
@@ -369,7 +381,7 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
         row["kappa"] = width / system.d0
     if "strength-function" in config.options["metrics"]:
         sf = strength_function(decomp, idx, label=point.group.label)
-        row["_sf"] = list(zip(sf.eigen_energies.tolist(), sf.weights.tolist()))
+        row["_sf"] = (sf.eigen_energies, sf.weights)
     return row
 
 

@@ -5,9 +5,17 @@ rows), so storage is plain dense float64 throughout. A matrix may declare
 an exact Z2 symmetry, a signed involution of its basis, and a block label
 per basis state; construction checks bitwise that the matrix commutes with
 the involution, that no entry joins two blocks and that the involution maps
-blocks onto blocks. eigh then solves the even and odd sectors of each orbit
-of blocks as separate blocks, and those of a pair of blocks the involution
-swaps only once, since both have the same block matrix. The structure is
+blocks onto blocks. Past a finiteness pass, construction reads each entry
+once, a band of rows at a time, to find the nonzeros, and then reads only
+those: the mirror, the involution and the block checks all run on the
+nonzeros. That decides exactly as checking every pair would, because the
+transpose and the involution are involutions: a zero whose image is
+nonzero is found at that image, which fails its own check. So a sparse
+operator costs one pass over its entries plus work on its nonzeros, and no
+check holds a temporary larger than one band. eigh then solves the even
+and odd sectors of each orbit of blocks as separate blocks, and those of a
+pair of blocks the involution swaps only once, since both have the same
+block matrix. The structure is
 checked once per model: SymmetricMatrix.scaled_plus_diagonal forms
 c*A + diag(d) from an already checked A and checks only that d is
 invariant, so a scan over couplings never repeats the dim x dim check.
@@ -69,6 +77,12 @@ class SymmetricMatrix:
     all states of one block go to states of one block, which may be the same
     one or another, else InputError.
 
+    The checks read each entry once, a band of rows at a time, and then
+    only the nonzeros (see _copy_checked_nonzeros): an input that is
+    already symmetric has its nonzeros copied as they were read. ``entries``
+    is the mirror of the lower triangle bitwise, with an off-diagonal -0.0
+    turned into +0.0 and the diagonal kept as given.
+
     Entries, perm, sign and blocks are frozen after construction and safe to
     share across threads.
     """
@@ -84,32 +98,14 @@ class SymmetricMatrix:
             raise InputError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
-        if all(np.array_equal(a[rows], a[:, rows].T) for rows in _bands(dim)):
-            # adding 0.0 copies and, as the mirror below does, turns an
-            # off-diagonal -0.0 into +0.0
-            full = a + 0.0
-        else:
-            lower = np.tril(a)
-            full = lower + lower.T
-            del lower
-        np.fill_diagonal(full, a.diagonal())
-        declared = perm is not None or sign is not None
         p, sgn = _involution(dim, perm, sign)
         labels = _blocks(dim, p, blocks)
-        permuted = not np.array_equal(p, np.arange(dim))
-        signed = bool(np.any(sgn < 0.0))
-        # a band of rows at a time, so no check holds a dim x dim temporary
-        for rows in _bands(dim):
-            band = full[rows]
-            if declared:
-                image = full[p[rows]][:, p] if permuted else band.copy()
-                if signed:
-                    image *= sgn[rows, None]
-                    image *= sgn
-                if not np.array_equal(image, band):
-                    raise InputError("matrix does not commute with its declared symmetry")
-            if blocks is not None and np.any((band != 0.0) & (labels[rows, None] != labels)):
-                raise InputError("matrix has a nonzero entry between two declared blocks")
+        # +0.0 everywhere, as the mirror below writes where a holds +-0.0
+        full = np.zeros((dim, dim))
+        if not _copy_checked_nonzeros(a, full, p, sgn, labels):
+            _mirror_lower(a, full)
+            _copy_checked_nonzeros(full, full, p, sgn, labels)
+        np.fill_diagonal(full, a.diagonal())
         for arr in (full, p, sgn, labels):
             arr.flags.writeable = False
         object.__setattr__(self, "entries", full)
@@ -198,6 +194,60 @@ def _bands(dim: int) -> Iterator[slice]:
     entries each."""
     step = max(1, _BAND_ENTRIES // dim)
     return (slice(start, start + step) for start in range(0, dim, step))
+
+
+def _copy_checked_nonzeros(src: np.ndarray, out: np.ndarray, perm: np.ndarray,
+                           sign: np.ndarray, labels: np.ndarray) -> bool:
+    """Copy src's nonzeros into out and check the declared structure on
+    them, a band of rows at a time; False as soon as a nonzero's mirror
+    entry differs from it (out then holds only part of src).
+
+    Each band is read once, into its nonzero positions (i, j) and values
+    (band != 0.0, so +-0.0 count as zero); every check reads only those.
+    Once src[j, i] == src[i, j] holds at each of them, src is symmetric:
+    an unequal pair would have a nonzero side, which fails there. P must
+    give src[perm[i], perm[j]] * sign[i] * sign[j] == src[i, j], read from
+    the lower triangle, the entry the mirror keeps, and labels[i] ==
+    labels[j] must hold. Both the transpose and P are involutions, so a
+    zero whose image is nonzero fails at that image, and checking the
+    nonzeros decides exactly as the dense checks would. A failed check
+    raises InputError, also before an asymmetric band is met: its entries
+    are those of the mirrored matrix.
+    """
+    dim = src.shape[0]
+    permuted = not np.array_equal(perm, np.arange(dim))
+    signed = bool(np.any(sign < 0.0))
+    blocked = bool(np.any(labels != labels[0]))
+    for rows in _bands(dim):
+        band = src[rows]
+        # flat positions: np.nonzero on a 2-D mask is several times slower
+        flat = np.flatnonzero(band != 0.0)
+        values = band.reshape(-1)[flat]
+        i, j = np.divmod(flat, dim)
+        i += rows.start
+        if not np.array_equal(src[j, i], values):
+            return False
+        if out is not src:
+            out[i, j] = values
+        if permuted or signed:
+            pi, pj = perm[i], perm[j]
+            image = src[np.maximum(pi, pj), np.minimum(pi, pj)]
+            if signed:
+                image *= sign[i]
+                image *= sign[j]
+            if not np.array_equal(image, values):
+                raise InputError("matrix does not commute with its declared symmetry")
+        if blocked and np.any(labels[i] != labels[j]):
+            raise InputError("matrix has a nonzero entry between two declared blocks")
+    return True
+
+
+def _mirror_lower(a: np.ndarray, out: np.ndarray) -> None:
+    """Write a's lower triangle and its mirror into out, plus 0.0, a band of
+    rows at a time: bitwise tril(a) + tril(a).T off the diagonal."""
+    idx = np.arange(a.shape[0])
+    for rows in _bands(a.shape[0]):
+        np.add(np.where(idx <= idx[rows, None], a[rows], a[:, rows].T), 0.0, out=out[rows])
 
 
 @dataclass(frozen=True)

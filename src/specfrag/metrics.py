@@ -31,6 +31,7 @@ perturbed levels after they drift away from the unperturbed shell energy.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,12 +123,15 @@ def spreading_width(sf: StrengthFunction, return_window: bool = False):
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InputError(f"weights sum to {total!r}, not 1; refusing to measure width")
 
-    best = np.inf
-    window = (0, e.size - 1)
+    # the sweep runs on Python floats: the same IEEE operations in the same
+    # order as on numpy scalars, without their per-element overhead
+    e, p = e.tolist(), p.tolist()
+    best = math.inf
+    window = (0, len(e) - 1)
     a = 0
     s = 0.0
-    for b in range(e.size):
-        s += p[b]
+    for b, weight in enumerate(p):
+        s += weight
         while s - p[a] >= 0.5:
             s -= p[a]
             a += 1
@@ -137,8 +141,8 @@ def spreading_width(sf: StrengthFunction, return_window: bool = False):
                 best = width
                 window = (a, b)
     if return_window:
-        return float(best), window
-    return float(best)
+        return best, window
+    return best
 
 
 def chaoticity(gamma_spr: float, d0: float) -> ChaosReport:
@@ -213,6 +217,9 @@ def w_perturbative_terms(
     tgt = partition.group(target)
     t_idx = np.asarray(tgt.indices)
     dim_t = t_idx.size
+    # each shell's rows of these squares are the squares of its block of V,
+    # in the same shape and order, so the sums are those of the block's
+    squares = v.entries[:, t_idx] ** 2
     terms: list[tuple[int, float]] = []
     for g in partition.groups:
         if g.label == target:
@@ -222,8 +229,8 @@ def w_perturbative_terms(
             raise DegenerateShellError(
                 f"shells {target} and {g.label} share energy {g.energy!r}"
             )
-        block = v.entries[np.ix_(np.asarray(g.indices), t_idx)]
-        terms.append((g.label, float(lam * lam * (block ** 2).sum() / (denom * denom) / dim_t)))
+        leak = squares[np.asarray(g.indices)].sum()
+        terms.append((g.label, float(lam * lam * leak / (denom * denom) / dim_t)))
     return terms
 
 

@@ -5,8 +5,9 @@ Everything here deliberately avoids the code paths under test: the oscillator
 cubic-coupling elements are integrated on a position-space grid instead of
 ladder algebra, the circular-basis coupling is multiplied out from circular
 ladder operators instead of rotated from the Cartesian matrix, the parabolic
-rho^2 elements are recomputed in the spherical basis and rotated over, and
-the spreading width is found by enumerating every contiguous window.
+rho^2 elements are recomputed in the spherical basis and rotated over, the
+spreading width is found by enumerating every contiguous window, and a
+matrix's declared structure is decided by comparing every pair of entries.
 """
 from __future__ import annotations
 
@@ -167,20 +168,22 @@ def rho2_parabolic_via_spherical(max_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------------------------------------------------ metrics side
 
-def brute_force_spreading_width(energies, weights) -> float:
+def brute_force_spreading_width(energies, weights, return_window: bool = False):
     """Minimal E_b - E_a over all contiguous index windows holding >= 0.5,
-    by plain O(n^2) enumeration."""
+    by plain O(n^2) enumeration. The window is the lowest-energy minimal
+    one: of those, the one that ends lowest, then the one with the fewest
+    levels."""
     e = np.asarray(energies, dtype=float)
     p = np.asarray(weights, dtype=float)
-    best = math.inf
+    best = (math.inf, 0, 0)  # (width, b, -a)
     for a in range(e.size):
         s = 0.0
         for b in range(a, e.size):
             s += p[b]
             if s >= 0.5:
-                best = min(best, e[b] - e[a])
-                break
-    return best
+                best = min(best, (e[b] - e[a], b, -a))
+    width, b, minus_a = best
+    return (width, (-minus_a, b)) if return_window else width
 
 
 def hydrogen_ground_rho2() -> float:
@@ -191,3 +194,42 @@ def hydrogen_ground_rho2() -> float:
     u, wl = roots_legendre(32)
     angular = float(np.sum(wl * (1.0 - u * u)))  # int sin^2 d(cos)
     return (1.0 / math.pi) * radial * angular * 2.0 * math.pi
+
+
+# --------------------------------------------------------- linalg structure
+
+def dense_structure_check(a, perm, sign, blocks) -> np.ndarray | None:
+    """What SymmetricMatrix(a, perm, sign, blocks) should hold, or None
+    where it should refuse a finite square a, by comparing every pair of
+    entries in plain loops.
+
+    The lower triangle is mirrored onto the upper one (plus 0.0, so an
+    off-diagonal -0.0 turns +0.0) and the diagonal kept as given. perm must
+    be an involution, sign +-1 and equal on each swapped pair, perm must
+    map each block into one block, and then every pair (i, j) must satisfy
+    m[perm[i], perm[j]] * sign[i] * sign[j] == m[i, j] and, where the
+    labels differ, m[i, j] == 0.
+    """
+    a = np.asarray(a, dtype=float)
+    dim = a.shape[0]
+    m = np.empty_like(a)
+    for i in range(dim):
+        for j in range(dim):
+            m[i, j] = a[i, i] if i == j else a[max(i, j), min(i, j)] + 0.0
+    perm = list(range(dim)) if perm is None else [int(k) for k in perm]
+    sign = [1.0] * dim if sign is None else [float(s) for s in sign]
+    labels = [0] * dim if blocks is None else [int(k) for k in blocks]
+    if any(perm[perm[i]] != i or sign[i] not in (1.0, -1.0) or sign[perm[i]] != sign[i]
+           for i in range(dim)):
+        return None
+    images = {}
+    for i in range(dim):
+        if images.setdefault(labels[i], labels[perm[i]]) != labels[perm[i]]:
+            return None
+    for i in range(dim):
+        for j in range(dim):
+            if m[perm[i], perm[j]] * sign[i] * sign[j] != m[i, j]:
+                return None
+            if labels[i] != labels[j] and m[i, j] != 0.0:
+                return None
+    return m

@@ -339,6 +339,20 @@ class TestRun:
         text = (out / "strength_function.csv").read_text()
         assert [l for l in text.splitlines() if not l.startswith("#")][1:] == expected
 
+    def test_strength_lines_match_repr_per_float(self):
+        """The array formatter writes what repr of each float writes, for
+        subnormal, small, large, signed-zero and inexact values, on rows
+        that share one energy array and on a row with its own."""
+        shared = np.array([-1e16, -0.5, -0.0, 0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16])
+        own = -np.abs(shared)[::-1]
+        weights = np.array([5e-324, 1e-5, 1e16, -0.0, 0.1 + 0.2, 0.0, 0.125, 1.0 / 3.0])
+        rows = [{"shell": 3, "_sf": (shared, weights)},
+                {"shell": 4.5, "_sf": (shared, weights[::-1])},
+                {"shell": -2, "_sf": (own, weights)}]
+        expected = [f"{float(row['shell'])!r},{e!r},{w!r}\n"
+                    for row in rows for e, w in zip(*(x.tolist() for x in row["_sf"]))]
+        assert "".join(cli._strength_lines("shell", rows)) == "".join(expected)
+
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("SPECFRAG_OUTPUT_DIR", str(target))

@@ -1,10 +1,11 @@
-"""Property tests of the sector-form decomposition and of
+"""Property tests of the sector-form decomposition, of the
+SymmetricMatrix constructor's structure checks and of
 SymmetricMatrix.scaled_plus_diagonal, on random signed involutions, random
 matrices that commute with them (some split into blocks the involution
-swaps) and random subsets of the basis; and of the
-spreading width, the crossing interpolation, the shell partition's
-validation and W's block-rotation invariance, on random distributions,
-curves, partitions and small models."""
+swaps, some sparse, some broken on purpose) and random subsets of the
+basis; and of the spreading width, the crossing interpolation, the shell
+partition's validation and W's block-rotation invariance, on random
+distributions, curves, partitions and small models."""
 import threading
 from unittest import mock
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_spreading_width
-from specfrag import henon_heiles, kepler
+from oracles import brute_force_spreading_width, dense_structure_check
+from specfrag import henon_heiles, kepler, linalg
 from specfrag.errors import InputError
 from specfrag.linalg import (
     ShellGroup,
@@ -120,6 +121,94 @@ def test_scaled_plus_diagonal_rejects_diagonal_not_invariant(case, data):
     diagonal[data.draw(st.sampled_from(swapped.tolist()))] = 1.0
     with pytest.raises(InputError, match="invariant"):
         SymmetricMatrix(h, perm, sign).scaled_plus_diagonal(1.0, diagonal)
+
+
+# the involution's action on the block labels of declared_structures: it
+# fixes blocks 0 and 3 and swaps blocks 1 and 2
+LABEL_IMAGE = (0, 2, 1, 3)
+
+
+@st.composite
+def declared_structures(draw):
+    """((perm, sign, blocks), a) for the constructor: a sparse or dense
+    matrix that commutes with a random signed involution and has no entry
+    between blocks the involution maps onto blocks, then, as drawn, left
+    as it is or given -0.0 entries (mirrored or not), one nonzero whose
+    mirror is zero, a zero where its image under the involution is
+    nonzero, a nonzero between two blocks, one entry off by 1, the upper
+    entry at the image of a nonzero off by 1, or other block labels. perm,
+    sign and blocks are each sometimes left undeclared."""
+    # the seeded generator, not hypothesis, draws most choices, so that
+    # examples do not shrink towards trivial involutions
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = np.arange(dim)
+    order = rng.permutation(dim)
+    pairs = rng.integers(0, dim // 2 + 1)
+    perm[order[:pairs]], perm[order[pairs:2 * pairs]] = order[pairs:2 * pairs], order[:pairs]
+    sign = np.where(rng.random(dim) < 0.5, -1.0, 1.0)[np.minimum(perm, np.arange(dim))]
+    labels = np.zeros(dim, dtype=int)
+    for i in range(dim):
+        if perm[i] == i:
+            labels[i] = rng.choice([0, 3])
+        elif i < perm[i]:
+            labels[i] = rng.integers(0, 4)
+            labels[perm[i]] = LABEL_IMAGE[labels[i]]
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    a = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < density)
+    a = a + a.T
+    a = a + a[np.ix_(perm, perm)] * np.outer(sign, sign)
+    a[labels[:, None] != labels] = 0.0
+
+    i, j = rng.integers(0, dim, 2)
+    flaw = draw(st.sampled_from(
+        ["none", "negative-zeros", "one-sided", "zero-image", "between-blocks", "off-by-one",
+         "upper-image", "labels"]))
+    if flaw == "negative-zeros":
+        zeros = a == 0.0
+        a[zeros & (rng.random((dim, dim)) < 0.5)] = -0.0
+    elif flaw == "one-sided" and i != j:
+        a[i, j], a[j, i] = 1.5, 0.0
+    elif flaw == "zero-image":
+        nonzero = np.argwhere(a != 0.0)
+        if nonzero.size:
+            r, c = perm[nonzero[rng.integers(0, len(nonzero))]]
+            a[r, c] = a[c, r] = 0.0
+    elif flaw == "between-blocks":
+        apart = np.argwhere(labels[:, None] != labels)
+        if apart.size:
+            r, c = apart[rng.integers(0, len(apart))]
+            a[r, c] = a[c, r] = 1e-300
+    elif flaw == "off-by-one":
+        a[i, j] += 1.0
+    elif flaw == "upper-image":
+        # the upper entry at the image of a nonzero: ignored, as the lower
+        # triangle is authoritative, but read by a check that reads the
+        # image from the input as it stands
+        nonzero = np.argwhere(a != 0.0)
+        if nonzero.size:
+            r, c = np.sort(perm[nonzero[rng.integers(0, len(nonzero))]])
+            if r != c:
+                a[r, c] += 1.0
+    elif flaw == "labels":
+        labels = rng.integers(0, 3, dim)
+    declared = rng.random(3) < 0.8
+    return tuple(x if keep else None for x, keep in zip((perm, sign, labels), declared)), a
+
+
+@PROPERTY
+@given(declared_structures(), st.sampled_from([1, 13, 1 << 18]))
+def test_constructor_decides_as_dense_oracle(case, band_entries):
+    # bands of one row, a few rows, or the whole matrix: a check may read
+    # an entry of a band that comes later
+    (perm, sign, blocks), a = case
+    expected = dense_structure_check(a, perm, sign, blocks)
+    with mock.patch.object(linalg, "_BAND_ENTRIES", band_entries):
+        if expected is None:
+            with pytest.raises(InputError):
+                SymmetricMatrix(a, perm, sign, blocks)
+        else:
+            assert SymmetricMatrix(a, perm, sign, blocks).entries.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -231,6 +320,14 @@ def test_spreading_width_matches_brute_force(dist):
     energies, weights = dist
     width = spreading_width(StrengthFunction(energies, weights))
     assert width == brute_force_spreading_width(energies, weights)
+
+
+@PROPERTY
+@given(distributions())
+def test_spreading_window_matches_brute_force(dist):
+    energies, weights = dist
+    found = spreading_width(StrengthFunction(energies, weights), return_window=True)
+    assert found == brute_force_spreading_width(energies, weights, return_window=True)
 
 
 def first_straddle(samples, threshold):

@@ -1,0 +1,103 @@
+"""The default runs' curves and headline critical values, pinned.
+
+tests/data holds the hh_curves.csv (Henon-Heiles, 30 shells) and
+kepler_curves.csv (Kepler, max_n 20) of the two default runs, and in
+reference.json their five headline critical values (acceptance criteria
+1-5) with the numpy and BLAS they were made with. Every value must stay
+within 1e-9 (absolute) of the pinned one, far inside every acceptance gate;
+a failure lists the largest |difference| per column, which says which
+digits moved. Where numpy and BLAS are the recorded ones, the data lines
+must also be byte-identical and the critical values bitwise equal; on any
+other platform that test is skipped and says why.
+
+The pinned files are the check's data: replace them only when the numbers
+moved for a stated numerical reason, by copying the two default runs'
+curve files and critical values.
+"""
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from specfrag.cli import main
+
+DATA = Path(__file__).parent / "data"
+REFERENCE = json.loads((DATA / "reference.json").read_text(encoding="utf-8"))
+TOL = 1e-9
+RUNS = {"hh_curves.csv": "henon-heiles", "kepler_curves.csv": "kepler"}
+
+
+def _platform() -> dict:
+    """numpy's version and the BLAS it was built against, as recorded."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = None
+    return {"numpy": np.__version__, "blas": blas}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory) -> dict:
+    """Output directory of each default run, by curve file name."""
+    out = {}
+    for name, system in RUNS.items():
+        path = tmp_path_factory.mktemp(system)
+        assert main(["run", "--system", system, "-o", str(path)]) == 0
+        out[name] = path
+    return out
+
+
+def _data_lines(path: Path) -> list[str]:
+    """The column line and the rows, without the header comments."""
+    return [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+
+
+def _critical(runs: dict) -> dict:
+    found = {}
+    for path in runs.values():
+        found |= json.loads((path / "manifest.json").read_text(encoding="utf-8"))["critical"]
+    return {key: found[key] for key in REFERENCE["critical"]}
+
+
+def _worst(deltas: dict) -> str:
+    return ", ".join(f"{key} {delta:.3g}" for key, delta in deltas.items())
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_curves_within_1e9_of_reference(runs, name):
+    pinned = [line.split(",") for line in _data_lines(DATA / name)]
+    found = [line.split(",") for line in _data_lines(runs[name] / name)]
+    assert found[0] == pinned[0], "columns changed"
+    assert len(found) == len(pinned), "row count changed"
+    worst = {}
+    for c, column in enumerate(pinned[0]):
+        worst[column] = 0.0
+        for got, want in zip(found[1:], pinned[1:]):
+            if (got[c] == "") != (want[c] == ""):
+                delta = math.inf  # a cell appeared or vanished
+            else:
+                delta = abs(float(got[c] or 0.0) - float(want[c] or 0.0))
+            worst[column] = max(worst[column], math.inf if math.isnan(delta) else delta)
+    assert all(d <= TOL for d in worst.values()), f"{name} max |delta| per column: {_worst(worst)}"
+
+
+def test_headline_critical_values_within_1e9_of_reference(runs):
+    found = _critical(runs)
+    deltas = {}
+    for key, want in REFERENCE["critical"].items():
+        got = found[key]
+        deltas[key] = math.inf if got is None else abs(got - want)
+    assert all(d <= TOL for d in deltas.values()), f"max |delta|: {_worst(deltas)}"
+
+
+def test_bytes_match_reference_on_recorded_platform(runs):
+    here = _platform()
+    if here != REFERENCE["platform"]:
+        pytest.skip(f"byte comparison skipped: the reference was made with "
+                    f"{REFERENCE['platform']}, this is {here}")
+    for name, path in runs.items():
+        assert _data_lines(path / name) == _data_lines(DATA / name), f"{name} bytes moved"
+    assert _critical(runs) == REFERENCE["critical"]
