@@ -376,9 +376,11 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
         row["w_exact"] = float(1.0 - proj[picked].mean())
         row[system.exact_column] = point.exact_energy(float(decomp.eigenvalues[picked].mean()))
     if "kappa" in config.options["metrics"]:
-        width = spreading_width(strength_function(decomp, idx, label=point.group.label))
-        row["gamma_spr"] = width
-        row["kappa"] = width / system.d0
+        chaos = metrics.chaoticity(
+            spreading_width(strength_function(decomp, idx, label=point.group.label)), system.d0
+        )
+        row["gamma_spr"] = chaos.gamma_spr
+        row["kappa"] = chaos.kappa
     if "strength-function" in config.options["metrics"]:
         sf = strength_function(decomp, idx, label=point.group.label)
         row["_sf"] = (sf.eigen_energies, sf.weights)

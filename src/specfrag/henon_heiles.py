@@ -14,7 +14,8 @@ shell, into a real circular basis |N, l>, where the potential's C3v
 symmetry is exact block structure: the coupling r^3 sin(3 phi) / 3 changes
 the angular momentum l by 3, so the classes l mod 3 are blocks, and the
 mirror q1 -> -q1 maps l to -l. eigh then solves H as three blocks (A1, A2
-and one E, which serves both E partners) instead of two n1-parity halves.
+and one E, which serves both E partners) instead of the two n1-parity
+blocks of the Cartesian basis.
 Shell projections, and with them every metric, are the same in both bases.
 """
 from __future__ import annotations
@@ -114,8 +115,9 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
 
     Elements vanish unless the shells differ by exactly 1 or 3, and V
     conserves the parity of n1 since q1 only appears squared; the matrix
-    declares that symmetry, and construction checks it. The build fills
-    one shell-pair block at a time from the 1-D ladder tables.
+    declares that parity as the blocks n1 mod 2, and construction checks
+    that no entry joins them. The build fills one shell-pair block at a
+    time from the 1-D ladder tables.
     """
     size = cfg.num_shells
     q, q2, q3 = _ladder_tables(max(size, 3), cfg.hbar)
@@ -136,17 +138,17 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
             v[ket, bra] = block.T
     # basis index starts[n] + i holds n1 = i
     n1 = np.concatenate([np.arange(n + 1) for n in range(size)])
-    return SymmetricMatrix(v, sign=np.where(n1 % 2, -1.0, 1.0))
+    return SymmetricMatrix(v, blocks=n1 % 2)
 
 
 def build_h(cfg: HHConfig) -> SymmetricMatrix:
     """Full Hamiltonian H0 + lambda*V, bitwise the sum diag(H0) + lambda*V.
 
-    Declares the exact Z2 symmetry it has: the parity of n1 (the reflection
-    q1 -> -q1 of the potential's C3v symmetry), so eigh solves the even-n1
-    and odd-n1 states as separate blocks. The symmetry is V's, checked in
-    build_v; the diagonal H0 needs only the O(dim) check of
-    SymmetricMatrix.scaled_plus_diagonal. build_h_circular declares all of
+    Declares the exact Z2 symmetry it has, the parity of n1 (the reflection
+    q1 -> -q1 of the potential's C3v symmetry), as the blocks n1 mod 2, so
+    eigh solves the even-n1 and odd-n1 states as separate blocks. The
+    blocks are V's, checked in build_v; the diagonal H0 needs only the
+    O(dim) check of SymmetricMatrix.scaled_plus_diagonal. build_h_circular declares all of
     C3v and splits the same spectrum into three blocks.
     """
     states, _ = enumerate_basis(cfg)
@@ -199,8 +201,8 @@ def build_v_circular(cfg: HHConfig) -> SymmetricMatrix:
     step d = m2 - n2 of a nonzero element and G = +1 or -1 for
     l' - l = +3 or -3.
 
-    The matrix declares the blocks l mod 3 and the mirror l <-> -l (sign
-    +1, the reflection q1 -> -q1), which swaps blocks 1 and 2. Entries the
+    The matrix declares the blocks l mod 3 and the mirror l <-> -l (the
+    reflection q1 -> -q1), which swaps blocks 1 and 2. Entries the
     selection rule makes zero and the gap between mirror-image entries are
     roundoff; NumericalError if either exceeds CIRCULAR_RESIDUE_RTOL *
     max |V|. They are then written exactly: zeros between the classes, and

@@ -2,27 +2,28 @@
 
 Every matrix in this package is small (a few hundred to a few thousand
 rows), so storage is plain dense float64 throughout. A matrix may declare
-an exact Z2 symmetry, a signed involution of its basis, and a block label
-per basis state; construction checks bitwise that the matrix commutes with
-the involution, that no entry joins two blocks and that the involution maps
-blocks onto blocks. Past a finiteness pass, construction reads each entry
-once, a band of rows at a time, to find the nonzeros, and then reads only
-those: the mirror, the involution and the block checks all run on the
-nonzeros. That decides exactly as checking every pair would, because the
-transpose and the involution are involutions: a zero whose image is
+an exact Z2 symmetry, an involution of its basis, and a block label per
+basis state; a parity of the basis is declared as two blocks. Construction
+checks bitwise that the matrix commutes with the involution, that no entry
+joins two blocks and that the involution maps blocks onto blocks. Past a
+finiteness pass, construction reads the lower triangle, a band of rows at
+a time, writes each nonzero there and at its mirror, and checks the
+involution and the blocks on those nonzeros only. That decides exactly as
+checking every pair would: every upper entry is the mirror of a lower
+one, and the involution is its own inverse, so a zero whose image is
 nonzero is found at that image, which fails its own check. So a sparse
-operator costs one pass over its entries plus work on its nonzeros, and no
-check holds a temporary larger than one band. eigh then solves the even
-and odd sectors of each orbit of blocks as separate blocks, and those of a
-pair of blocks the involution swaps only once, since both have the same
-block matrix. The structure is
-checked once per model: SymmetricMatrix.scaled_plus_diagonal forms
-c*A + diag(d) from an already checked A and checks only that d is
-invariant, so a scan over couplings never repeats the dim x dim check.
-Decompositions are validated on the spot: orthogonality, residual and
-completeness checks run on every block right after its solve, and a
-violation raises ConvergenceError instead of letting bad numbers propagate
-into the metrics.
+operator costs one pass over its lower triangle plus work on its
+nonzeros, and no check holds a temporary larger than one band. eigh then
+solves the even and odd sectors of each orbit of blocks as separate
+blocks, and those of a pair of blocks the involution swaps only once,
+since both have the same block matrix. The structure is checked once per
+model: SymmetricMatrix.scaled_plus_diagonal forms c*A + diag(d) from an
+already checked A and checks only that d is invariant, so a scan over
+couplings never repeats the dim x dim check. Decompositions are validated
+on the spot: orthogonality, residual and completeness checks run on every
+block right after its solve, and a violation, NaN included, raises
+ConvergenceError instead of letting bad numbers propagate into the
+metrics.
 
 Decompositions stay in sector form. projection_onto_subset, and with it
 every metric, reads the block eigenvectors directly; the full-basis
@@ -63,33 +64,33 @@ class SymmetricMatrix:
     it onto the upper triangle, so ``entries[i, j] == entries[j, i]`` holds
     exactly (bitwise), not merely within roundoff.
 
-    The symmetry is a signed involution P of the basis,
-    ``(P x)[i] = sign[i] * x[perm[i]]``, with ``perm[perm[i]] == i`` and
-    ``sign[perm[i]] == sign[i]`` in {+1, -1}. Omitted, perm defaults to the
-    identity and sign to all +1; with both omitted P is the identity and the
-    matrix has one symmetry sector. A declared P must commute with the
-    matrix exactly: ``entries[i, j] == sign[i] * sign[j] *
-    entries[perm[i], perm[j]]`` for every pair, else InputError.
+    The symmetry is an involution P of the basis, ``(P x)[i] = x[perm[i]]``
+    with ``perm[perm[i]] == i``. Omitted, perm defaults to the identity and
+    the matrix has one symmetry sector. A declared P must commute with the
+    matrix exactly: ``entries[i, j] == entries[perm[i], perm[j]]`` for
+    every pair, else InputError.
 
     blocks gives each basis state an integer label; omitted, every state is
     in block 0. Declared blocks must be exact, ``entries[i, j] == 0`` for
     every pair with different labels, and perm must map blocks onto blocks:
     all states of one block go to states of one block, which may be the same
-    one or another, else InputError.
+    one or another, else InputError. A parity, a sign per basis state that
+    the matrix commutes with, is declared as blocks: label 0 for the states
+    of sign +1 and 1 for those of sign -1.
 
-    The checks read each entry once, a band of rows at a time, and then
-    only the nonzeros (see _copy_checked_nonzeros): an input that is
-    already symmetric has its nonzeros copied as they were read. ``entries``
-    is the mirror of the lower triangle bitwise, with an off-diagonal -0.0
-    turned into +0.0 and the diagonal kept as given.
+    The checks read the lower triangle once, a band of rows at a time, and
+    then only its nonzeros (see _copy_checked_lower), each of which is
+    written at its place and at its mirror. ``entries`` is the mirror of
+    the lower triangle bitwise, with an off-diagonal -0.0 turned into +0.0
+    and the diagonal kept as given.
 
-    Entries, perm, sign and blocks are frozen after construction and safe to
+    Entries, perm and blocks are frozen after construction and safe to
     share across threads.
     """
 
-    __slots__ = ("entries", "perm", "sign", "blocks")
+    __slots__ = ("entries", "perm", "blocks")
 
-    def __init__(self, entries, perm=None, sign=None, blocks=None) -> None:
+    def __init__(self, entries, perm=None, blocks=None) -> None:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
@@ -98,19 +99,16 @@ class SymmetricMatrix:
             raise InputError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
-        p, sgn = _involution(dim, perm, sign)
+        p = _involution(dim, perm)
         labels = _blocks(dim, p, blocks)
-        # +0.0 everywhere, as the mirror below writes where a holds +-0.0
+        # +0.0 wherever the lower triangle holds +-0.0
         full = np.zeros((dim, dim))
-        if not _copy_checked_nonzeros(a, full, p, sgn, labels):
-            _mirror_lower(a, full)
-            _copy_checked_nonzeros(full, full, p, sgn, labels)
+        _copy_checked_lower(a, full, p, labels)
         np.fill_diagonal(full, a.diagonal())
-        for arr in (full, p, sgn, labels):
+        for arr in (full, p, labels):
             arr.flags.writeable = False
         object.__setattr__(self, "entries", full)
         object.__setattr__(self, "perm", p)
-        object.__setattr__(self, "sign", sgn)
         object.__setattr__(self, "blocks", labels)
 
     def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
@@ -118,7 +116,7 @@ class SymmetricMatrix:
 
         Every entry is the sum diag(diagonal) + c * A forms, bitwise, signed
         zeros included (an off-diagonal -0.0 of c * A becomes +0.0). The
-        result keeps A's perm, sign and blocks: c * A commutes with P bitwise
+        result keeps A's perm and blocks: c * A commutes with P bitwise
         because A does, and so does the sum once the diagonal is invariant
         under the permutation, diagonal[perm[i]] == diagonal[i], since the
         same operands then go through the same operations. An entry between
@@ -157,18 +155,15 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(dim={self.dim})"
 
 
-def _involution(dim: int, perm, sign) -> tuple[np.ndarray, np.ndarray]:
+def _involution(dim: int, perm) -> np.ndarray:
     p = np.arange(dim) if perm is None else np.array(perm)
-    sgn = np.ones(dim) if sign is None else np.array(sign, dtype=float)
-    if p.shape != (dim,) or sgn.shape != (dim,):
-        raise InputError(f"symmetry perm and sign must each hold {dim} entries")
+    if p.shape != (dim,):
+        raise InputError(f"symmetry perm must hold {dim} entries")
     if not np.issubdtype(p.dtype, np.integer) or p.min() < 0 or p.max() >= dim:
         raise InputError(f"symmetry perm must hold basis indices in [0, {dim - 1}]")
     if not np.array_equal(p[p], np.arange(dim)):
         raise InputError("symmetry perm is not an involution")
-    if not np.all(np.abs(sgn) == 1.0) or not np.array_equal(sgn[p], sgn):
-        raise InputError("symmetry sign must be +1 or -1 and equal on each swapped pair")
-    return p, sgn
+    return p
 
 
 def _blocks(dim: int, perm: np.ndarray, blocks) -> np.ndarray:
@@ -196,58 +191,42 @@ def _bands(dim: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, dim, step))
 
 
-def _copy_checked_nonzeros(src: np.ndarray, out: np.ndarray, perm: np.ndarray,
-                           sign: np.ndarray, labels: np.ndarray) -> bool:
-    """Copy src's nonzeros into out and check the declared structure on
-    them, a band of rows at a time; False as soon as a nonzero's mirror
-    entry differs from it (out then holds only part of src).
+def _copy_checked_lower(a: np.ndarray, out: np.ndarray, perm: np.ndarray,
+                        labels: np.ndarray) -> None:
+    """Write each nonzero a[i, j] of a's lower triangle (j <= i) into out at
+    (i, j) and (j, i), and check the declared structure on those nonzeros,
+    a band of rows at a time.
 
-    Each band is read once, into its nonzero positions (i, j) and values
-    (band != 0.0, so +-0.0 count as zero); every check reads only those.
-    Once src[j, i] == src[i, j] holds at each of them, src is symmetric:
-    an unequal pair would have a nonzero side, which fails there. P must
-    give src[perm[i], perm[j]] * sign[i] * sign[j] == src[i, j], read from
-    the lower triangle, the entry the mirror keeps, and labels[i] ==
-    labels[j] must hold. Both the transpose and P are involutions, so a
-    zero whose image is nonzero fails at that image, and checking the
-    nonzeros decides exactly as the dense checks would. A failed check
-    raises InputError, also before an asymmetric band is met: its entries
-    are those of the mirrored matrix.
+    Each band's lower triangle is read once, into its nonzero positions and
+    values (!= 0.0, so +-0.0 count as zero); every check reads only those.
+    P must give a[perm[i], perm[j]] == a[i, j], the image read from the
+    lower triangle too, and labels[i] == labels[j] must hold. Every upper
+    entry of the mirrored matrix is the mirror of a lower one, so a check
+    of the lower nonzeros covers both triangles; and P is an involution, so
+    a zero whose image is nonzero fails at that image. The decisions are
+    those of checking every pair of the mirrored matrix. A failed check
+    raises InputError.
     """
-    dim = src.shape[0]
+    dim = a.shape[0]
     permuted = not np.array_equal(perm, np.arange(dim))
-    signed = bool(np.any(sign < 0.0))
     blocked = bool(np.any(labels != labels[0]))
     for rows in _bands(dim):
-        band = src[rows]
+        # the columns up to the band's last row hold its lower triangle
+        band = a[rows, :rows.stop]
         # flat positions: np.nonzero on a 2-D mask is several times slower
-        flat = np.flatnonzero(band != 0.0)
-        values = band.reshape(-1)[flat]
-        i, j = np.divmod(flat, dim)
+        i, j = np.divmod(np.flatnonzero(band != 0.0), band.shape[1])
         i += rows.start
-        if not np.array_equal(src[j, i], values):
-            return False
-        if out is not src:
-            out[i, j] = values
-        if permuted or signed:
+        lower = j <= i
+        i, j = i[lower], j[lower]
+        values = a[i, j]
+        out[i, j] = values
+        out[j, i] = values
+        if permuted:
             pi, pj = perm[i], perm[j]
-            image = src[np.maximum(pi, pj), np.minimum(pi, pj)]
-            if signed:
-                image *= sign[i]
-                image *= sign[j]
-            if not np.array_equal(image, values):
+            if not np.array_equal(a[np.maximum(pi, pj), np.minimum(pi, pj)], values):
                 raise InputError("matrix does not commute with its declared symmetry")
         if blocked and np.any(labels[i] != labels[j]):
             raise InputError("matrix has a nonzero entry between two declared blocks")
-    return True
-
-
-def _mirror_lower(a: np.ndarray, out: np.ndarray) -> None:
-    """Write a's lower triangle and its mirror into out, plus 0.0, a band of
-    rows at a time: bitwise tril(a) + tril(a).T off the diagonal."""
-    idx = np.arange(a.shape[0])
-    for rows in _bands(a.shape[0]):
-        np.add(np.where(idx <= idx[rows, None], a[rows], a[:, rows].T), 0.0, out=out[rows])
 
 
 @dataclass(frozen=True)
@@ -368,15 +347,13 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     order, so the result is deterministic. The block eigenvectors are kept
     as they are, with the merged column each one takes.
 
-    Raises InputError for non-finite entries and ConvergenceError (naming
-    the full matrix dimension) if a block solve fails or violates a
-    tolerance.
+    The entries are finite: the constructor and scaled_plus_diagonal refuse
+    any other. Raises ConvergenceError (naming the full matrix dimension)
+    if a block solve fails or violates a tolerance, or yields NaN.
     """
     h = m.entries
-    if not np.all(np.isfinite(h)):
-        raise InputError("matrix entries must be finite")
     dim = m.dim
-    sectors = _sectors(m.perm, m.sign, m.blocks)
+    sectors = _sectors(m.perm, m.blocks)
     solved: list[tuple[np.ndarray, np.ndarray]] = []
     for sec in sectors:
         solved.append(solved[-1] if sec.twin else _solve_block(sec.block(h), dim))
@@ -403,16 +380,16 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class _Sector:
-    """Orthonormal basis of one eigenspace of a signed involution P inside
-    one orbit of blocks: the fixed basis states (perm[i] == i) whose sign is
-    the eigenvalue s, then one vector (e_r + coef * e_q) / sqrt(2) per
-    swapped pair r, q = perm[r], with coef = s * sign[q]. twin marks a
-    sector whose block matrix equals the previous sector's."""
+    """Orthonormal basis of the eigenspace of eigenvalue parity (+1 or -1)
+    of the involution P inside one orbit of blocks: the fixed basis states
+    (perm[i] == i) if parity is +1, then one vector
+    (e_r + parity * e_q) / sqrt(2) per swapped pair r, q = perm[r]. twin
+    marks a sector whose block matrix equals the previous sector's."""
 
     fixed: np.ndarray
     reps: np.ndarray
     partners: np.ndarray
-    coef: np.ndarray
+    parity: float
     twin: bool = False
 
     @property
@@ -429,7 +406,7 @@ class _Sector:
         b[:nf, :nf] = h[np.ix_(self.fixed, self.fixed)]
         b[nf:, :nf] = _SQRT2 * rows[:, self.fixed]
         b[:nf, nf:] = b[nf:, :nf].T
-        b[nf:, nf:] = rows[:, self.reps] + rows[:, self.partners] * self.coef
+        b[nf:, nf:] = rows[:, self.reps] + rows[:, self.partners] * self.parity
         return b
 
     def share(self, inside: np.ndarray) -> np.ndarray:
@@ -446,14 +423,15 @@ class _Sector:
         out[np.ix_(self.fixed, cols)] = y[:nf]
         pair = y[nf:] / _SQRT2
         out[np.ix_(self.reps, cols)] = pair
-        out[np.ix_(self.partners, cols)] = self.coef[:, None] * pair
+        out[np.ix_(self.partners, cols)] = self.parity * pair
 
 
-def _sectors(perm: np.ndarray, sign: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
+def _sectors(perm: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
     """The nonempty sectors of P, orbit by orbit of the blocks under P in
-    ascending order of the orbit's lowest label, even (s = +1) first.
+    ascending order of the orbit's lowest label, even (parity +1) first.
 
-    A block that P maps onto itself has the sectors of P restricted to it.
+    A block that P maps onto itself has the sectors of P restricted to it:
+    its fixed states and pairs in the even one, its pairs in the odd one.
     A pair of blocks that P swaps has no fixed states; each swapped pair's
     representative r is taken from the lower-labelled block. No entry joins
     the two blocks, so h[r, perm[r']] is an exact zero and both sectors'
@@ -473,11 +451,8 @@ def _sectors(perm: np.ndarray, sign: np.ndarray, blocks: np.ndarray) -> list[_Se
         else:
             fixed, reps = idx[:0], idx[inside]
         partners = perm[reps]
-        sectors += [
-            _Sector(fixed[sign[fixed] == s], reps, partners, s * sign[partners],
-                    twin=bool(s < 0 and image != label))
-            for s in (1.0, -1.0)
-        ]
+        sectors += [_Sector(fixed, reps, partners, 1.0),
+                    _Sector(fixed[:0], reps, partners, -1.0, twin=bool(image != label))]
     return [sec for sec in sectors if sec.size]
 
 
@@ -490,22 +465,23 @@ def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge on {where}") from exc
 
+    # each gate is written so that NaN fails it
     ortho = np.abs(vecs.T @ vecs - np.eye(k)).max()
-    if ortho > ORTHOGONALITY_TOL:
+    if not ortho <= ORTHOGONALITY_TOL:
         raise ConvergenceError(
             f"eigenvectors of {where} lost orthogonality (deviation {ortho:.3e})"
         )
     fro = np.linalg.norm(b)
     residual = np.linalg.norm(b @ vecs - vecs * vals, axis=0).max()
-    if residual > RESIDUAL_TOL * fro:
+    if not residual <= RESIDUAL_TOL * fro:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds tolerance for {where} "
             f"(block |H|_F = {fro:.3e})"
         )
     completeness = np.abs((vecs ** 2).sum(axis=1) - 1.0).max()
-    if completeness > COMPLETENESS_TOL:
+    if not completeness <= COMPLETENESS_TOL:
         raise ConvergenceError(f"eigenvector completeness defect {completeness:.3e} on {where}")
-    if np.any(np.diff(vals) < 0):
+    if not np.all(np.diff(vals) >= 0):
         raise ConvergenceError(f"eigenvalues of {where} not ascending")
     return vals, vecs
 

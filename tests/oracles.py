@@ -198,16 +198,15 @@ def hydrogen_ground_rho2() -> float:
 
 # --------------------------------------------------------- linalg structure
 
-def dense_structure_check(a, perm, sign, blocks) -> np.ndarray | None:
-    """What SymmetricMatrix(a, perm, sign, blocks) should hold, or None
+def dense_structure_check(a, perm, blocks) -> np.ndarray | None:
+    """What SymmetricMatrix(a, perm, blocks) should hold, or None
     where it should refuse a finite square a, by comparing every pair of
     entries in plain loops.
 
     The lower triangle is mirrored onto the upper one (plus 0.0, so an
     off-diagonal -0.0 turns +0.0) and the diagonal kept as given. perm must
-    be an involution, sign +-1 and equal on each swapped pair, perm must
-    map each block into one block, and then every pair (i, j) must satisfy
-    m[perm[i], perm[j]] * sign[i] * sign[j] == m[i, j] and, where the
+    be an involution that maps each block into one block, and then every
+    pair (i, j) must satisfy m[perm[i], perm[j]] == m[i, j] and, where the
     labels differ, m[i, j] == 0.
     """
     a = np.asarray(a, dtype=float)
@@ -217,10 +216,8 @@ def dense_structure_check(a, perm, sign, blocks) -> np.ndarray | None:
         for j in range(dim):
             m[i, j] = a[i, i] if i == j else a[max(i, j), min(i, j)] + 0.0
     perm = list(range(dim)) if perm is None else [int(k) for k in perm]
-    sign = [1.0] * dim if sign is None else [float(s) for s in sign]
     labels = [0] * dim if blocks is None else [int(k) for k in blocks]
-    if any(perm[perm[i]] != i or sign[i] not in (1.0, -1.0) or sign[perm[i]] != sign[i]
-           for i in range(dim)):
+    if any(perm[perm[i]] != i for i in range(dim)):
         return None
     images = {}
     for i in range(dim):
@@ -228,7 +225,7 @@ def dense_structure_check(a, perm, sign, blocks) -> np.ndarray | None:
             return None
     for i in range(dim):
         for j in range(dim):
-            if m[perm[i], perm[j]] * sign[i] * sign[j] != m[i, j]:
+            if m[perm[i], perm[j]] != m[i, j]:
                 return None
             if labels[i] != labels[j] and m[i, j] != 0.0:
                 return None

@@ -706,6 +706,19 @@ class TestOptionTable:
             for name in names:
                 assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
+    @pytest.mark.parametrize("args", [["run", "--system", "henon-heiles", "--shells", "8"],
+                                      KEPLER_SMALL], ids=["henon-heiles", "kepler"])
+    def test_benchmark_tracer_runs(self, args, tmp_path):
+        # the benchmark's tracer, run as the benchmark runs it, on every metric
+        tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        src = Path(specfrag.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, str(tracer), "--src", str(src), "--spans", str(tmp_path / "spans.json"),
+             "--", *args, "--metrics", ALL_METRICS, "-o", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 def test_runtime_is_scipy_free():
     """numpy is the package's only runtime dependency: importing it, the CLI's

@@ -225,23 +225,23 @@ class TestH:
         bit, signed zeros included."""
         cfg = HHConfig(lam=lam, num_shells=12)
         states, _ = enumerate_basis(cfg)
-        parity = [(-1.0) ** s.n1 for s in states]
+        parity = [s.n1 % 2 for s in states]
         expected = SymmetricMatrix(
-            build_h0(cfg).entries + lam * build_v(cfg).entries, sign=parity
+            build_h0(cfg).entries + lam * build_v(cfg).entries, blocks=parity
         )
         assert build_h(cfg).entries.tobytes() == expected.entries.tobytes()
 
     def test_v_declares_n1_parity(self):
         cfg = HHConfig(num_shells=7)
         states, _ = enumerate_basis(cfg)
-        np.testing.assert_array_equal(build_v(cfg).sign, [(-1.0) ** s.n1 for s in states])
+        np.testing.assert_array_equal(build_v(cfg).blocks, [s.n1 % 2 for s in states])
 
     def test_declares_n1_parity(self):
         cfg = HHConfig(num_shells=10)
         states, _ = enumerate_basis(cfg)
         h = build_h(cfg)
         np.testing.assert_array_equal(h.perm, np.arange(len(states)))
-        np.testing.assert_array_equal(h.sign, [(-1.0) ** s.n1 for s in states])
+        np.testing.assert_array_equal(h.blocks, [s.n1 % 2 for s in states])
 
 
 class TestCircular:
@@ -266,7 +266,6 @@ class TestCircular:
             l = 2 * np.arange(g.label + 1) - g.label
             np.testing.assert_array_equal(v.blocks[idx], l % 3)
             np.testing.assert_array_equal(v.perm[idx], idx[::-1])  # l <-> -l
-        np.testing.assert_array_equal(v.sign, np.ones(v.dim))
         # mirror images are exact copies, and the classes exact zeros
         assert np.array_equal(v.entries, v.entries[np.ix_(v.perm, v.perm)])
         assert np.all(v.entries[v.blocks[:, None] != v.blocks] == 0.0)
@@ -286,7 +285,7 @@ class TestCircular:
                                    blocks=v.blocks)
         h = build_h_circular(cfg)
         assert h.entries.tobytes() == expected.entries.tobytes()
-        for name in ("perm", "sign", "blocks"):
+        for name in ("perm", "blocks"):
             np.testing.assert_array_equal(getattr(h, name), getattr(v, name))
 
     def test_residue_over_tolerance_raises(self, monkeypatch):

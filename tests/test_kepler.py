@@ -87,7 +87,7 @@ class TestRho2:
         rho2 = build_rho2(cfg)
         swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
         np.testing.assert_array_equal(rho2.perm, swap)
-        np.testing.assert_array_equal(rho2.sign, np.ones(len(states)))
+        np.testing.assert_array_equal(rho2.blocks, np.zeros(len(states)))
 
     def test_positive_semidefinite(self):
         rho2 = build_rho2(KeplerConfig()).entries
@@ -140,7 +140,7 @@ class TestHamiltonian:
         swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
         h = build_h(cfg, 1e-3)
         np.testing.assert_array_equal(h.perm, swap)
-        np.testing.assert_array_equal(h.sign, np.ones(len(states)))
+        np.testing.assert_array_equal(h.blocks, np.zeros(len(states)))
         # the diagonal gamma = 0 matrix stays unblocked, so its eigenvectors
         # are exactly the basis states
         np.testing.assert_array_equal(build_h(cfg, 0.0).perm, np.arange(len(states)))

@@ -118,25 +118,23 @@ def record_block_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-def commuting_matrix(perm, sign, seed):
+def commuting_matrix(perm, seed):
     """A random symmetric matrix A + PAP, which commutes with P exactly."""
     a = np.random.default_rng(seed).standard_normal((len(perm), len(perm)))
     a = a + a.T
-    sign = np.asarray(sign, dtype=float)
-    return a + a[np.ix_(perm, perm)] * np.outer(sign, sign)
+    return a + a[np.ix_(perm, perm)]
 
 
 class TestSymmetryBlocks:
-    # fixed points with both signs and swapped pairs with both signs
+    # fixed points and swapped pairs
     PERM = [0, 4, 2, 5, 1, 3, 6]
-    SIGN = [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
 
     def test_blocked_matches_one_sector(self, monkeypatch):
-        h = commuting_matrix(self.PERM, self.SIGN, seed=21)
-        blocked = SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN)
+        h = commuting_matrix(self.PERM, seed=21)
+        blocked = SymmetricMatrix(h, perm=self.PERM)
         sizes = record_block_sizes(monkeypatch)
         d = eigh(blocked)
-        assert sizes == [4, 3]  # even: 2 fixed + 2 pairs; odd: 1 fixed + 2 pairs
+        assert sizes == [5, 2]  # even: 3 fixed + 2 pairs; odd: 2 pairs
         ref = eigh(SymmetricMatrix(h))
         np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, atol=1e-12 * np.linalg.norm(h))
         rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
@@ -146,18 +144,17 @@ class TestSymmetryBlocks:
     def test_undeclared_is_trivial_symmetry(self):
         m = SymmetricMatrix(np.eye(3))
         np.testing.assert_array_equal(m.perm, [0, 1, 2])
-        np.testing.assert_array_equal(m.sign, [1.0, 1.0, 1.0])
 
     def test_rejects_non_commuting_symmetry(self):
         h = np.array([[1.0, 0.5], [0.5, 2.0]])
         with pytest.raises(InputError, match="commute"):
             SymmetricMatrix(h, perm=[1, 0])  # the swap needs equal diagonals
-        with pytest.raises(InputError, match="commute"):
-            SymmetricMatrix(h, sign=[1.0, -1.0])  # parity needs zero coupling
-        off = commuting_matrix(self.PERM, self.SIGN, seed=5)
+        with pytest.raises(InputError, match="between two declared blocks"):
+            SymmetricMatrix(h, blocks=[0, 1])  # parity needs zero coupling
+        off = commuting_matrix(self.PERM, seed=5)
         off[3, 0] = np.nextafter(off[3, 0], np.inf)
         with pytest.raises(InputError, match="commute"):
-            SymmetricMatrix(off, perm=self.PERM, sign=self.SIGN)
+            SymmetricMatrix(off, perm=self.PERM)
 
     def test_rejects_non_involution(self):
         with pytest.raises(InputError, match="involution"):
@@ -168,23 +165,19 @@ class TestSymmetryBlocks:
             SymmetricMatrix(np.eye(3), perm=[0, 1])
         with pytest.raises(InputError):
             SymmetricMatrix(np.eye(3), perm=[0, 1, 3])
-        with pytest.raises(InputError):
-            SymmetricMatrix(np.eye(3), sign=[1.0, 0.5, 1.0])
-        with pytest.raises(InputError):
-            SymmetricMatrix(np.eye(3), perm=[1, 0, 2], sign=[1.0, -1.0, 1.0])
 
     def test_decomposition_kept_per_sector(self):
-        h = commuting_matrix(self.PERM, self.SIGN, seed=8)
-        d = eigh(SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN))
-        assert [part.vectors.shape for part in d.sectors] == [(4, 4), (3, 3)]
+        h = commuting_matrix(self.PERM, seed=8)
+        d = eigh(SymmetricMatrix(h, perm=self.PERM))
+        assert [part.vectors.shape for part in d.sectors] == [(5, 5), (2, 2)]
         cols = np.concatenate([part.columns for part in d.sectors])
         np.testing.assert_array_equal(np.sort(cols), np.arange(7))
         for part in d.sectors:
             np.testing.assert_array_equal(d.eigenvalues[part.columns], part.eigenvalues)
 
     def test_eigenvectors_assembled_once(self):
-        h = commuting_matrix(self.PERM, self.SIGN, seed=9)
-        d = eigh(SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN))
+        h = commuting_matrix(self.PERM, seed=9)
+        d = eigh(SymmetricMatrix(h, perm=self.PERM))
         assert d.eigenvectors is d.eigenvectors
         with pytest.raises(ValueError):
             d.eigenvectors[0, 0] = 1.0
@@ -195,28 +188,46 @@ class TestSymmetryBlocks:
         def fail(a):
             raise np.linalg.LinAlgError("synthetic")
 
-        h = commuting_matrix(self.PERM, self.SIGN, seed=2)
-        m = SymmetricMatrix(h, perm=self.PERM, sign=self.SIGN)
+        h = commuting_matrix(self.PERM, seed=2)
+        m = SymmetricMatrix(h, perm=self.PERM)
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(ConvergenceError, match="4x4 block of a 7x7 matrix"):
+        with pytest.raises(ConvergenceError, match="5x5 block of a 7x7 matrix"):
+            eigh(m)
+
+    @pytest.mark.parametrize("nan_in, gate", [("vectors", "orthogonality"),
+                                              ("values", "residual")])
+    def test_nan_solve_fails_its_gate(self, nan_in, gate, monkeypatch):
+        # a LAPACK handed a NaN may return NaN eigenpairs without raising
+        solve = np.linalg.eigh
+
+        def nan_solve(a):
+            vals, vecs = solve(a)
+            if nan_in == "vectors":
+                vecs = np.full_like(vecs, np.nan)
+            else:
+                vals = np.full_like(vals, np.nan)
+            return vals, vecs
+
+        m = SymmetricMatrix(commuting_matrix(self.PERM, seed=3), perm=self.PERM)
+        monkeypatch.setattr(np.linalg, "eigh", nan_solve)
+        with pytest.raises(ConvergenceError, match=gate):
             eigh(m)
 
 
 class TestScaledPlusDiagonal:
     PERM = TestSymmetryBlocks.PERM
-    SIGN = TestSymmetryBlocks.SIGN
 
     def checked(self, seed):
-        return SymmetricMatrix(commuting_matrix(self.PERM, self.SIGN, seed), self.PERM, self.SIGN)
+        return SymmetricMatrix(commuting_matrix(self.PERM, seed), self.PERM)
 
     def test_bitwise_equal_to_the_constructors_sum(self):
         a = self.checked(seed=4)
         d = np.arange(7.0)[self.PERM] + np.arange(7.0)
         for c in (0.0, -0.0, 0.37, -2.5):
             m = a.scaled_plus_diagonal(c, d)
-            expected = SymmetricMatrix(np.diag(d) + c * a.entries, self.PERM, self.SIGN)
+            expected = SymmetricMatrix(np.diag(d) + c * a.entries, self.PERM)
             assert m.entries.tobytes() == expected.entries.tobytes()
-            assert m.perm is a.perm and m.sign is a.sign
+            assert m.perm is a.perm and m.blocks is a.blocks
             with pytest.raises(ValueError):
                 m.entries[0, 0] = 1.0
 
@@ -277,11 +288,10 @@ class TestBlocks:
     # blocks 4 and 9 swapped by the involution, block 2 mapped onto itself
     # with a fixed state and a pair; states interleaved
     PERM = [3, 2, 1, 0, 4, 6, 5]
-    SIGN = [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
     BLOCKS = [4, 2, 2, 9, 2, 9, 4]
 
     def matrix(self, seed):
-        h = commuting_matrix(self.PERM, self.SIGN, seed)
+        h = commuting_matrix(self.PERM, seed)
         blocks = np.array(self.BLOCKS)
         h[blocks[:, None] != blocks] = 0.0
         return h
@@ -291,13 +301,13 @@ class TestBlocks:
 
     def test_swapped_pair_solved_once(self, monkeypatch):
         h = self.matrix(seed=3)
-        m = SymmetricMatrix(h, self.PERM, self.SIGN, self.BLOCKS)
+        m = SymmetricMatrix(h, self.PERM, self.BLOCKS)
         sizes = record_block_sizes(monkeypatch)
         d = eigh(m)
-        # block 2: even sector 1 pair, odd sector the fixed state (sign -1)
-        # and 1 pair; blocks 4 and 9: one 2x2 block for both their sectors
-        assert sizes == [1, 2, 2]
-        assert [part.vectors.shape[0] for part in d.sectors] == [1, 2, 2, 2]
+        # block 2: even sector the fixed state and 1 pair, odd sector 1
+        # pair; blocks 4 and 9: one 2x2 block for both their sectors
+        assert sizes == [2, 1, 2]
+        assert [part.vectors.shape[0] for part in d.sectors] == [2, 1, 2, 2]
         even, odd = d.sectors[2:]
         assert odd.vectors is even.vectors and odd.eigenvalues is even.eigenvalues
         ref = eigh(SymmetricMatrix(h))
@@ -324,10 +334,10 @@ class TestBlocks:
             SymmetricMatrix(np.eye(3), blocks=[0.0, 1.0, 1.0])
 
     def test_scaled_plus_diagonal_keeps_blocks(self):
-        m = SymmetricMatrix(self.matrix(seed=6), self.PERM, self.SIGN, self.BLOCKS)
+        m = SymmetricMatrix(self.matrix(seed=6), self.PERM, self.BLOCKS)
         s = m.scaled_plus_diagonal(-2.0, np.ones(7))
         np.testing.assert_array_equal(s.blocks, self.BLOCKS)
-        rechecked = SymmetricMatrix(s.entries, s.perm, s.sign, s.blocks)
+        rechecked = SymmetricMatrix(s.entries, s.perm, s.blocks)
         assert rechecked.entries.tobytes() == s.entries.tobytes()
 
 

@@ -1,6 +1,6 @@
 """Property tests of the sector-form decomposition, of the
 SymmetricMatrix constructor's structure checks and of
-SymmetricMatrix.scaled_plus_diagonal, on random signed involutions, random
+SymmetricMatrix.scaled_plus_diagonal, on random involutions, random
 matrices that commute with them (some split into blocks the involution
 swaps, some sparse, some broken on purpose) and random subsets of the
 basis; and of the spreading width, the crossing interpolation, the shell
@@ -38,28 +38,25 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 @st.composite
 def involutions(draw, max_dim=12):
-    """(perm, sign) of a random signed involution: some states fixed, the
-    others swapped in pairs, each fixed state and pair with its own sign."""
+    """perm of a random involution: some states fixed, the others swapped
+    in pairs."""
     dim = draw(st.integers(1, max_dim))
     order = draw(st.permutations(range(dim)))
     pairs = draw(st.integers(0, dim // 2))
     perm = np.arange(dim)
     for r, q in zip(order[:pairs], order[pairs:2 * pairs]):
         perm[r], perm[q] = q, r
-    flips = np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
-    # a pair takes the sign drawn for its lower state
-    sign = np.where(flips[np.minimum(perm, np.arange(dim))], -1.0, 1.0)
-    return perm, sign
+    return perm
 
 
 @st.composite
 def commuting(draw):
     """A symmetric matrix A + PAP, which commutes with P bitwise."""
-    perm, sign = draw(involutions())
+    perm = draw(involutions())
     seed = draw(st.integers(0, 2**32 - 1))
     a = np.random.default_rng(seed).standard_normal((perm.size, perm.size))
     a = a + a.T
-    return a + a[np.ix_(perm, perm)] * np.outer(sign, sign), perm, sign
+    return a + a[np.ix_(perm, perm)], perm
 
 
 @st.composite
@@ -84,8 +81,8 @@ def assert_hygienic(h: np.ndarray, d) -> None:
 @PROPERTY
 @given(st.data())
 def test_sector_projection_matches_assembled_eigenvectors(data):
-    h, perm, sign = data.draw(commuting())
-    d = eigh(SymmetricMatrix(h, perm, sign))
+    h, perm = data.draw(commuting())
+    d = eigh(SymmetricMatrix(h, perm))
     for _ in range(3):
         idx = data.draw(subsets(perm))
         dense = (d.eigenvectors[idx] ** 2).sum(axis=0)
@@ -95,32 +92,32 @@ def test_sector_projection_matches_assembled_eigenvectors(data):
 @PROPERTY
 @given(commuting())
 def test_assembled_eigenvectors_pass_criterion_9(case):
-    h, perm, sign = case
-    assert_hygienic(h, eigh(SymmetricMatrix(h, perm, sign)))
+    h, perm = case
+    assert_hygienic(h, eigh(SymmetricMatrix(h, perm)))
 
 
 @PROPERTY
 @given(commuting(), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1))
 def test_scaled_plus_diagonal_passes_public_check(case, c, seed):
-    h, perm, sign = case
+    h, perm = case
     e = np.random.default_rng(seed).standard_normal(perm.size)
     diagonal = e + e[perm]  # invariant under perm
-    m = SymmetricMatrix(h, perm, sign).scaled_plus_diagonal(c, diagonal)
-    rechecked = SymmetricMatrix(m.entries, m.perm, m.sign)
+    m = SymmetricMatrix(h, perm).scaled_plus_diagonal(c, diagonal)
+    rechecked = SymmetricMatrix(m.entries, m.perm)
     assert rechecked.entries.tobytes() == m.entries.tobytes()
 
 
 @PROPERTY
 @given(commuting(), st.data())
 def test_scaled_plus_diagonal_rejects_diagonal_not_invariant(case, data):
-    h, perm, sign = case
+    h, perm = case
     swapped = np.flatnonzero(perm != np.arange(perm.size))
     if swapped.size == 0:
-        return  # every diagonal is invariant under a sign-only involution
+        return  # every diagonal is invariant under the identity
     diagonal = np.zeros(perm.size)
     diagonal[data.draw(st.sampled_from(swapped.tolist()))] = 1.0
     with pytest.raises(InputError, match="invariant"):
-        SymmetricMatrix(h, perm, sign).scaled_plus_diagonal(1.0, diagonal)
+        SymmetricMatrix(h, perm).scaled_plus_diagonal(1.0, diagonal)
 
 
 # the involution's action on the block labels of declared_structures: it
@@ -130,14 +127,14 @@ LABEL_IMAGE = (0, 2, 1, 3)
 
 @st.composite
 def declared_structures(draw):
-    """((perm, sign, blocks), a) for the constructor: a sparse or dense
-    matrix that commutes with a random signed involution and has no entry
+    """((perm, blocks), a) for the constructor: a sparse or dense
+    matrix that commutes with a random involution and has no entry
     between blocks the involution maps onto blocks, then, as drawn, left
     as it is or given -0.0 entries (mirrored or not), one nonzero whose
     mirror is zero, a zero where its image under the involution is
     nonzero, a nonzero between two blocks, one entry off by 1, the upper
-    entry at the image of a nonzero off by 1, or other block labels. perm,
-    sign and blocks are each sometimes left undeclared."""
+    entry at the image of a nonzero off by 1, or other block labels. perm
+    and blocks are each sometimes left undeclared."""
     # the seeded generator, not hypothesis, draws most choices, so that
     # examples do not shrink towards trivial involutions
     dim = draw(st.integers(1, 12))
@@ -146,7 +143,6 @@ def declared_structures(draw):
     order = rng.permutation(dim)
     pairs = rng.integers(0, dim // 2 + 1)
     perm[order[:pairs]], perm[order[pairs:2 * pairs]] = order[pairs:2 * pairs], order[:pairs]
-    sign = np.where(rng.random(dim) < 0.5, -1.0, 1.0)[np.minimum(perm, np.arange(dim))]
     labels = np.zeros(dim, dtype=int)
     for i in range(dim):
         if perm[i] == i:
@@ -157,7 +153,7 @@ def declared_structures(draw):
     density = draw(st.sampled_from([0.15, 0.5, 1.0]))
     a = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < density)
     a = a + a.T
-    a = a + a[np.ix_(perm, perm)] * np.outer(sign, sign)
+    a = a + a[np.ix_(perm, perm)]
     a[labels[:, None] != labels] = 0.0
 
     i, j = rng.integers(0, dim, 2)
@@ -182,18 +178,18 @@ def declared_structures(draw):
     elif flaw == "off-by-one":
         a[i, j] += 1.0
     elif flaw == "upper-image":
-        # the upper entry at the image of a nonzero: ignored, as the lower
-        # triangle is authoritative, but read by a check that reads the
-        # image from the input as it stands
-        nonzero = np.argwhere(a != 0.0)
-        if nonzero.size:
-            r, c = np.sort(perm[nonzero[rng.integers(0, len(nonzero))]])
-            if r != c:
-                a[r, c] += 1.0
+        # the upper entry at the image of a lower nonzero: ignored, as the
+        # lower triangle is authoritative, but read by a check that reads
+        # the image from the input as it stands
+        r, c = np.nonzero(np.tril(a != 0.0, -1))
+        flipped = np.flatnonzero(perm[r] < perm[c])
+        if flipped.size:
+            k = flipped[rng.integers(0, flipped.size)]
+            a[perm[r[k]], perm[c[k]]] += 1.0
     elif flaw == "labels":
         labels = rng.integers(0, 3, dim)
-    declared = rng.random(3) < 0.8
-    return tuple(x if keep else None for x, keep in zip((perm, sign, labels), declared)), a
+    declared = rng.random(2) < 0.8
+    return tuple(x if keep else None for x, keep in zip((perm, labels), declared)), a
 
 
 @PROPERTY
@@ -201,59 +197,58 @@ def declared_structures(draw):
 def test_constructor_decides_as_dense_oracle(case, band_entries):
     # bands of one row, a few rows, or the whole matrix: a check may read
     # an entry of a band that comes later
-    (perm, sign, blocks), a = case
-    expected = dense_structure_check(a, perm, sign, blocks)
+    (perm, blocks), a = case
+    expected = dense_structure_check(a, perm, blocks)
     with mock.patch.object(linalg, "_BAND_ENTRIES", band_entries):
         if expected is None:
             with pytest.raises(InputError):
-                SymmetricMatrix(a, perm, sign, blocks)
+                SymmetricMatrix(a, perm, blocks)
         else:
-            assert SymmetricMatrix(a, perm, sign, blocks).entries.tobytes() == expected.tobytes()
+            assert SymmetricMatrix(a, perm, blocks).entries.tobytes() == expected.tobytes()
 
 
 @st.composite
 def swapped_blocks(draw):
-    """(h, perm, sign, blocks, sizes): a block P maps onto itself, holding a
+    """(h, perm, blocks, sizes): a block P maps onto itself, holding a
     random commuting matrix, and a pair of blocks P swaps, each holding the
     other's image; states interleaved and labels drawn at random. sizes are
     the blocks LAPACK should see: the self-mapped block's nonempty sectors
     and the swapped pair's one shared block."""
-    h0, perm0, sign0 = draw(commuting())
+    h0, perm0 = draw(commuting())
     k = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = rng.standard_normal((k, k))
     c = c + c.T
-    s = np.where(rng.random(k) < 0.5, -1.0, 1.0)
     n0 = perm0.size
     dim = n0 + 2 * k
     canon = np.zeros((dim, dim))
     canon[:n0, :n0] = h0
     canon[n0:n0 + k, n0:n0 + k] = c
-    canon[n0 + k:, n0 + k:] = c * np.outer(s, s)
+    canon[n0 + k:, n0 + k:] = c
     reps = np.arange(n0, n0 + k)
     perm = np.concatenate([perm0, reps + k, reps])
-    sign = np.concatenate([sign0, s, s])
     labels = draw(st.lists(st.integers(-5, 20), min_size=3, max_size=3, unique=True))
     blocks = np.repeat(labels, [n0, k, k])
     # state i of the canonical order sits at index at[i]
     at = np.array(draw(st.permutations(range(dim))))
     h = np.empty_like(canon)
     h[np.ix_(at, at)] = canon
-    out_perm, out_sign, out_blocks = np.empty_like(perm), np.empty_like(sign), np.empty_like(blocks)
-    out_perm[at], out_sign[at], out_blocks[at] = at[perm], sign, blocks
+    out_perm, out_blocks = np.empty_like(perm), np.empty_like(blocks)
+    out_perm[at], out_blocks[at] = at[perm], blocks
     fixed = perm0 == np.arange(n0)
     pairs = int((~fixed).sum()) // 2
-    sectors = [n for n in (int((fixed & (sign0 == v)).sum()) + pairs for v in (1.0, -1.0)) if n]
+    # the even sector holds the fixed states and the pairs, the odd one the pairs
+    sectors = [n for n in (int(fixed.sum()) + pairs, pairs) if n]
     # orbits are solved in the order of their lowest label
     sizes = sectors + [k] if labels[0] < min(labels[1:]) else [k] + sectors
-    return h, out_perm, out_sign, out_blocks, sizes
+    return h, out_perm, out_blocks, sizes
 
 
 @PROPERTY
 @given(swapped_blocks(), st.data())
 def test_swapped_blocks_match_one_sector_solve(case, data):
-    h, perm, sign, blocks, sizes = case
-    m = SymmetricMatrix(h, perm, sign, blocks)
+    h, perm, blocks, sizes = case
+    m = SymmetricMatrix(h, perm, blocks)
     ref = eigh(SymmetricMatrix(h))
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as solve:
         d = eigh(m)
@@ -274,13 +269,13 @@ def test_kepler_hamiltonians_pass_public_check():
     rho2 = kepler.build_rho2(cfg)
     for gamma in cfg.gamma_grid:
         h = kepler.build_h(cfg, gamma, rho2)
-        assert SymmetricMatrix(h.entries, h.perm, h.sign).entries.tobytes() == h.entries.tobytes()
+        assert SymmetricMatrix(h.entries, h.perm, h.blocks).entries.tobytes() == h.entries.tobytes()
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_henon_heiles_hamiltonian_passes_public_check(lam):
     h = henon_heiles.build_h(henon_heiles.HHConfig(lam=lam))
-    assert SymmetricMatrix(h.entries, h.perm, h.sign).entries.tobytes() == h.entries.tobytes()
+    assert SymmetricMatrix(h.entries, h.perm, h.blocks).entries.tobytes() == h.entries.tobytes()
 
 
 def test_threads_read_one_assembled_eigenvectors():
