@@ -15,12 +15,13 @@ SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
 Scan points run on --threads worker threads (default: the CPUs this process
 may use), with numpy's bundled OpenBLAS pinned to one thread for the length
 of the scan, so each point's solve runs on its own worker. Rows are
-collected in scan order. Henon-Heiles builds and solves its one
-decomposition before the scan, serially, with the same one-thread pin, in
-the circular basis whose C3v blocks it solves separately. Identical config
-and seed therefore produce byte-identical CSVs on one platform whatever
---threads and the BLAS thread setting say. Where no such OpenBLAS is found,
-the scan runs on one worker and the BLAS setting applies throughout.
+collected in scan order. Kepler's rho^2 and Henon-Heiles's one
+decomposition are built before the scan, serially, with the same one-thread
+pin; the decomposition is built and solved in the circular basis, whose C3v
+blocks it solves separately. Identical config and seed therefore produce
+byte-identical CSVs on one platform whatever --threads and the BLAS thread
+setting say. Where no such OpenBLAS is found, the scan runs on one worker
+and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash.
@@ -469,7 +470,8 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
 def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
-    rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
+    with single_threaded_blas():
+        rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
     target = partition.group(cfg.target_shell)
     # kappa's D0: the gap to the nearest shell; _build_config sees one exists
     d0 = min(

@@ -64,7 +64,12 @@ class HHConfig:
             raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigurationError(f"lambda must be non-negative, got {self.lam}")
-        if int(self.num_shells) != self.num_shells or self.num_shells < 1:
+        # finiteness first: int() raises its own errors on NaN and infinities
+        if not (
+            math.isfinite(self.num_shells)
+            and int(self.num_shells) == self.num_shells
+            and self.num_shells >= 1
+        ):
             raise ConfigurationError(
                 f"num_shells must be a positive integer, got {self.num_shells}"
             )

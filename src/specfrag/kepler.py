@@ -22,9 +22,11 @@ and  <n1 n2|rho^2|n1' n2'> = (C_n C_n'/4) * (J_2(n1,n1') J_1(n2,n2')
 Each integrand is e^-t times a polynomial of degree at most 2 max_n, so
 one N-node Gauss-Laguerre rule (numpy's laggauss) with t^k folded into its
 weights gives J_1 and J_2 exactly, since N >= max_n + 4. Both k share one
-pair of Laguerre tables (lagvander), built for all shell pairs at once. The
-build still re-evaluates everything at twice the node count and rejects
-the matrix if any element moves.
+pair of Laguerre tables (lagvander), built one shell n at a time for its
+pairs (n, n' >= n), so the tables never outgrow about max_n^2 N floats and
+the build's peak stays a few times the matrix it returns. The build still
+re-evaluates everything at twice the node count and rejects the matrix if
+any element moves.
 
 The bound basis is incomplete (no continuum), so results depend on the
 truncation at max_n shells (default 20); that cut is part of the model
@@ -96,12 +98,17 @@ class KeplerConfig:
     gamma_grid: tuple[float, ...] = field(default_factory=default_gamma_grid)
 
     def __post_init__(self):
-        if int(self.max_n) != self.max_n or self.max_n < 1:
+        # finiteness first: int() raises its own errors on NaN and infinities
+        if not (
+            math.isfinite(self.max_n) and int(self.max_n) == self.max_n and self.max_n >= 1
+        ):
             raise ConfigurationError(f"max_n must be a positive integer, got {self.max_n}")
         if self.m != 0:
             raise ConfigurationError("only the m=0 subspace is supported")
-        if int(self.target_shell) != self.target_shell or not (
-            1 <= self.target_shell <= self.max_n
+        if not (
+            math.isfinite(self.target_shell)
+            and int(self.target_shell) == self.target_shell
+            and 1 <= self.target_shell <= self.max_n
         ):
             raise ConfigurationError(
                 f"target_shell must lie in [1, max_n={self.max_n}], got {self.target_shell}"
@@ -134,36 +141,36 @@ def enumerate_parabolic_basis(cfg: KeplerConfig) -> tuple[list[ParabolicState], 
 def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
     states, partition = enumerate_parabolic_basis(cfg)
     t, w = laguerre.laggauss(nodes)
-    # every shell pair n <= n' at once
-    ns, nps = np.triu_indices(cfg.max_n)
-    ns, nps = ns + 1, nps + 1
-    a = (ns + nps) / (2.0 * ns * nps)
-    # left[pair, p, node] = L_p(t/(a n)), right[pair, node, p'] = L_p'(t/(a n'))
-    left = np.swapaxes(laguerre.lagvander(t / (a * ns)[:, None], cfg.max_n - 1), 1, 2)
-    right = laguerre.lagvander(t / (a * nps)[:, None], cfg.max_n - 1)
-    diag = ns == nps
-    j = []
-    for k in (1, 2):
-        jk = a[:, None, None] ** (-(k + 1)) * ((left * (w * t ** k)) @ right)
-        # analytically symmetric, but the matmul's reduction order is
-        # position-dependent; symmetrize so the n1<->n2 exchange holds bitwise
-        jk[diag] = 0.5 * (jk[diag] + np.swapaxes(jk[diag], 1, 2))
-        j.append(jk)
-
     rho2 = np.zeros((len(states), len(states)))
     starts = {g.label: g.indices[0] for g in partition.groups}
-    for n, npr, j1, j2 in zip(ns.tolist(), nps.tolist(), *j):
-        pref = (math.sqrt(2.0) / n ** 2) * (math.sqrt(2.0) / npr ** 2) / 4.0
-        # bra |p1 p2> = |bi, n-1-bi>, ket |q1 q2> = |kj, npr-1-kj>, by
-        # enumeration order; reversed slices give the p2, q2 axes
-        block = pref * (
-            j2[:n, :npr] * j1[n - 1::-1, npr - 1::-1]
-            + j1[:n, :npr] * j2[n - 1::-1, npr - 1::-1]
-        )
-        bra = slice(starts[n], starts[n] + n)
-        ket = slice(starts[npr], starts[npr] + npr)
-        rho2[bra, ket] = block
-        rho2[ket, bra] = block.T
+    for n in range(1, cfg.max_n + 1):
+        # the shell pairs (n, n' >= n): only one shell's tables at a time
+        nps = np.arange(n, cfg.max_n + 1)
+        a = (n + nps) / (2.0 * n * nps)
+        # one elementwise lagvander call gives both tables,
+        # left[pair, p, node] = L_p(t/(a n)), right[pair, node, p'] = L_p'(t/(a n'))
+        x = t / np.concatenate([a * n, a * nps])[:, None]
+        tables = laguerre.lagvander(x, cfg.max_n - 1)
+        left, right = np.swapaxes(tables[:nps.size], 1, 2), tables[nps.size:]
+        j1, j2 = (a[:, None, None] ** (-(k + 1)) * ((left * (w * t ** k)) @ right)
+                  for k in (1, 2))
+        # pair 0, (n, n), is analytically symmetric, but the matmul's reduction
+        # order is position-dependent; symmetrize so the n1<->n2 exchange
+        # holds bitwise
+        for jk in (j1, j2):
+            jk[0] = 0.5 * (jk[0] + jk[0].T)
+        for npr, j1p, j2p in zip(nps.tolist(), j1, j2):
+            pref = (math.sqrt(2.0) / n ** 2) * (math.sqrt(2.0) / npr ** 2) / 4.0
+            # bra |p1 p2> = |bi, n-1-bi>, ket |q1 q2> = |kj, npr-1-kj>, by
+            # enumeration order; reversed slices give the p2, q2 axes
+            block = pref * (
+                j2p[:n, :npr] * j1p[n - 1::-1, npr - 1::-1]
+                + j1p[:n, :npr] * j2p[n - 1::-1, npr - 1::-1]
+            )
+            bra = slice(starts[n], starts[n] + n)
+            ket = slice(starts[npr], starts[npr] + npr)
+            rho2[bra, ket] = block
+            rho2[ket, bra] = block.T
     return rho2
 
 
@@ -175,6 +182,10 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     count must agree to QUADRATURE_AGREEMENT_RTOL relative, else the
     offending element is named in a NumericalError.
 
+    Each rule builds its Laguerre tables one shell at a time, and the check
+    holds at most two comparison arrays beside the two evaluations, so the
+    build's peak stays a few times the matrix it returns.
+
     The matrix declares its exact Z2 symmetry, the n1 <-> n2 exchange, and
     that is checked here, once; build_h carries it to every H(gamma).
     """
@@ -182,8 +193,15 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     first = _rho2_entries(cfg, nodes)
     second = _rho2_entries(cfg, 2 * nodes)
     scale = np.abs(first).max()
-    denom = np.maximum(np.maximum(np.abs(first), np.abs(second)), QUADRATURE_FLOOR_REL * scale)
-    bad = np.abs(first - second) > QUADRATURE_AGREEMENT_RTOL * denom
+    # RTOL * max(|first|, |second|, FLOOR * scale) and |first - second|,
+    # built in place: the same IEEE values as the expressions spelled out,
+    # with at most two dim x dim arrays beside the two rules
+    tol = np.abs(first)
+    np.maximum(tol, np.abs(second), out=tol)
+    np.maximum(tol, QUADRATURE_FLOOR_REL * scale, out=tol)
+    tol *= QUADRATURE_AGREEMENT_RTOL
+    diff = np.subtract(first, second)
+    bad = np.abs(diff, out=diff) > tol
     if np.any(bad):
         states, _ = enumerate_parabolic_basis(cfg)
         i, jdx = np.argwhere(bad)[0]
@@ -191,6 +209,8 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
             f"quadrature self-check failed for <{states[i]}|rho^2|{states[jdx]}>: "
             f"{first[i, jdx]!r} vs {second[i, jdx]!r} at {nodes}/{2 * nodes} nodes"
         )
+    # SymmetricMatrix copies and checks first; only first is held by then
+    del second, tol, diff, bad
     return SymmetricMatrix(first, perm=_exchange(cfg.max_n))
 
 

@@ -5,7 +5,8 @@ Everything here deliberately avoids the code paths under test: the oscillator
 cubic-coupling elements are integrated on a position-space grid instead of
 ladder algebra, the circular-basis coupling is multiplied out from circular
 ladder operators instead of rotated from the Cartesian matrix, the parabolic
-rho^2 elements are recomputed in the spherical basis and rotated over, the
+rho^2 elements are recomputed in the spherical basis and rotated over, and
+their Gauss-Laguerre rule is also run for all shell pairs at once, the
 spreading width is found by enumerating every contiguous window, and a
 matrix's declared structure is decided by comparing every pair of entries.
 """
@@ -164,6 +165,46 @@ def rho2_parabolic_via_spherical(max_n: int) -> tuple[np.ndarray, np.ndarray]:
         pos += k
     sph = rho2_spherical_matrix(max_n)
     return u @ sph @ u.T, u
+
+
+def rho2_entries_all_pairs(max_n: int, nodes: int) -> np.ndarray:
+    """The parabolic rho^2 matrix at one Gauss-Laguerre rule, with the
+    Laguerre tables of every shell pair n <= n' built at once.
+
+    The same arithmetic as kepler._rho2_entries, one batch of pairs instead
+    of one shell's pairs at a time, so the two must agree bitwise: each
+    pair's product is the same GEMM with the same shapes. Shell n starts at
+    index n(n-1)/2 and holds |n1, n-1-n1> in ascending n1.
+    """
+    from numpy.polynomial import laguerre
+
+    t, w = laguerre.laggauss(nodes)
+    ns, nps = np.triu_indices(max_n)
+    ns, nps = ns + 1, nps + 1
+    a = (ns + nps) / (2.0 * ns * nps)
+    # left[pair, p, node] = L_p(t/(a n)), right[pair, node, p'] = L_p'(t/(a n'))
+    left = np.swapaxes(laguerre.lagvander(t / (a * ns)[:, None], max_n - 1), 1, 2)
+    right = laguerre.lagvander(t / (a * nps)[:, None], max_n - 1)
+    diag = ns == nps
+    j = []
+    for k in (1, 2):
+        jk = a[:, None, None] ** (-(k + 1)) * ((left * (w * t ** k)) @ right)
+        jk[diag] = 0.5 * (jk[diag] + np.swapaxes(jk[diag], 1, 2))
+        j.append(jk)
+
+    dim = max_n * (max_n + 1) // 2
+    rho2 = np.zeros((dim, dim))
+    for n, npr, j1, j2 in zip(ns.tolist(), nps.tolist(), *j):
+        pref = (math.sqrt(2.0) / n ** 2) * (math.sqrt(2.0) / npr ** 2) / 4.0
+        block = pref * (
+            j2[:n, :npr] * j1[n - 1::-1, npr - 1::-1]
+            + j1[:n, :npr] * j2[n - 1::-1, npr - 1::-1]
+        )
+        bra = slice(n * (n - 1) // 2, n * (n + 1) // 2)
+        ket = slice(npr * (npr - 1) // 2, npr * (npr + 1) // 2)
+        rho2[bra, ket] = block
+        rho2[ket, bra] = block.T
+    return rho2
 
 
 # ------------------------------------------------------------ metrics side

@@ -62,6 +62,12 @@ def test_config_validation():
         HHConfig(lam=-0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_num_shells(value):
+    with pytest.raises(ConfigurationError, match="num_shells"):
+        HHConfig(num_shells=value)
+
+
 class TestH0:
     def test_ground_energy(self):
         h0 = build_h0(HHConfig(num_shells=3))

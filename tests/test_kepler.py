@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_config_validation():
         KeplerConfig(gamma_grid=(float("inf"),))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_n", math.nan), ("max_n", math.inf), ("target_shell", math.nan),
+     ("target_shell", math.inf)],
+)
+def test_config_rejects_non_finite_sizes(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        KeplerConfig(**{field: value})
+
+
 class TestRho2:
     def test_hydrogen_ground_expectation(self):
         rho2 = build_rho2(small_cfg(2))
@@ -119,6 +130,26 @@ class TestRho2:
         scale = np.abs(direct).max()
         denom = np.maximum(np.maximum(np.abs(via), np.abs(direct)), 1e-6 * scale)
         assert (np.abs(via - direct) / denom).max() <= 1e-8
+
+    @pytest.mark.parametrize("max_n", [4, 12, 20])
+    def test_entries_bitwise_equal_to_all_pairs_oracle(self, max_n):
+        # one shell's tables at a time run each pair's same GEMM
+        nodes = max(max_n + 4, 12)
+        for rule in (nodes, 2 * nodes):
+            streamed = _rho2_entries(small_cfg(max_n), rule)
+            assert streamed.tobytes() == oracles.rho2_entries_all_pairs(max_n, rule).tobytes()
+
+    def test_build_peak_memory(self):
+        # the all-pairs tables held ~18x the matrix at max_n = 20
+        cfg = small_cfg(20)
+        build_rho2(cfg)
+        tracemalloc.start()
+        try:
+            rho2 = build_rho2(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * rho2.entries.nbytes
 
     def test_self_check_failure_named(self, monkeypatch):
         monkeypatch.setattr(kepler_mod, "QUADRATURE_AGREEMENT_RTOL", 0.0)
