@@ -1,12 +1,13 @@
 """specfrag: basis-state fragmentation metrics for the regularity-to-chaos
 transition in perturbed integrable quantum systems.
 
-Two worked systems are included: the Henon-Heiles oscillator in a 2D
-oscillator basis, Cartesian or circular (henon_heiles), and the diamagnetic
-Kepler problem in the m=0 parabolic basis (kepler). The metrics module computes
-strength functions, spreading widths, the chaoticity ratio kappa, exact
-complement projections, and the first-order estimate W whose 0.5 crossing
-locates the transition analytically.
+Two worked systems are included: the Henon-Heiles oscillator in the real
+circular 2D oscillator basis, where its C3v symmetry is exact block
+structure (henon_heiles), and the diamagnetic Kepler problem in the m=0
+parabolic basis (kepler). The metrics module computes strength functions,
+spreading widths, the chaoticity ratio kappa, exact complement projections,
+and the first-order estimate W whose 0.5 crossing locates the transition
+analytically.
 """
 from . import henon_heiles, kepler
 from .errors import (

@@ -17,10 +17,10 @@ may use), with numpy's bundled OpenBLAS pinned to one thread for the length
 of the scan, so each point's solve runs on its own worker. Rows are
 collected in scan order. Kepler's rho^2 and Henon-Heiles's one
 decomposition are built before the scan, serially, with the same one-thread
-pin; the decomposition is built and solved in the circular basis, whose C3v
-blocks it solves separately. Identical config and seed therefore produce
-byte-identical CSVs on one platform whatever --threads and the BLAS thread
-setting say. Where no such OpenBLAS is found, the scan runs on one worker
+pin; Henon-Heiles's H is written in closed form in the circular basis, whose
+C3v blocks the decomposition solves separately. Identical config and seed
+therefore produce byte-identical CSVs on one platform whatever --threads
+and the BLAS thread setting say. Where no such OpenBLAS is found, the scan runs on one worker
 and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
@@ -452,7 +452,7 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
     decomp = None
     if set(config.options["metrics"]) & EXACT_METRICS:
         with single_threaded_blas():
-            h = _solve("henon-heiles-model build", lambda: henon_heiles.build_h_circular(cfg))
+            h = _solve("henon-heiles-model build", lambda: henon_heiles.build_h(cfg))
             decomp = _solve(where, lambda: eigh(h))
         del h
     points = [_Point(row, g, where, lambda: decomp, float) for row, g in zip(rows, groups)]

@@ -201,7 +201,8 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     np.maximum(tol, QUADRATURE_FLOOR_REL * scale, out=tol)
     tol *= QUADRATURE_AGREEMENT_RTOL
     diff = np.subtract(first, second)
-    bad = np.abs(diff, out=diff) > tol
+    # written so that NaN fails it
+    bad = ~(np.abs(diff, out=diff) <= tol)
     if np.any(bad):
         states, _ = enumerate_parabolic_basis(cfg)
         i, jdx = np.argwhere(bad)[0]

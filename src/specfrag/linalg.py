@@ -440,7 +440,8 @@ def _sectors(perm: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
     """
     idx = np.arange(perm.size)
     sectors = []
-    for label in np.unique(blocks):
+    # a set, not np.unique, which would import numpy.ma
+    for label in sorted(set(blocks.tolist())):
         inside = blocks == label
         image = blocks[perm[np.argmax(inside)]]
         if image < label:
@@ -501,7 +502,7 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
     idx = np.asarray(list(subset), dtype=int)
     if idx.size == 0:
         raise InputError("subset must be nonempty")
-    if np.unique(idx).size != idx.size:
+    if len(set(idx.tolist())) != idx.size:
         raise InputError("subset contains duplicate basis indices")
     if idx.min() < 0 or idx.max() >= d.dim:
         raise InputError(

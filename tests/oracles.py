@@ -4,7 +4,8 @@ against.
 Everything here deliberately avoids the code paths under test: the oscillator
 cubic-coupling elements are integrated on a position-space grid instead of
 ladder algebra, the circular-basis coupling is multiplied out from circular
-ladder operators instead of rotated from the Cartesian matrix, the parabolic
+ladder operators, or built in the Cartesian basis and rotated shell by shell
+into the circular one, instead of written in closed form, the parabolic
 rho^2 elements are recomputed in the spherical basis and rotated over, and
 their Gauss-Laguerre rule is also run for all shell pairs at once, the
 spreading width is found by enumerating every contiguous window, and a
@@ -24,6 +25,8 @@ from scipy.special import (
     roots_laguerre,
     roots_legendre,
 )
+
+from specfrag.linalg import SymmetricMatrix
 
 
 # ---------------------------------------------------------------- oscillator
@@ -73,6 +76,102 @@ def circular_v_matrix(num_shells: int, hbar: float) -> np.ndarray:
     z3 = z @ z @ z
     keep = [p * (top + 1) + (n - p) for n in range(num_shells) for p in range(n + 1)]
     return ((z3 + z3.T) / 6.0)[np.ix_(keep, keep)]
+
+
+def cartesian_states(num_shells: int) -> list[tuple[int, int]]:
+    """The Cartesian states |n1, n2> of the first num_shells shells, in
+    ascending shell N and then ascending n1, so shell N holds the indices
+    of the circular basis's shell N."""
+    return [(n1, n - n1) for n in range(num_shells) for n1 in range(n + 1)]
+
+
+def cartesian_v_matrix(num_shells: int, hbar: float) -> np.ndarray:
+    """q1^2 q2 - q2^3/3 between the Cartesian states, from 1-D ladder
+    tables of q, q^2 and q^3 with q = sqrt(hbar/2) (a + a^dagger), one
+    shell-pair block at a time. Elements vanish unless the shells differ by
+    exactly 1 or 3."""
+    c = hbar / 2.0
+    k = np.arange(max(num_shells, 3))  # at least the reach of q^3
+    q = np.diag(math.sqrt(c) * np.sqrt(k[1:]), 1)
+    q2 = np.diag(c * np.sqrt(k[2:] * (k[2:] - 1)), 2)
+    # Python's float pow: numpy's vector pow can differ from it by an ulp
+    k32 = np.array([float(j) ** 1.5 for j in range(1, k.size)])
+    q3 = np.diag(c ** 1.5 * 3.0 * k32, 1) + np.diag(
+        c ** 1.5 * np.sqrt(k[3:] * (k[3:] - 1) * (k[3:] - 2)), 3
+    )
+    q, q2, q3 = q + q.T, q2 + q2.T + np.diag(c * (2 * k + 1)), q3 + q3.T
+    starts = [n * (n + 1) // 2 for n in range(num_shells)]
+    v = np.zeros((starts[-1] + num_shells, starts[-1] + num_shells))
+    for n in range(num_shells):
+        for npr in (n + 1, n + 3):
+            if npr >= num_shells:
+                continue
+            # bra |i, n-i>, ket |j, npr-j>; reversed slices give the n2 axes
+            block = q2[: n + 1, : npr + 1] * q[n::-1, npr::-1] - (
+                np.eye(n + 1, npr + 1) * q3[n::-1, npr::-1]
+            ) / 3.0
+            bra = slice(starts[n], starts[n] + n + 1)
+            ket = slice(starts[npr], starts[npr] + npr + 1)
+            v[bra, ket] = block
+            v[ket, bra] = block.T
+    return v
+
+
+def cartesian_h(num_shells: int, hbar: float, lam: float):
+    """H0 + lam * V in the Cartesian basis, declaring its exact Z2
+    symmetry, the parity of n1, as the blocks n1 mod 2."""
+    states = cartesian_states(num_shells)
+    h0 = np.diag([hbar * (n1 + n2 + 1) for n1, n2 in states])
+    v = cartesian_v_matrix(num_shells, hbar)
+    return SymmetricMatrix(h0 + lam * v, blocks=[n1 % 2 for n1, _ in states])
+
+
+def circular_rotations(num_shells: int) -> list[np.ndarray]:
+    """U_N for N < num_shells, the real part of each shell's
+    Cartesian-to-circular rotation.
+
+    The state of p a_+ quanta and N - p a_- quanta (angular momentum
+    l = 2p - N) has Cartesian coefficient i^n2 U_N[n1, p] on |n1, n2>, with
+    U_N[n1, p] = K sqrt(C(N, p)) / (sqrt(C(N, n1)) 2^(N/2)) and K the
+    coefficient of t^n2 in (1 + t)^p (1 - t)^(N - p). K is kept in exact
+    integers, shell N + 1's from shell N's by one more factor (1 - t), or
+    (1 + t) for p = N + 1, so U_N is orthogonal to roundoff; a float
+    recurrence loses digits to cancellation.
+    """
+    rotations = []
+    k = np.ones((1, 1), dtype=object)  # K of shell 0, rows n2, columns p
+    for n in range(num_shells):
+        root_c = np.sqrt(np.array([math.comb(n, j) for j in range(n + 1)], dtype=float))
+        # row n1 holds n2 = N - n1
+        rotations.append(k[::-1].astype(float) * root_c / (root_c[:, None] * math.sqrt(2.0**n)))
+        nxt = np.zeros((n + 2, n + 2), dtype=object)
+        nxt[:-1, :-1] = k
+        nxt[1:, :-1] -= k
+        nxt[:-1, -1] = k[:, -1]
+        nxt[1:, -1] += k[:, -1]
+        k = nxt
+    return rotations
+
+
+def rotate_to_circular(m: np.ndarray, num_shells: int) -> np.ndarray:
+    """C^dagger m C for a matrix m between the Cartesian states, with C the
+    block-diagonal rotation onto the real circular states i^l |n_+, n_->
+    (circular_v_matrix's basis): C[(n1, n2), p] = i^(n2 + l) U_N[n1, p].
+
+    Complex: an operator real in the circular basis comes out with an
+    imaginary part of roundoff, which the caller can bound.
+    """
+    states = cartesian_states(num_shells)
+    u = np.zeros((len(states), len(states)))
+    for n, rot in enumerate(circular_rotations(num_shells)):
+        shell = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+        u[shell, shell] = rot
+    n2 = np.array([s[1] for s in states])
+    ell = np.array([2 * p - n for n in range(num_shells) for p in range(n + 1)])
+    # powers of i are exact, so the phases add no roundoff of their own
+    row, col = 1j ** (n2 % 4), 1j ** (ell % 4)
+    inner = (row.conj()[:, None] * m) * row
+    return col.conj()[:, None] * (u.T @ inner.real @ u + 1j * (u.T @ inner.imag @ u)) * col
 
 
 # ------------------------------------------------------- kepler, spherical

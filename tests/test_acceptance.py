@@ -217,16 +217,25 @@ def test_criterion_8a_spreading_width_brute_force():
 
 
 def test_criterion_8b_hh_elements_match_quadrature():
-    """Every 6-shell V element matches Gauss-Hermite quadrature to 1e-10."""
+    """Every 6-shell V element matches Gauss-Hermite quadrature to 1e-10.
+
+    The quadrature gives the Cartesian elements <n1, n2|V|n1', n2'>; the
+    oracle rotation U_N and the i^(n2 + l) phases carry them into the
+    circular basis that build_v writes.
+    """
     cfg = HHConfig(num_shells=6)
-    states, _ = enumerate_basis(cfg)
+    cartesian = oracles.cartesian_states(6)
+    quad = np.array([[oracles.hermite_v_element(bra, ket, cfg.hbar) for ket in cartesian]
+                     for bra in cartesian])
+    rotated = oracles.rotate_to_circular(quad, 6)
     v = build_v(cfg).entries
     scale = np.abs(v).max()
-    for i, bra in enumerate(states):
-        for j, ket in enumerate(states):
-            q = oracles.hermite_v_element((bra.n1, bra.n2), (ket.n1, ket.n2), cfg.hbar)
+    assert np.abs(rotated.imag).max() <= 1e-14 * scale
+    for i in range(v.shape[0]):
+        for j in range(v.shape[1]):
+            q = rotated.real[i, j]
             err = abs(q - v[i, j])
-            assert err <= max(1e-10 * max(abs(q), abs(v[i, j])), 1e-14 * scale)
+            assert err <= max(1e-10 * max(abs(q), abs(v[i, j])), 1e-14 * scale), (i, j)
 
 
 def test_criterion_8c_kepler_elements_match_spherical_basis():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import specfrag
 import specfrag.cli as cli
 from specfrag import henon_heiles, kepler, linalg, metrics
@@ -321,7 +322,7 @@ class TestRun:
 
     def test_strength_function_lines_formatted_per_cell(self, tmp_path):
         """Every cell is repr of a float, the shell column too."""
-        from specfrag.henon_heiles import HHConfig, build_h_circular, enumerate_basis
+        from specfrag.henon_heiles import HHConfig, build_h, enumerate_basis
         from specfrag.metrics import strength_function
 
         out = tmp_path / "sf"
@@ -329,7 +330,7 @@ class TestRun:
                 "--metrics", "strength-function", "-o", str(out)]
         assert main(argv) == 0
         cfg = HHConfig(num_shells=8)
-        d = linalg.eigh(build_h_circular(cfg))
+        d = linalg.eigh(build_h(cfg))
         _, partition = enumerate_basis(cfg)
         expected = []
         for n in range(1, 5):
@@ -487,6 +488,23 @@ class TestErrors:
         assert "kepler-model rho^2 build: quadrature self-check failed" in err
         assert not out.exists()
 
+    def test_rho2_nan_in_quadrature_rule_named(self, tmp_path, capsys, monkeypatch):
+        # a NaN fails the self-check as a numerical fault, not as bad input
+        laggauss = kepler.laguerre.laggauss
+
+        def one_nan_weight(nodes):
+            t, w = laggauss(nodes)
+            w[-1] = np.nan
+            return t, w
+
+        monkeypatch.setattr(kepler.laguerre, "laggauss", one_nan_weight)
+        out = tmp_path / "out"
+        argv = ["run", "--system", "kepler", "--max-n", "4", "--target-shell", "2",
+                "--metrics", "w-pt", "-o", str(out)]
+        assert main(argv) == 3
+        assert "kepler-model rho^2 build" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_point_strength_function_scan_runs(self, tmp_path):
         assert main(
             ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
@@ -521,8 +539,9 @@ class TestLibraryNumbers:
                      "--metrics", ALL_METRICS, "-o", str(tmp_path)]) == 0
         cfg = henon_heiles.HHConfig(num_shells=10)
         _, partition = henon_heiles.enumerate_basis(cfg)
-        v = henon_heiles.build_v(cfg)
-        decomp = linalg.eigh(henon_heiles.build_h(cfg))
+        # the Cartesian references: every number here is basis-invariant
+        v = linalg.SymmetricMatrix(oracles.cartesian_v_matrix(10, cfg.hbar))
+        decomp = linalg.eigh(oracles.cartesian_h(10, cfg.hbar, cfg.lam))
         rows = self.columns(tmp_path / "hh_curves.csv")
         assert [float(r["shell"]) for r in rows] == list(range(1, 7))
         for row in rows:
@@ -640,7 +659,7 @@ class TestCircularSolve:
                      "--metrics", "w-exact", "--selection", selection, "-o", str(tmp_path)]) == 0
         cfg = henon_heiles.HHConfig(num_shells=30, lam=1.0)
         _, partition = henon_heiles.enumerate_basis(cfg)
-        ref = linalg.eigh(henon_heiles.build_h(cfg))
+        ref = linalg.eigh(oracles.cartesian_h(30, cfg.hbar, cfg.lam))
         rows = TestLibraryNumbers.columns(tmp_path / "hh_curves.csv")
         assert [int(float(r["shell"])) for r in rows] == list(range(1, 27))
         for row in rows:
@@ -654,7 +673,7 @@ class TestCircularSolve:
 
     def test_e_partners_bitwise_equal(self):
         cfg = henon_heiles.HHConfig(num_shells=30)
-        d = linalg.eigh(henon_heiles.build_h_circular(cfg))
+        d = linalg.eigh(henon_heiles.build_h(cfg))
         _, partition = henon_heiles.enumerate_basis(cfg)
         pairs = [(a, b) for a, b in zip(d.sectors, d.sectors[1:]) if b.sector.twin]
         assert len(pairs) == 1
@@ -720,6 +739,34 @@ class TestOptionTable:
         assert done.returncode == 0, done.stderr
 
 
+def _last_line_of_child(script: str) -> str:
+    """The last line a fresh interpreter prints running script, which must
+    succeed; the child imports the same specfrag sources as this process."""
+    paths = [str(Path(specfrag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_runs_leave_numpy_ma_unimported(tmp_path):
+    """No run loads numpy.ma, whose import alone costs about 10 ms: small
+    all-metric runs of both systems leave it out of sys.modules."""
+    script = (
+        "import sys, specfrag.cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for system, size in (('henon-heiles', ['--shells', '8']),\n"
+        "                     ('kepler', ['--max-n', '6', '--target-shell', '3'])):\n"
+        "    argv = ['run', '--system', system, *size, '--metrics',\n"
+        f"            {ALL_METRICS!r}, '-o', out + '/' + system]\n"
+        "    assert specfrag.cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _last_line_of_child(script) == "False"
+
+
 def test_runtime_is_scipy_free():
     """numpy is the package's only runtime dependency: importing it, the CLI's
     validate and a rho^2 build load no scipy module."""
@@ -730,11 +777,4 @@ def test_runtime_is_scipy_free():
         "build_rho2(KeplerConfig(max_n=6, target_shell=3))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    # the child imports the same specfrag sources as this process
-    paths = [str(Path(specfrag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _last_line_of_child(script) == "[]"

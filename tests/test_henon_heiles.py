@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circular_v_matrix, hermite_v_element
-from specfrag import henon_heiles
-from specfrag.errors import ConfigurationError, InputError, NumericalError
+from oracles import (
+    cartesian_h,
+    cartesian_states,
+    cartesian_v_matrix,
+    circular_rotations,
+    circular_v_matrix,
+    hermite_v_element,
+    rotate_to_circular,
+)
+from specfrag.errors import ConfigurationError, InputError
 from specfrag.henon_heiles import (
     HHConfig,
     OscState,
     bound_energy_ceiling,
     build_h,
     build_h0,
-    build_h_circular,
     build_v,
-    build_v_circular,
     enumerate_basis,
 )
 from specfrag.linalg import SymmetricMatrix, eigh
@@ -44,8 +49,8 @@ def test_enumeration_order():
     shells = [s.shell for s in states]
     assert shells == sorted(shells)
     for g in part.groups:
-        n1s = [states[i].n1 for i in g.indices]
-        assert n1s == sorted(n1s)
+        n_plus = [states[i].n_plus for i in g.indices]
+        assert n_plus == sorted(n_plus)
         assert all(states[i].shell == g.label for i in g.indices)
     energies = [g.energy for g in part.groups]
     assert energies == [0.01 * (n + 1) for n in range(5)]
@@ -90,10 +95,11 @@ class TestH0:
             assert tr == pytest.approx((n + 1) * cfg.hbar * (n + 1))
 
 
-def element_loop_v(cfg):
-    """V one basis pair at a time from the closed-form scalar elements of
-    q, q^2 and q^3: the loop that build_v's shell blocks replaced."""
-    c = cfg.hbar / 2.0
+def element_loop_v(num_shells, hbar):
+    """The Cartesian V one basis pair at a time from the closed-form scalar
+    elements of q, q^2 and q^3: the loop that the oracle's shell blocks
+    replace."""
+    c = hbar / 2.0
 
     def q(m, n):
         return math.sqrt(c) * math.sqrt(max(m, n)) if abs(m - n) == 1 else 0.0
@@ -112,33 +118,41 @@ def element_loop_v(cfg):
             return c ** 1.5 * 3.0 * (min(m, n) + 1) ** 1.5
         return 0.0
 
-    states, _ = enumerate_basis(cfg)
+    states = cartesian_states(num_shells)
     v = np.zeros((len(states), len(states)))
-    for j, ket in enumerate(states):
-        for i, bra in enumerate(states):
-            if abs(bra.shell - ket.shell) in (1, 3):
-                v[i, j] = q2(bra.n1, ket.n1) * q(bra.n2, ket.n2)
-                if bra.n1 == ket.n1:
-                    v[i, j] -= q3(bra.n2, ket.n2) / 3.0
+    for j, (k1, k2) in enumerate(states):
+        for i, (b1, b2) in enumerate(states):
+            if abs(b1 + b2 - k1 - k2) in (1, 3):
+                v[i, j] = q2(b1, k1) * q(b2, k2)
+                if b1 == k1:
+                    v[i, j] -= q3(b2, k2) / 3.0
     return v
 
 
 class TestV:
+    """The closed-form V, and the Cartesian oracle V that the circular one
+    is checked against."""
+
     def test_diagonal_vanishes(self):
         v = build_v(HHConfig(num_shells=6))
         assert np.all(np.diag(v.entries) == 0.0)
 
     def test_pinned_elements(self):
+        # Cartesian: <2, 1|V|0, 0> and <0, 3|V|0, 0>
+        states = cartesian_states(5)
+        v = cartesian_v_matrix(5, 0.01)
+        i, j, k = (states.index(s) for s in ((2, 1), (0, 0), (0, 3)))
+        assert v[i, j] == pytest.approx(math.sqrt(2) * 0.005 ** 1.5, rel=1e-14)
+        assert v[k, j] == pytest.approx(-(math.sqrt(6) / 3) * 0.005 ** 1.5, rel=1e-14)
+
+    def test_pinned_circular_elements(self):
+        # z^3 / 6 takes |0, 0> to sqrt(6)/6 |3, 0> and |0, 1> to 3 sqrt(2)/6 |2, 0>
         cfg = HHConfig(num_shells=5)
         states, _ = enumerate_basis(cfg)
-        v = build_v(cfg)
-        i = states.index(OscState(2, 1))
-        j = states.index(OscState(0, 0))
-        assert v.entries[i, j] == pytest.approx(math.sqrt(2) * 0.005 ** 1.5, rel=1e-14)
-        k = states.index(OscState(0, 3))
-        assert v.entries[k, j] == pytest.approx(
-            -(math.sqrt(6) / 3) * 0.005 ** 1.5, rel=1e-14
-        )
+        v = build_v(cfg).entries
+        i, j, k, m = (states.index(OscState(*s)) for s in ((3, 0), (0, 0), (2, 0), (0, 1)))
+        assert v[i, j] == v[j, i] == pytest.approx(math.sqrt(6) / 6 * 0.01 ** 1.5, rel=1e-15)
+        assert v[k, m] == pytest.approx(3 * math.sqrt(2) / 6 * 0.01 ** 1.5, rel=1e-15)
 
     def test_selection_rule_exact(self):
         cfg = HHConfig(num_shells=7)
@@ -146,7 +160,7 @@ class TestV:
         v = build_v(cfg)
         for i, bra in enumerate(states):
             for j, ket in enumerate(states):
-                if abs(bra.shell - ket.shell) not in (1, 3):
+                if abs(bra.shell - ket.shell) not in (1, 3) or abs(bra.l - ket.l) != 3:
                     assert v.entries[i, j] == 0.0
 
     def test_hbar_scaling(self):
@@ -156,10 +170,10 @@ class TestV:
 
     @pytest.mark.parametrize("hbar", [0.01, 0.04])
     def test_matches_element_loop(self, hbar):
-        # bitwise: the shell blocks do the loop's arithmetic; 12 shells
-        # reach k = 7, where numpy's vector pow and Python's k**1.5 differ
-        cfg = HHConfig(hbar=hbar, num_shells=12)
-        np.testing.assert_array_equal(build_v(cfg).entries, element_loop_v(cfg))
+        # bitwise: the oracle's shell blocks do the loop's arithmetic; 12
+        # shells reach k = 7, where numpy's vector pow and Python's k**1.5
+        # differ
+        np.testing.assert_array_equal(cartesian_v_matrix(12, hbar), element_loop_v(12, hbar))
 
     @pytest.mark.parametrize(
         "num_shells, bra_shells",
@@ -169,16 +183,15 @@ class TestV:
     def test_quadrature_oracle(self, num_shells, bra_shells):
         # the 12-shell case puts the bra in the top two shells, where the
         # shell-pair blocks reach the edge of the 1-D ladder tables
-        cfg = HHConfig(num_shells=num_shells)
-        states, _ = enumerate_basis(cfg)
-        v = build_v(cfg).entries
+        states = cartesian_states(num_shells)
+        v = cartesian_v_matrix(num_shells, 0.01)
         scale = np.abs(v).max()
         checked = 0
         for i, bra in enumerate(states):
-            if bra.shell not in bra_shells:
+            if sum(bra) not in bra_shells:
                 continue
             for j, ket in enumerate(states):
-                q = hermite_v_element((bra.n1, bra.n2), (ket.n1, ket.n2), cfg.hbar)
+                q = hermite_v_element(bra, ket, 0.01)
                 err = abs(q - v[i, j])
                 live = max(abs(q), abs(v[i, j]))
                 assert err <= max(1e-10 * live, 1e-14 * scale), (bra, ket)
@@ -207,21 +220,17 @@ class TestH:
         d26 = eigh(build_h(HHConfig(num_shells=26)))
         assert abs(e0 - d26.eigenvalues[0]) < 1e-12
 
-    def test_parity_blocks(self):
+    def test_c3v_blocks(self):
         cfg = HHConfig(num_shells=10)
         states, _ = enumerate_basis(cfg)
         h = build_h(cfg).entries
-        even = [i for i, s in enumerate(states) if s.n1 % 2 == 0]
-        odd = [i for i, s in enumerate(states) if s.n1 % 2 == 1]
-        assert np.all(h[np.ix_(even, odd)] == 0.0)
+        classes = [[i for i, s in enumerate(states) if s.l % 3 == c] for c in range(3)]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                assert np.all(h[np.ix_(classes[a], classes[b])] == 0.0)
         full = eigh(build_h(cfg)).eigenvalues
         block_union = np.sort(
-            np.concatenate(
-                [
-                    np.linalg.eigvalsh(h[np.ix_(even, even)]),
-                    np.linalg.eigvalsh(h[np.ix_(odd, odd)]),
-                ]
-            )
+            np.concatenate([np.linalg.eigvalsh(h[np.ix_(c, c)]) for c in classes])
         )
         np.testing.assert_allclose(full, block_union, atol=1e-12)
 
@@ -231,41 +240,55 @@ class TestH:
         bit, signed zeros included."""
         cfg = HHConfig(lam=lam, num_shells=12)
         states, _ = enumerate_basis(cfg)
-        parity = [s.n1 % 2 for s in states]
+        mirror = [states.index(OscState(s.n_minus, s.n_plus)) for s in states]
         expected = SymmetricMatrix(
-            build_h0(cfg).entries + lam * build_v(cfg).entries, blocks=parity
+            build_h0(cfg).entries + lam * build_v(cfg).entries,
+            mirror,
+            blocks=[s.l % 3 for s in states],
         )
         assert build_h(cfg).entries.tobytes() == expected.entries.tobytes()
 
-    def test_v_declares_n1_parity(self):
+    def test_v_declares_c3v(self):
         cfg = HHConfig(num_shells=7)
         states, _ = enumerate_basis(cfg)
-        np.testing.assert_array_equal(build_v(cfg).blocks, [s.n1 % 2 for s in states])
+        v = build_v(cfg)
+        np.testing.assert_array_equal(v.blocks, [s.l % 3 for s in states])
+        np.testing.assert_array_equal(
+            v.perm, [states.index(OscState(s.n_minus, s.n_plus)) for s in states]
+        )
 
-    def test_declares_n1_parity(self):
+    def test_declares_c3v(self):
         cfg = HHConfig(num_shells=10)
         states, _ = enumerate_basis(cfg)
-        h = build_h(cfg)
-        np.testing.assert_array_equal(h.perm, np.arange(len(states)))
-        np.testing.assert_array_equal(h.blocks, [s.n1 % 2 for s in states])
+        h, v = build_h(cfg), build_v(cfg)
+        np.testing.assert_array_equal(h.perm, v.perm)
+        np.testing.assert_array_equal(h.blocks, [s.l % 3 for s in states])
 
 
 class TestCircular:
     def test_v_matches_ladder_oracle(self):
         cfg = HHConfig(num_shells=12)
-        v = build_v_circular(cfg).entries
+        v = build_v(cfg).entries
         oracle = circular_v_matrix(12, cfg.hbar)
         # the i^l phases leave no sign freedom: the gauge between the two
         # is the identity
         assert np.abs(v - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
+    def test_v_matches_rotated_cartesian_oracle(self):
+        cfg = HHConfig(num_shells=30)
+        v = build_v(cfg).entries
+        rotated = rotate_to_circular(cartesian_v_matrix(30, cfg.hbar), 30)
+        assert np.abs(rotated.imag).max() <= 1e-15 * np.abs(v).max()
+        assert np.abs(v - rotated.real).max() <= 1e-15 * np.abs(v).max()
+
     def test_rotations_orthogonal(self):
-        for n, u in enumerate(henon_heiles._circular_rotations(60)):
+        # an oracle self-test: U_N carries the Cartesian references over
+        for n, u in enumerate(circular_rotations(60)):
             assert np.abs(u.T @ u - np.eye(n + 1)).max() <= 1e-14, n
 
     def test_declares_c3v(self):
         cfg = HHConfig(num_shells=9)
-        v = build_v_circular(cfg)
+        v = build_v(cfg)
         _, partition = enumerate_basis(cfg)
         for g in partition.groups:
             idx = np.array(g.indices)
@@ -278,26 +301,21 @@ class TestCircular:
 
     def test_same_spectrum_as_cartesian(self):
         cfg = HHConfig(num_shells=16)
-        h = build_h(cfg)
-        circular, cartesian = eigh(build_h_circular(cfg)), eigh(h)
+        h = cartesian_h(16, cfg.hbar, cfg.lam)
+        circular, cartesian = eigh(build_h(cfg)), eigh(h)
         gap = np.abs(circular.eigenvalues - cartesian.eigenvalues).max()
         assert gap <= 1e-12 * np.linalg.norm(h.entries)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_h_bitwise_equal_to_h0_plus_lambda_v(self, lam):
         cfg = HHConfig(lam=lam, num_shells=12)
-        v = build_v_circular(cfg)
+        v = build_v(cfg)
         expected = SymmetricMatrix(build_h0(cfg).entries + lam * v.entries, v.perm,
                                    blocks=v.blocks)
-        h = build_h_circular(cfg)
+        h = build_h(cfg)
         assert h.entries.tobytes() == expected.entries.tobytes()
         for name in ("perm", "blocks"):
             np.testing.assert_array_equal(getattr(h, name), getattr(v, name))
-
-    def test_residue_over_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(henon_heiles, "CIRCULAR_RESIDUE_RTOL", -1.0)
-        with pytest.raises(NumericalError, match="shells 0 and 1"):
-            build_v_circular(HHConfig(num_shells=6))
 
 
 def test_bound_energy_ceiling():

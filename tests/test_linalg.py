@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from specfrag import henon_heiles, kepler, linalg
 from specfrag.errors import ConvergenceError, InputError
 from specfrag.linalg import (
@@ -265,7 +266,7 @@ def kepler20():
     return kepler.build_h(cfg, cfg.gamma_grid[-1]), kepler.enumerate_parabolic_basis(cfg)[1]
 
 
-@pytest.mark.parametrize("build, sizes", [(hh30, [240, 225]), (kepler20, [110, 100])])
+@pytest.mark.parametrize("build, sizes", [(hh30, [85, 70, 155]), (kepler20, [110, 100])])
 def test_builder_blocks_match_one_sector_solve(build, sizes, monkeypatch):
     """The builders' declared symmetries split the solve into the expected
     sectors without moving the spectrum or any shell's projections."""
@@ -341,17 +342,13 @@ class TestBlocks:
         assert rechecked.entries.tobytes() == s.entries.tobytes()
 
 
-def hh_circular(num_shells):
-    cfg = henon_heiles.HHConfig(num_shells=num_shells)
-    return henon_heiles.build_h_circular(cfg), henon_heiles.enumerate_basis(cfg)[1]
-
-
 @pytest.mark.parametrize("shells, sizes", [(30, [85, 70, 155]), (60, [320, 290, 610])])
 def test_circular_builder_solves_three_blocks(shells, sizes, monkeypatch):
     """The C3v form solves A1, A2 and one E block, and moves neither the
     spectrum nor any shell's projections of the Cartesian solve."""
-    h, partition = hh_circular(shells)
-    ref = eigh(henon_heiles.build_h(henon_heiles.HHConfig(num_shells=shells)))
+    cfg = henon_heiles.HHConfig(num_shells=shells)
+    h, partition = henon_heiles.build_h(cfg), henon_heiles.enumerate_basis(cfg)[1]
+    ref = eigh(oracles.cartesian_h(shells, cfg.hbar, cfg.lam))
     solved = record_block_sizes(monkeypatch)
     d = eigh(h)
     assert solved == sizes
