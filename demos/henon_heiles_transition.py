@@ -52,7 +52,7 @@ def main() -> None:
         e_n = cfg.hbar * (n + 1)
         wp = w_perturbative(v, part, n, cfg.lam)
         we = w_exact(decomp, g.indices, shell_energy=g.energy)
-        sf = strength_function(decomp, g.indices, label=n)
+        sf = strength_function(decomp, g.indices)
         kappa = chaoticity(spreading_width(sf), cfg.hbar).kappa
         pt_curve.append((e_n, wp))
         exact_curve.append((e_n, we))

@@ -23,7 +23,7 @@ def main() -> None:
     print(f"{'N':>3} {'E':>6} {'levels>=5%':>10} {'Gamma_spr':>10} {'kappa':>7}  window")
     for n in SHELLS:
         g = part.group(n)
-        sf = strength_function(decomp, g.indices, label=n)
+        sf = strength_function(decomp, g.indices)
         width, (a, b) = spreading_width(sf, return_window=True)
         kappa = chaoticity(width, cfg.hbar).kappa
         big = int((sf.weights >= 0.05).sum())

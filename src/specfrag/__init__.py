@@ -13,7 +13,6 @@ from . import henon_heiles, kepler
 from .errors import (
     ConfigurationError,
     ConvergenceError,
-    DegenerateShellError,
     InputError,
     NumericalError,
     SpecfragError,
@@ -37,7 +36,6 @@ from .metrics import (
     invariance_gap,
     select_eigenstates,
     spreading_width,
-    state_strength_function,
     strength_function,
     w_exact,
     w_perturbative,
@@ -53,7 +51,6 @@ __all__ = [
     "SpecfragError",
     "InputError",
     "ConfigurationError",
-    "DegenerateShellError",
     "NumericalError",
     "ConvergenceError",
     "SymmetricMatrix",
@@ -68,7 +65,6 @@ __all__ = [
     "CriticalResult",
     "StateSelection",
     "strength_function",
-    "state_strength_function",
     "spreading_width",
     "chaoticity",
     "select_eigenstates",

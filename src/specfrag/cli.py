@@ -27,11 +27,13 @@ only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
-message names the module and, where each point has its own solve, the scan
-point). Every bad input exits 2 before any compute: a malformed or unknown
-config value, an out-of-range option, a Kepler basis without a shell next to
-the target (max_n < 2), or a scan too short or not monotone for the
-critical values asked for.
+message names the stage: Kepler's rho^2 build, Henon-Heiles's
+eigendecomposition, or the scan point whose solve or metrics failed; a
+metric's InputError on a value the run computed counts as numerical). Every
+bad input exits 2 before any compute: a malformed or unknown config value,
+a JSON boolean where a number belongs, an out-of-range option,
+a Kepler basis without a shell next to the target (max_n < 2), or a scan
+too short or not monotone for the critical values asked for.
 """
 from __future__ import annotations
 
@@ -92,10 +94,18 @@ class Option:
 
 
 def _int(value) -> int:
-    """An integer; a float with a fraction is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer; a float with a fraction is refused, not truncated, and
+    a JSON boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError("not an integer")
     return int(value)
+
+
+def _float(value) -> float:
+    """A float; a JSON boolean is refused, not read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
 
 
 def _items(convert: Callable) -> Callable:
@@ -122,8 +132,8 @@ OPTIONS = (
     Option("selection", ("--selection",), str, StateSelection.PROJECTION_WINDOW.value,
            choices=tuple(s.value for s in StateSelection),
            help="exact-curve eigenstate selection rule (default projection-window)"),
-    Option("hbar", ("--hbar",), float, _HH.hbar, "henon-heiles", "HH: effective hbar"),
-    Option("lambda", ("--lambda",), float, _HH.lam, "henon-heiles", "HH: coupling strength"),
+    Option("hbar", ("--hbar",), _float, _HH.hbar, "henon-heiles", "HH: effective hbar"),
+    Option("lambda", ("--lambda",), _float, _HH.lam, "henon-heiles", "HH: coupling strength"),
     Option("num_shells", ("--shells",), _int, _HH.num_shells, "henon-heiles",
            "HH: number of shell groups in the basis"),
     Option("shell_min", ("--shell-min",), _int, 1, "henon-heiles", "HH: first scanned shell"),
@@ -133,7 +143,7 @@ OPTIONS = (
     Option("m", (), _int, _KEPLER.m, "kepler"),  # config file only; must be 0
     Option("target_shell", ("--target-shell",), _int, _KEPLER.target_shell, "kepler",
            "Kepler: shell under study"),
-    Option("gamma_grid", ("--gamma-grid",), _items(float), _KEPLER.gamma_grid, "kepler",
+    Option("gamma_grid", ("--gamma-grid",), _items(_float), _KEPLER.gamma_grid, "kepler",
            "Kepler: comma list of field strengths"),
 )
 
@@ -335,9 +345,9 @@ def _crossing_entry(curve, threshold: float, axis: str) -> tuple:
 @dataclass(frozen=True)
 class _Point:
     """One scan point: the row's axis columns (plus w_pt when asked for),
-    the shell under study, the exact solve with the name a failure of it
-    goes by, and the map from the selected states' mean eigenvalue to the
-    row's exact-energy column."""
+    the shell under study, the name a failure of its solve or metrics goes
+    by, the exact solve, and the map from the selected states' mean
+    eigenvalue to the row's exact-energy column."""
 
     row: dict
     group: ShellGroup
@@ -360,10 +370,12 @@ class _System:
 
 
 def _solve(where: str, solve: Callable):
-    """solve(), with a numerical failure of it named by where."""
+    """solve(), with a numerical failure of it named by where. Inside a run
+    the inputs are the run's own computed values, so an InputError there is
+    a numerical failure too."""
     try:
         return solve()
-    except NumericalError as exc:
+    except (NumericalError, InputError) as exc:
         raise NumericalError(f"{where}: {exc}") from exc
 
 
@@ -378,12 +390,12 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
         row[system.exact_column] = point.exact_energy(float(decomp.eigenvalues[picked].mean()))
     if "kappa" in config.options["metrics"]:
         chaos = metrics.chaoticity(
-            spreading_width(strength_function(decomp, idx, label=point.group.label)), system.d0
+            spreading_width(strength_function(decomp, idx)), system.d0
         )
         row["gamma_spr"] = chaos.gamma_spr
         row["kappa"] = chaos.kappa
     if "strength-function" in config.options["metrics"]:
-        sf = strength_function(decomp, idx, label=point.group.label)
+        sf = strength_function(decomp, idx)
         row["_sf"] = (sf.eigen_energies, sf.weights)
     return row
 
@@ -406,9 +418,9 @@ def _scan(
         if failed.is_set():
             return None
         try:
-            return _measure(
-                system, point, _solve(point.where, point.solve) if exact else None, config
-            )
+            return _solve(point.where, lambda: _measure(
+                system, point, point.solve() if exact else None, config
+            ))
         except BaseException:
             failed.set()
             raise
@@ -448,14 +460,16 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
     # one decomposition serves every shell of the scan; it is built and
     # solved here, in C3v blocks, serially on one BLAS thread, so its bytes
     # do not depend on the BLAS thread setting
-    where = "henon-heiles-model eigendecomposition"
     decomp = None
     if set(config.options["metrics"]) & EXACT_METRICS:
         with single_threaded_blas():
-            h = _solve("henon-heiles-model build", lambda: henon_heiles.build_h(cfg))
-            decomp = _solve(where, lambda: eigh(h))
+            h = henon_heiles.build_h(cfg)
+            decomp = _solve("henon-heiles-model eigendecomposition", lambda: eigh(h))
         del h
-    points = [_Point(row, g, where, lambda: decomp, float) for row, g in zip(rows, groups)]
+    points = [
+        _Point(row, g, f"henon-heiles-model at shell {g.label}", lambda: decomp, float)
+        for row, g in zip(rows, groups)
+    ]
     system = _System(
         columns=HH_COLUMNS,
         curve_file="hh_curves.csv",

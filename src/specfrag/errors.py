@@ -13,11 +13,6 @@ class ConfigurationError(SpecfragError):
     """A configuration object or option combination is invalid."""
 
 
-class DegenerateShellError(InputError):
-    """Two distinct shells share an unperturbed energy, so a perturbative
-    energy denominator would vanish."""
-
-
 class NumericalError(SpecfragError):
     """A numerical computation produced an untrustworthy result."""
 

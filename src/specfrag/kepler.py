@@ -223,28 +223,22 @@ def _exchange(max_n: int) -> np.ndarray:
     )
 
 
-def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix | None = None) -> SymmetricMatrix:
-    """H = diag(-1/(2n^2)) + (gamma^2/8) rho^2.
+def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> SymmetricMatrix:
+    """H = diag(-1/(2n^2)) + (gamma^2/8) rho^2, from rho2 = build_rho2(cfg),
+    built once for a whole gamma scan.
 
-    gamma = 0 returns the bare Coulomb diagonal. Pass a prebuilt rho2 to
-    amortize the quadrature across a gamma scan.
-
-    For gamma > 0 the matrix declares rho2's symmetry, carried over by
+    The matrix declares rho2's symmetry, carried over by
     SymmetricMatrix.scaled_plus_diagonal without a new dim x dim check.
     build_rho2 declares the exact one, the n1 <-> n2 exchange (z-parity),
-    so eigh solves its two sectors as separate blocks. The diagonal
-    gamma = 0 matrix declares none: its basis states already are its
-    eigenvectors, and the sectors' +-1/sqrt(2) combinations would only add
-    roundoff to them.
+    so eigh solves its two sectors as separate blocks. At gamma = 0 every
+    off-diagonal 0.0 * rho2 + 0.0 is +0.0 and every diagonal entry is
+    E + 0.0 * rho2, so H is the bare Coulomb diagonal bitwise, and it
+    declares the exchange too.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")
     states, _ = enumerate_parabolic_basis(cfg)
     energies = np.array([s.energy for s in states])
-    if gamma == 0:
-        return SymmetricMatrix(np.diag(energies))
-    if rho2 is None:
-        rho2 = build_rho2(cfg)
     if rho2.dim != len(states):
         raise InputError(
             f"rho2 has dim {rho2.dim} but the basis holds {len(states)} states"

@@ -205,12 +205,11 @@ def _copy_checked_lower(a: np.ndarray, out: np.ndarray, perm: np.ndarray,
     of the lower nonzeros covers both triangles; and P is an involution, so
     a zero whose image is nonzero fails at that image. The decisions are
     those of checking every pair of the mirrored matrix. A failed check
-    raises InputError.
+    raises InputError. Both checks run on every matrix: an undeclared perm
+    is the identity, which maps each entry onto itself, and undeclared
+    blocks give every state one label.
     """
-    dim = a.shape[0]
-    permuted = not np.array_equal(perm, np.arange(dim))
-    blocked = bool(np.any(labels != labels[0]))
-    for rows in _bands(dim):
+    for rows in _bands(a.shape[0]):
         # the columns up to the band's last row hold its lower triangle
         band = a[rows, :rows.stop]
         # flat positions: np.nonzero on a 2-D mask is several times slower
@@ -221,11 +220,10 @@ def _copy_checked_lower(a: np.ndarray, out: np.ndarray, perm: np.ndarray,
         values = a[i, j]
         out[i, j] = values
         out[j, i] = values
-        if permuted:
-            pi, pj = perm[i], perm[j]
-            if not np.array_equal(a[np.maximum(pi, pj), np.minimum(pi, pj)], values):
-                raise InputError("matrix does not commute with its declared symmetry")
-        if blocked and np.any(labels[i] != labels[j]):
+        pi, pj = perm[i], perm[j]
+        if not np.array_equal(a[np.maximum(pi, pj), np.minimum(pi, pj)], values):
+            raise InputError("matrix does not commute with its declared symmetry")
+        if np.any(labels[i] != labels[j]):
             raise InputError("matrix has a nonzero entry between two declared blocks")
 
 
@@ -292,8 +290,8 @@ class ShellGroup:
 class ShellPartition:
     """Ordered grouping of basis indices into degenerate subspaces.
 
-    Groups must be disjoint, jointly cover 0..dim-1 and have strictly
-    increasing energies.
+    Groups must have distinct labels, be disjoint, jointly cover 0..dim-1
+    and have strictly increasing energies.
     """
 
     groups: tuple[ShellGroup, ...]
@@ -310,6 +308,8 @@ class ShellPartition:
             seen.update(g.indices)
         if len(seen) != total:
             raise InputError("partition groups overlap")
+        if len(set(self.labels())) != len(self.groups):
+            raise InputError("partition group labels must be distinct")
         if seen != set(range(total)):
             raise InputError("partition groups must jointly cover 0..dim-1")
         energies = [g.energy for g in self.groups]

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateShellError, InputError
+from .errors import ConfigurationError, InputError
 from .linalg import ShellPartition, SpectralDecomposition, SymmetricMatrix, projection_onto_subset
 
 WEIGHT_SUM_TOL = 1e-6
@@ -50,7 +50,6 @@ class StrengthFunction:
 
     eigen_energies: np.ndarray
     weights: np.ndarray
-    label: object = None
 
 
 @dataclass(frozen=True)
@@ -83,22 +82,19 @@ class StateSelection(enum.Enum):
     PROJECTION_WINDOW = "projection-window"  # contiguous run maximizing total shell weight
 
 
-def strength_function(d: SpectralDecomposition, shell: Sequence[int], label=None) -> StrengthFunction:
+def strength_function(d: SpectralDecomposition, shell: Sequence[int]) -> StrengthFunction:
     """Shell-averaged strength function: weight (1/|shell|) * sum of squared
-    coefficients, per eigenstate. A singleton set gives the per-basis-state
-    (local) distribution."""
+    coefficients, per eigenstate.
+
+    A singleton set [alpha] gives the local distribution of one basis state,
+    P_alpha(E_i) = |c_i^alpha|^2, whose spreading width is the local width;
+    only the shell-averaged form is invariant under intra-shell basis
+    changes."""
     shell = list(shell)
     if not shell:
         raise InputError("shell must be nonempty")
     w = projection_onto_subset(d, shell) / len(shell)
-    return StrengthFunction(eigen_energies=d.eigenvalues, weights=w, label=label)
-
-
-def state_strength_function(d: SpectralDecomposition, alpha: int, label=None) -> StrengthFunction:
-    """Local distribution of one basis state over the eigenstates: P_alpha(E_i)
-    = |c_i^alpha|^2. Feed the result to spreading_width for the local width;
-    only the shell-averaged form is invariant under intra-shell basis changes."""
-    return strength_function(d, [alpha], label=label)
+    return StrengthFunction(eigen_energies=d.eigenvalues, weights=w)
 
 
 def spreading_width(sf: StrengthFunction, return_window: bool = False):
@@ -224,11 +220,8 @@ def w_perturbative_terms(
     for g in partition.groups:
         if g.label == target:
             continue
+        # ShellPartition's strictly increasing energies keep denom nonzero
         denom = tgt.energy - g.energy
-        if denom == 0.0:
-            raise DegenerateShellError(
-                f"shells {target} and {g.label} share energy {g.energy!r}"
-            )
         leak = squares[np.asarray(g.indices)].sum()
         terms.append((g.label, float(lam * lam * leak / (denom * denom) / dim_t)))
     return terms

@@ -62,7 +62,7 @@ def hh_scan():
         g = part.group(n)
         pt.append((e_n, w_perturbative(v, part, n, cfg.lam)))
         exact.append((e_n, w_exact(decomp, g.indices, shell_energy=g.energy)))
-        sf = strength_function(decomp, g.indices, label=n)
+        sf = strength_function(decomp, g.indices)
         kappa.append((e_n, chaoticity(spreading_width(sf), cfg.hbar).kappa))
     return {
         "cfg": cfg,
@@ -212,7 +212,7 @@ def test_criterion_8a_spreading_width_brute_force():
         if rng.uniform() < 0.25:
             p[rng.integers(0, size)] += 4.0
         p /= p.sum()
-        sf = StrengthFunction(eigen_energies=e, weights=p, label=None)
+        sf = StrengthFunction(eigen_energies=e, weights=p)
         assert spreading_width(sf) == oracles.brute_force_spreading_width(e, p)
 
 
@@ -263,7 +263,7 @@ def test_criterion_8d_zero_coupling_limits():
 
     kcfg = KeplerConfig(max_n=6, target_shell=3, gamma_grid=(1e-3,))
     _, kpart = enumerate_parabolic_basis(kcfg)
-    kd = eigh(build_kepler_h(kcfg, 0.0))
+    kd = eigh(build_kepler_h(kcfg, 0.0, build_rho2(kcfg)))
     for g in kpart.groups:
         assert w_exact(kd, g.indices, shell_energy=g.energy) == 0.0
         picked = projection_onto_subset(kd, g.indices)[list(g.indices)]

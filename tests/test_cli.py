@@ -17,6 +17,7 @@ from specfrag.errors import NumericalError
 
 KEPLER_SMALL = ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
                 "--gamma-grid", "0.004,0.008,0.016"]
+HH_SMALL = ["run", "--system", "henon-heiles", "--shells", "8"]
 ALL_METRICS = "w-pt,w-exact,kappa,strength-function"
 
 
@@ -409,6 +410,51 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "henon-heiles-model eigendecomposition: synthetic blowup" in err
 
+    @pytest.mark.parametrize("argv, stage", [
+        (HH_SMALL, "henon-heiles-model eigendecomposition: "),
+        (KEPLER_SMALL, "kepler-model at scan point gamma=0.004: "),
+    ], ids=["henon-heiles", "kepler"])
+    @pytest.mark.parametrize("fault", ["nan-vectors", "inf-values"])
+    def test_lapack_fault_exits_3_named(self, tmp_path, capsys, monkeypatch, argv, stage, fault):
+        real = np.linalg.eigh
+
+        def faulty(b):
+            vals, vecs = real(b)
+            if fault == "nan-vectors":
+                vecs[0, 0] = np.nan
+            else:
+                vals[-1] = np.inf
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == 3
+        assert stage in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, stage", [
+        (HH_SMALL, "henon-heiles-model at shell 1: "),
+        (KEPLER_SMALL, "kepler-model at scan point gamma=0.004: "),
+    ], ids=["henon-heiles", "kepler"])
+    def test_metric_fault_on_computed_value_exits_3_named(
+        self, tmp_path, capsys, monkeypatch, argv, stage
+    ):
+        real = cli.strength_function
+
+        def one_nan_weight(d, shell):
+            sf = real(d, shell)
+            weights = sf.weights.copy()
+            weights[0] = np.nan
+            return metrics.StrengthFunction(sf.eigen_energies, weights)
+
+        monkeypatch.setattr(cli, "strength_function", one_nan_weight)
+        out = tmp_path / "out"
+        assert main([*argv, "--threads", "1", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert stage + "eigen energies and weights must be finite" in err
+        assert "configuration error" not in err
+        assert not out.exists()
+
     def test_small_basis_rejected(self, capsys):
         assert main(["run", "--system", "henon-heiles", "--shells", "3"]) == 2
 
@@ -434,6 +480,10 @@ class TestErrors:
             ("flag", {"system": "kepler", "gamma_grid": "0.01,abc"}, "gamma_grid"),
             ("file", {"system": "kepler", "gamma_grid": [0.01, "abc"]}, "gamma_grid"),
             ("file", {"system": "kepler", "output": 5}, "output"),
+            # JSON booleans are not numbers, though Python reads them as 0 and 1
+            ("file", {"system": "henon-heiles", "threads": True}, "threads"),
+            ("file", {"system": "henon-heiles", "hbar": True}, "hbar"),
+            ("file", {"system": "kepler", "gamma_grid": [True, 0.5]}, "gamma_grid"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, form, given, key):
@@ -594,7 +644,8 @@ def _check_decompositions_alive(tmp_path, monkeypatch, threads):
 def _solves_until_failure(tmp_path, capsys, monkeypatch, threads) -> int:
     """Fail the solve of the gamma = 0.008 point's matrix, check that the
     error names that point and return how many solves were started."""
-    bad = kepler.build_h(kepler.KeplerConfig(max_n=6, target_shell=3), 0.008).entries
+    cfg = kepler.KeplerConfig(max_n=6, target_shell=3)
+    bad = kepler.build_h(cfg, 0.008, kepler.build_rho2(cfg)).entries
     real, calls = cli.eigh, []
 
     def fail_at_second_point(m):

@@ -161,20 +161,18 @@ class TestHamiltonian:
     def test_gamma_zero_is_coulomb_diagonal(self):
         cfg = small_cfg(4)
         states, _ = enumerate_parabolic_basis(cfg)
-        h = build_h(cfg, 0.0)
+        h = build_h(cfg, 0.0, build_rho2(cfg))
         expected = np.diag([shell_energy(s.n) for s in states])
-        np.testing.assert_array_equal(h.entries, expected)
+        assert h.entries.tobytes() == expected.tobytes()
 
-    def test_declares_exchange_only_when_coupled(self):
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_declares_exchange_at_every_gamma(self, gamma):
         cfg = small_cfg(5)
         states, _ = enumerate_parabolic_basis(cfg)
         swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
-        h = build_h(cfg, 1e-3)
+        h = build_h(cfg, gamma, build_rho2(cfg))
         np.testing.assert_array_equal(h.perm, swap)
         np.testing.assert_array_equal(h.blocks, np.zeros(len(states)))
-        # the diagonal gamma = 0 matrix stays unblocked, so its eigenvectors
-        # are exactly the basis states
-        np.testing.assert_array_equal(build_h(cfg, 0.0).perm, np.arange(len(states)))
 
     def test_gamma_difference_is_scaled_rho2(self):
         cfg = small_cfg(5)
@@ -197,7 +195,7 @@ class TestHamiltonian:
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(InputError):
-            build_h(small_cfg(3), -0.1)
+            build_h(small_cfg(3), -0.1, build_rho2(small_cfg(3)))
 
     def test_rejects_mismatched_rho2(self):
         rho2 = build_rho2(small_cfg(3))

@@ -263,7 +263,8 @@ def hh30():
 
 def kepler20():
     cfg = kepler.KeplerConfig(max_n=20)
-    return kepler.build_h(cfg, cfg.gamma_grid[-1]), kepler.enumerate_parabolic_basis(cfg)[1]
+    h = kepler.build_h(cfg, cfg.gamma_grid[-1], kepler.build_rho2(cfg))
+    return h, kepler.enumerate_parabolic_basis(cfg)[1]
 
 
 @pytest.mark.parametrize("build, sizes", [(hh30, [85, 70, 155]), (kepler20, [110, 100])])
@@ -414,6 +415,17 @@ class TestShellPartition:
                 groups=(
                     ShellGroup(label=0, indices=(0, 1), energy=1.0),
                     ShellGroup(label=1, indices=(1, 2), energy=2.0),
+                )
+            )
+
+    def test_rejects_duplicate_labels(self):
+        # group(1) would find only the first label-1 group
+        with pytest.raises(InputError, match="labels"):
+            ShellPartition(
+                groups=(
+                    ShellGroup(label=0, indices=(0,), energy=1.0),
+                    ShellGroup(label=1, indices=(1,), energy=2.0),
+                    ShellGroup(label=1, indices=(2,), energy=3.0),
                 )
             )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_spreading_width
-from specfrag.errors import ConfigurationError, DegenerateShellError, InputError
+from specfrag.errors import ConfigurationError, InputError
 from specfrag.henon_heiles import HHConfig, build_h, build_v, enumerate_basis
 from specfrag.linalg import SymmetricMatrix, eigh, random_block_unitary
 from specfrag.metrics import (
@@ -13,7 +13,6 @@ from specfrag.metrics import (
     invariance_gap,
     select_eigenstates,
     spreading_width,
-    state_strength_function,
     strength_function,
     w_exact,
     w_perturbative,
@@ -51,7 +50,7 @@ class TestStrengthFunction:
 
     def test_local_variant(self):
         _, _, d = hh_system(num_shells=6)
-        sf = state_strength_function(d, 4)
+        sf = strength_function(d, [4])
         np.testing.assert_array_equal(sf.weights, d.eigenvectors[4, :] ** 2)
         assert abs(sf.weights.sum() - 1.0) <= 1e-10
 
@@ -67,7 +66,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([1.0, 2.0, 3.0]),
             weights=np.array([0.0, 1.0, 0.0]),
-            label=None,
         )
         assert spreading_width(sf) == 0.0
 
@@ -75,7 +73,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([0.0, 1.0]),
             weights=np.array([0.5, 0.5]),
-            label=None,
         )
         assert spreading_width(sf) == 0.0
 
@@ -83,7 +80,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([0.0, 1.0, 2.0]),
             weights=np.array([0.3, 0.3, 0.4]),
-            label=None,
         )
         width, window = spreading_width(sf, return_window=True)
         assert width == 1.0
@@ -93,7 +89,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([0.0, 1.0]),
             weights=np.array([0.3, 0.3]),
-            label=None,
         )
         with pytest.raises(InputError):
             spreading_width(sf)
@@ -102,7 +97,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([1.0, 0.0]),
             weights=np.array([0.5, 0.5]),
-            label=None,
         )
         with pytest.raises(InputError):
             spreading_width(sf)
@@ -111,7 +105,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([0.0, 1.0, 2.0]),
             weights=np.array([0.5, 0.5]),
-            label=None,
         )
         with pytest.raises(InputError):
             spreading_width(sf)
@@ -128,7 +121,7 @@ class TestSpreadingWidth:
     )
     def test_rejects_non_finite(self, energies, weights):
         sf = StrengthFunction(
-            eigen_energies=np.array(energies), weights=np.array(weights), label=None
+            eigen_energies=np.array(energies), weights=np.array(weights)
         )
         with pytest.raises(InputError, match="finite"):
             spreading_width(sf)
@@ -138,7 +131,6 @@ class TestSpreadingWidth:
         sf = StrengthFunction(
             eigen_energies=np.array([0.0, 1.0, 2.0]),
             weights=np.array([-0.5, 1.0, 0.5]),
-            label=None,
         )
         with pytest.raises(InputError, match="non-negative"):
             spreading_width(sf)
@@ -152,7 +144,7 @@ class TestSpreadingWidth:
             if rng.uniform() < 0.2:
                 p[rng.integers(0, size)] += 5.0  # dominant spike
             p /= p.sum()
-            sf = StrengthFunction(eigen_energies=e, weights=p, label=None)
+            sf = StrengthFunction(eigen_energies=e, weights=p)
             assert spreading_width(sf) == brute_force_spreading_width(e, p)
 
 
