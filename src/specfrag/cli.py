@@ -608,15 +608,19 @@ def validate(config: ExperimentConfig) -> list[str]:
         shells, grid = opts["max_n"], opts["gamma_grid"]
         points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
     dim = shells * (shells + 1) // 2
-    # a solve holds its dense H and about as much again in sector blocks,
-    # block eigenvectors and workspace; HH solves once, each Kepler worker
-    # once per point
-    solves = 1 if opts["system"] == "henon-heiles" else min(opts["threads"], points)
+    # dense dim x dim arrays held at once. A solve holds its dense H and
+    # about as much again in sector blocks, block eigenvectors and
+    # workspace, and each Kepler worker solves its own points. HH's build_h
+    # holds V and H together for its one solve; w-pt alone holds one V.
+    if opts["system"] == "kepler":
+        arrays = 2 * min(opts["threads"], points)
+    else:
+        arrays = 2 if set(opts["metrics"]) & EXACT_METRICS else 1
     return [
         f"system: {opts['system']}",
         f"{dim} states, {shells} shells",
         f"scan points: {points} ({span})",
-        f"estimated peak memory: {solves * 2 * dim * dim * 8 / 1e6:.1f} MB",
+        f"estimated peak memory: {arrays * dim * dim * 8 / 1e6:.1f} MB",
         f"metrics: {','.join(opts['metrics'])}",
         f"selection: {opts['selection']}",
     ]

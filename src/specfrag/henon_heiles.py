@@ -114,17 +114,20 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
     (n_+, n_-) to the bra (n_+ + 3 - k, n_- - k), shell N + 3 - 2k, with
     the element hbar^(3/2) / 6 * C(3, k) * sqrt((n_+ + 1) ... (n_+ + 3 - k)
     * n_- ... (n_- - k + 1)); V holds it there and at its transpose. So
-    elements vanish unless the shells differ by exactly 1 or 3. The
-    matrix declares the blocks l mod 3 and the mirror l <-> -l (the
-    reflection q1 -> -q1), which swaps blocks 1 and 2; construction checks
-    both bitwise.
+    elements vanish unless the shells differ by exactly 1 or 3. These
+    elements are V's nonzeros (about 7 per row); they go to
+    SymmetricMatrix.from_nonzeros, which writes each at its place and its
+    mirror into the one dense array V keeps. The matrix declares the
+    blocks l mod 3 and the mirror l <-> -l (the reflection q1 -> -q1),
+    which swaps blocks 1 and 2; construction checks both bitwise on the
+    nonzeros.
     """
     size = cfg.num_shells
     shell = np.repeat(np.arange(size), np.arange(1, size + 1))
     start = shell * (shell + 1) // 2
     n_plus = np.arange(shell.size) - start
     n_minus = shell - n_plus
-    v = np.zeros((shell.size, shell.size))
+    bras, kets, values = [], [], []
     for k in range(4):
         ket = np.flatnonzero((n_minus >= k) & (shell + 3 - 2 * k < size))
         # the integer under the root, exact in int64
@@ -133,9 +136,13 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
             * (n_minus[ket, None] - np.arange(k)).prod(axis=1)
         )
         bra_shell = shell[ket] + 3 - 2 * k
-        bra = bra_shell * (bra_shell + 1) // 2 + n_plus[ket] + 3 - k
-        v[bra, ket] = v[ket, bra] = cfg.hbar ** 1.5 / 6.0 * math.comb(3, k) * root
-    return SymmetricMatrix(v, perm=start + n_minus, blocks=(n_plus - n_minus) % 3)
+        bras.append(bra_shell * (bra_shell + 1) // 2 + n_plus[ket] + 3 - k)
+        kets.append(ket)
+        values.append(cfg.hbar ** 1.5 / 6.0 * math.comb(3, k) * root)
+    return SymmetricMatrix.from_nonzeros(
+        shell.size, np.concatenate(bras), np.concatenate(kets), np.concatenate(values),
+        perm=start + n_minus, blocks=(n_plus - n_minus) % 3,
+    )
 
 
 def build_h(cfg: HHConfig) -> SymmetricMatrix:

@@ -5,15 +5,19 @@ rows), so storage is plain dense float64 throughout. A matrix may declare
 an exact Z2 symmetry, an involution of its basis, and a block label per
 basis state; a parity of the basis is declared as two blocks. Construction
 checks bitwise that the matrix commutes with the involution, that no entry
-joins two blocks and that the involution maps blocks onto blocks. Past a
-finiteness pass, construction reads the lower triangle, a band of rows at
-a time, writes each nonzero there and at its mirror, and checks the
-involution and the blocks on those nonzeros only. That decides exactly as
-checking every pair would: every upper entry is the mirror of a lower
-one, and the involution is its own inverse, so a zero whose image is
-nonzero is found at that image, which fails its own check. So a sparse
-operator costs one pass over its lower triangle plus work on its
-nonzeros, and no check holds a temporary larger than one band. eigh then
+joins two blocks and that the involution maps blocks onto blocks. The
+check works on a list of nonzeros (row, column, value): it writes each
+one and its mirror into the one dim x dim array the matrix keeps, then
+checks on those nonzeros only that each agrees with what its place holds
+(a mirror or a duplicate that disagrees fails there), the involution and
+the blocks. That decides exactly as checking every pair would: every
+entry is a nonzero or the mirror of one, and the involution is its own
+inverse, so a zero whose image is nonzero is found at that image, which
+fails its own check. An operator built from its nonzeros
+(SymmetricMatrix.from_nonzeros) is never held twice; the dense
+constructor feeds its lower triangle's nonzeros to the same check a band
+of rows at a time, so no check holds a temporary larger than one band.
+Finiteness is read off the minimum and maximum, with no mask. eigh then
 solves the even and odd sectors of each orbit of blocks as separate
 blocks, and those of a pair of blocks the involution swaps only once,
 since both have the same block matrix. The structure is checked once per
@@ -78,9 +82,10 @@ class SymmetricMatrix:
     the matrix commutes with, is declared as blocks: label 0 for the states
     of sign +1 and 1 for those of sign -1.
 
-    The checks read the lower triangle once, a band of rows at a time, and
-    then only its nonzeros (see _copy_checked_lower), each of which is
-    written at its place and at its mirror. ``entries`` is the mirror of
+    The checks run on the matrix's nonzeros only (see _place_checked),
+    each of which is written at its place and at its mirror. The dense
+    constructor reads its input's lower triangle a band of rows at a time
+    for them; from_nonzeros is handed them. ``entries`` is the mirror of
     the lower triangle bitwise, with an off-diagonal -0.0 turned into +0.0
     and the diagonal kept as given.
 
@@ -97,19 +102,50 @@ class SymmetricMatrix:
         dim = a.shape[0]
         if dim < 1:
             raise InputError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
+        if not _finite(a):
             raise InputError("matrix entries must be finite")
         p = _involution(dim, perm)
         labels = _blocks(dim, p, blocks)
         # +0.0 wherever the lower triangle holds +-0.0
         full = np.zeros((dim, dim))
-        _copy_checked_lower(a, full, p, labels)
+        _place_checked(full, lambda: _lower_nonzeros(a), p, labels)
         np.fill_diagonal(full, a.diagonal())
-        for arr in (full, p, labels):
-            arr.flags.writeable = False
-        object.__setattr__(self, "entries", full)
-        object.__setattr__(self, "perm", p)
-        object.__setattr__(self, "blocks", labels)
+        self._freeze(full, p, labels)
+
+    @classmethod
+    def from_nonzeros(cls, dim: int, rows, cols, values, perm=None,
+                      blocks=None) -> SymmetricMatrix:
+        """The dim x dim matrix that holds values[k], as given, at
+        (rows[k], cols[k]) and at its mirror (cols[k], rows[k]), and +0.0
+        wherever nothing is given.
+
+        Either triangle may be given, or both; a nonzero given twice, as
+        itself or as its mirror, must carry the same value each time, else
+        InputError. perm and blocks are declared and checked as for the
+        dense constructor, on the given entries, so the matrix is built and
+        checked without a second dim x dim array. Given the nonzeros of a
+        dense matrix's lower triangle, it holds bitwise what the dense
+        constructor holds for that matrix, unless its diagonal holds a -0.0.
+        """
+        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+            raise InputError(f"matrix dimension must be an integer of at least 1, got {dim!r}")
+        i, j = np.asarray(rows), np.asarray(cols)
+        x = np.asarray(values, dtype=float)
+        if not (i.ndim == 1 and i.shape == j.shape == x.shape):
+            raise InputError("rows, cols and values must be 1-D and of one length")
+        if not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
+            raise InputError("rows and cols must hold integer indices")
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= dim):
+            raise InputError(f"rows and cols must hold basis indices in [0, {dim - 1}]")
+        if not _finite(x):
+            raise InputError("matrix entries must be finite")
+        p = _involution(dim, perm)
+        labels = _blocks(dim, p, blocks)
+        full = np.zeros((dim, dim))
+        _place_checked(full, lambda: [(i, j, x)], p, labels)
+        m = object.__new__(cls)
+        m._freeze(full, p, labels)
+        return m
 
     def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
         """c * A + diag(diagonal), with A's symmetry and no O(dim^2) check.
@@ -121,13 +157,14 @@ class SymmetricMatrix:
         under the permutation, diagonal[perm[i]] == diagonal[i], since the
         same operands then go through the same operations. An entry between
         two blocks is c * 0.0 + 0.0 == 0.0. The O(dim) condition is what is
-        checked; InputError if it or finiteness fails.
+        checked; InputError if it or finiteness fails. The result is the
+        only dim x dim array this allocates.
         """
         c = float(c)
         d = np.asarray(diagonal, dtype=float)
         if d.shape != (self.dim,):
             raise InputError(f"diagonal must hold {self.dim} entries, got shape {d.shape}")
-        if not (math.isfinite(c) and np.all(np.isfinite(d))):
+        if not (math.isfinite(c) and _finite(d)):
             raise InputError("scale and diagonal must be finite")
         if not np.array_equal(d[self.perm], d):
             raise InputError("diagonal is not invariant under the declared symmetry")
@@ -135,14 +172,17 @@ class SymmetricMatrix:
             out = c * self.entries
             out += 0.0
             out[np.diag_indices(self.dim)] = d + c * self.entries.diagonal()
-        if not np.all(np.isfinite(out)):
+        if not _finite(out):
             raise InputError("matrix entries must be finite")
-        out.flags.writeable = False
         # past the constructor, whose checks the reasoning above replaces
         m = object.__new__(SymmetricMatrix)
-        for name in self.__slots__:
-            object.__setattr__(m, name, out if name == "entries" else getattr(self, name))
+        m._freeze(out, self.perm, self.blocks)
         return m
+
+    def _freeze(self, entries: np.ndarray, perm: np.ndarray, blocks: np.ndarray) -> None:
+        for name, arr in zip(self.__slots__, (entries, perm, blocks)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMatrix is immutable")
@@ -181,6 +221,12 @@ def _blocks(dim: int, perm: np.ndarray, blocks) -> np.ndarray:
     return labels
 
 
+def _finite(x: np.ndarray) -> bool:
+    """np.all(np.isfinite(x)) without a mask of x's size: a NaN makes the
+    minimum and maximum NaN, and an infinity is one of them."""
+    return x.size == 0 or (math.isfinite(x.min()) and math.isfinite(x.max()))
+
+
 _BAND_ENTRIES = 1 << 18
 
 
@@ -191,37 +237,46 @@ def _bands(dim: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, dim, step))
 
 
-def _copy_checked_lower(a: np.ndarray, out: np.ndarray, perm: np.ndarray,
-                        labels: np.ndarray) -> None:
-    """Write each nonzero a[i, j] of a's lower triangle (j <= i) into out at
-    (i, j) and (j, i), and check the declared structure on those nonzeros,
-    a band of rows at a time.
+_Nonzeros = Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    Each band's lower triangle is read once, into its nonzero positions and
-    values (!= 0.0, so +-0.0 count as zero); every check reads only those.
-    P must give a[perm[i], perm[j]] == a[i, j], the image read from the
-    lower triangle too, and labels[i] == labels[j] must hold. Every upper
-    entry of the mirrored matrix is the mirror of a lower one, so a check
-    of the lower nonzeros covers both triangles; and P is an involution, so
-    a zero whose image is nonzero fails at that image. The decisions are
-    those of checking every pair of the mirrored matrix. A failed check
-    raises InputError. Both checks run on every matrix: an undeclared perm
-    is the identity, which maps each entry onto itself, and undeclared
-    blocks give every state one label.
-    """
+
+def _lower_nonzeros(a: np.ndarray) -> _Nonzeros:
+    """The nonzeros (i, j, a[i, j]) of a's lower triangle (j <= i; != 0.0,
+    so +-0.0 count as zero), one batch per band of rows."""
     for rows in _bands(a.shape[0]):
         # the columns up to the band's last row hold its lower triangle
-        band = a[rows, :rows.stop]
-        # flat positions: np.nonzero on a 2-D mask is several times slower
-        i, j = np.divmod(np.flatnonzero(band != 0.0), band.shape[1])
+        i, j = np.nonzero(np.tril(a[rows, :rows.stop] != 0.0, rows.start))
         i += rows.start
-        lower = j <= i
-        i, j = i[lower], j[lower]
-        values = a[i, j]
+        yield i, j, a[i, j]
+
+
+def _place_checked(out: np.ndarray, nonzeros: Callable[[], _Nonzeros], perm: np.ndarray,
+                   labels: np.ndarray) -> None:
+    """Write each nonzero (i, j, value) that nonzeros() yields into the
+    zero-filled out at (i, j) and (j, i), then check the declared structure
+    on those nonzeros only, batch by batch.
+
+    nonzeros is called twice, once to write and once to check, so every
+    check reads the finished matrix, also where an entry's mirror or image
+    comes in a later batch. Each nonzero must find its own value in out (a
+    duplicate or mirror that disagrees fails), P must give
+    out[perm[i], perm[j]] == value, and labels[i] == labels[j] must hold.
+    Every entry of out is a nonzero or the mirror of one, so a check of the
+    nonzeros covers all of them; and P is an involution, so a zero whose
+    image is nonzero fails at that image. The decisions are those of
+    checking every pair of out. A failed check raises InputError. All
+    checks run on every matrix: an undeclared perm is the identity, which
+    maps each entry onto itself, and undeclared blocks give every state one
+    label.
+    """
+    for i, j, values in nonzeros():
         out[i, j] = values
         out[j, i] = values
-        pi, pj = perm[i], perm[j]
-        if not np.array_equal(a[np.maximum(pi, pj), np.minimum(pi, pj)], values):
+    i = j = values = None  # the last batch goes before the first is read again
+    for i, j, values in nonzeros():
+        if not np.array_equal(out[i, j], values):
+            raise InputError("matrix has two different values for one entry or its mirror")
+        if not np.array_equal(out[perm[i], perm[j]], values):
             raise InputError("matrix does not commute with its declared symmetry")
         if np.any(labels[i] != labels[j]):
             raise InputError("matrix has a nonzero entry between two declared blocks")
@@ -466,20 +521,30 @@ def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge on {where}") from exc
 
-    # each gate is written so that NaN fails it
-    ortho = np.abs(vecs.T @ vecs - np.eye(k)).max()
+    # Each gate is written so that NaN fails it. The defects are formed in
+    # place in two k x k scratch arrays, each value bitwise the one the
+    # plain expression (|Y^T Y - I|, column norms of B Y - Y diag(vals),
+    # row sums of Y^2) gives.
+    gram = np.matmul(vecs.T, vecs)
+    gram.flat[::k + 1] -= 1.0
+    ortho = np.abs(gram, out=gram).max()
     if not ortho <= ORTHOGONALITY_TOL:
         raise ConvergenceError(
             f"eigenvectors of {where} lost orthogonality (deviation {ortho:.3e})"
         )
     fro = np.linalg.norm(b)
-    residual = np.linalg.norm(b @ vecs - vecs * vals, axis=0).max()
+    resid = np.matmul(b, vecs, out=gram)
+    scratch = np.multiply(vecs, vals, out=np.empty_like(vecs))
+    resid -= scratch
+    resid *= resid
+    residual = np.sqrt(resid.sum(axis=0)).max()
     if not residual <= RESIDUAL_TOL * fro:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds tolerance for {where} "
             f"(block |H|_F = {fro:.3e})"
         )
-    completeness = np.abs((vecs ** 2).sum(axis=1) - 1.0).max()
+    squares = np.multiply(vecs, vecs, out=scratch)
+    completeness = np.abs(squares.sum(axis=1) - 1.0).max()
     if not completeness <= COMPLETENESS_TOL:
         raise ConvergenceError(f"eigenvector completeness defect {completeness:.3e} on {where}")
     if not np.all(np.diff(vals) >= 0):

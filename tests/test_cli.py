@@ -68,6 +68,12 @@ class TestValidate:
         one, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "4"))
         assert one == four == pytest.approx(2 * 1830 ** 2 * 8 / 1e6, abs=0.05)
 
+    def test_memory_estimate_of_henon_heiles_w_pt_holds_one_v(self, capsys):
+        argv = ["--system", "henon-heiles", "--shells", "60", "--metrics"]
+        alone, with_exact = (self.estimate_mb(capsys, argv + [m]) for m in ("w-pt", "w-pt,kappa"))
+        assert alone == pytest.approx(1830 ** 2 * 8 / 1e6, abs=0.05)
+        assert with_exact == pytest.approx(2 * alone, abs=0.1)
+
     def test_zero_shells_config_error(self, capsys):
         assert main(["validate", "--system", "henon-heiles", "--shells", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err

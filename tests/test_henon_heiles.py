@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ class TestV:
             for j, ket in enumerate(states):
                 if abs(bra.shell - ket.shell) not in (1, 3) or abs(bra.l - ket.l) != 3:
                     assert v.entries[i, j] == 0.0
+
+    def test_build_peak_memory(self):
+        # a dense V filled here and copied by the constructor held two
+        cfg = HHConfig(num_shells=40)
+        build_v(cfg)
+        tracemalloc.start()
+        try:
+            v = build_v(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * v.entries.nbytes
 
     def test_hbar_scaling(self):
         v1 = build_v(HHConfig(hbar=0.01, num_shells=6)).entries

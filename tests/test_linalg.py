@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,18 @@ class TestScaledPlusDiagonal:
         with pytest.raises(InputError, match="finite"):
             a.scaled_plus_diagonal(1e308, np.zeros(7))
 
+    def test_peak_memory_is_the_result(self):
+        # a finiteness mask of the result added an eighth of it
+        v = henon_heiles.build_v(henon_heiles.HHConfig(num_shells=40))
+        d = np.ones(v.dim)
+        tracemalloc.start()
+        try:
+            h = v.scaled_plus_diagonal(1.0, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * h.entries.nbytes
+
 
 def hh30():
     cfg = henon_heiles.HHConfig(num_shells=30)
@@ -361,6 +375,86 @@ def test_circular_builder_solves_three_blocks(shells, sizes, monkeypatch):
             rtol=0,
             atol=1e-10,
         )
+
+
+def lower_nonzeros(a):
+    """a's lower-triangle nonzeros and its whole diagonal, as
+    (rows, cols, values)."""
+    rows, cols = np.nonzero(np.tril(a != 0.0, -1))
+    diag = np.arange(a.shape[0])
+    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    return rows, cols, a[rows, cols]
+
+
+class TestFromNonzeros:
+    PERM, BLOCKS = TestBlocks.PERM, TestBlocks.BLOCKS
+
+    def test_bitwise_equal_to_dense_constructor(self):
+        h = TestBlocks().matrix(seed=8)
+        dense = SymmetricMatrix(h, self.PERM, self.BLOCKS)
+        rows, cols, values = lower_nonzeros(h)
+        # upper entries too, and in another order: agreeing mirrors are fine
+        m = SymmetricMatrix.from_nonzeros(
+            7, np.r_[cols, rows[::-1]], np.r_[rows, cols[::-1]], np.r_[values, values[::-1]],
+            self.PERM, self.BLOCKS)
+        for name in ("entries", "perm", "blocks"):
+            assert getattr(m, name).tobytes() == getattr(dense, name).tobytes()
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+
+    def test_nothing_given_is_zero(self):
+        empty = np.array([], dtype=int)
+        m = SymmetricMatrix.from_nonzeros(3, empty, empty, [])
+        assert m.entries.tobytes() == np.zeros((3, 3)).tobytes()
+
+    @pytest.mark.parametrize("fault, match", [
+        ("non-commuting", "commute"),
+        ("between-blocks", "between two declared blocks"),
+        ("zero-image", "commute"),
+    ])
+    def test_rejects_what_the_dense_constructor_rejects(self, fault, match):
+        h = TestBlocks().matrix(seed=9)
+        if fault == "non-commuting":
+            h[6, 0] = h[0, 6] = np.nextafter(h[6, 0], np.inf)
+        elif fault == "between-blocks":
+            # and at its image, so that P still commutes
+            h[5, 0] = h[0, 5] = h[6, 3] = h[3, 6] = 1e-300
+        else:
+            # (4, 2) maps onto (4, 1), which stays nonzero
+            h[4, 2] = h[2, 4] = 0.0
+        with pytest.raises(InputError, match=match):
+            SymmetricMatrix(h, self.PERM, self.BLOCKS)
+        with pytest.raises(InputError, match=match):
+            SymmetricMatrix.from_nonzeros(7, *lower_nonzeros(h), self.PERM, self.BLOCKS)
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_rejects_disagreeing_duplicate(self, mirrored):
+        rows, cols, values = [1, 0, 1], [0, 0, 1], [2.0, 1.0, 3.0]
+        rows, cols = rows + [0 if mirrored else 1], cols + [1 if mirrored else 0]
+        with pytest.raises(InputError, match="different values"):
+            SymmetricMatrix.from_nonzeros(2, rows, cols, values + [2.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            SymmetricMatrix.from_nonzeros(2, [1, 0], [0, 0], [bad, 1.0])
+        with pytest.raises(InputError, match="finite"):
+            SymmetricMatrix(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    def test_rejects_malformed(self):
+        for args in [
+            (0, [], [], []),
+            (2.0, [0], [0], [1.0]),
+            (2, [0, 1], [0], [1.0]),
+            (2, [[0]], [[0]], [[1.0]]),
+            (2, [0.0], [0], [1.0]),
+            (2, [2], [0], [1.0]),
+            (2, [0], [-1], [1.0]),
+        ]:
+            with pytest.raises(InputError):
+                SymmetricMatrix.from_nonzeros(*args)
+        with pytest.raises(InputError, match="involution"):
+            SymmetricMatrix.from_nonzeros(3, [0], [0], [1.0], perm=[1, 2, 0])
 
 
 class TestProjection:

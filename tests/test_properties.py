@@ -1,5 +1,6 @@
 """Property tests of the sector-form decomposition, of the
-SymmetricMatrix constructor's structure checks and of
+SymmetricMatrix constructor's structure checks, of its nonzero form
+SymmetricMatrix.from_nonzeros and of
 SymmetricMatrix.scaled_plus_diagonal, on random involutions, random
 matrices that commute with them (some split into blocks the involution
 swaps, some sparse, some broken on purpose) and random subsets of the
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_spreading_width, dense_structure_check
@@ -205,6 +206,67 @@ def test_constructor_decides_as_dense_oracle(case, band_entries):
                 SymmetricMatrix(a, perm, blocks)
         else:
             assert SymmetricMatrix(a, perm, blocks).entries.tobytes() == expected.tobytes()
+
+
+def shuffled_nonzeros(a, rng):
+    """The nonzeros of a's lower triangle and its whole diagonal, signed
+    zeros included, as (rows, cols, values): in a random order, some also
+    given again as their mirror, with the same value."""
+    rows, cols = np.nonzero(np.tril(a != 0.0, -1))
+    diag = np.arange(a.shape[0])
+    order = rng.permutation(rows.size + diag.size)
+    rows, cols = np.r_[rows, diag][order], np.r_[cols, diag][order]
+    values = a[rows, cols]
+    twice = rng.random(rows.size) < 0.3
+    return np.r_[rows, cols[twice]], np.r_[cols, rows[twice]], np.r_[values, values[twice]]
+
+
+@PROPERTY
+@given(declared_structures(), st.integers(0, 2**32 - 1))
+def test_nonzero_form_builds_and_decides_as_dense_constructor(case, seed):
+    # declared_structures' flaws include a non-commuting perm, a nonzero
+    # between two blocks and a zero whose image is nonzero
+    (perm, blocks), a = case
+    rows, cols, values = shuffled_nonzeros(a, np.random.default_rng(seed))
+    try:
+        dense = SymmetricMatrix(a, perm, blocks)
+    except InputError:
+        with pytest.raises(InputError):
+            SymmetricMatrix.from_nonzeros(a.shape[0], rows, cols, values, perm, blocks)
+        return
+    m = SymmetricMatrix.from_nonzeros(a.shape[0], rows, cols, values, perm, blocks)
+    for name in ("entries", "perm", "blocks"):
+        assert getattr(m, name).tobytes() == getattr(dense, name).tobytes()
+
+
+@PROPERTY
+@given(declared_structures(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["mirror", "duplicate", "nan", "inf", "-inf"]))
+def test_nonzero_form_rejects_disagreeing_and_non_finite_entries(case, seed, fault):
+    (perm, blocks), a = case
+    try:
+        SymmetricMatrix(a, perm, blocks)
+    except InputError:
+        assume(False)  # a flaw of its own would hide the one added here
+    rng = np.random.default_rng(seed)
+    rows, cols, values = shuffled_nonzeros(a, rng)
+    k = rng.integers(0, rows.size)
+    r, c = rows[k], cols[k]
+    if fault in ("mirror", "duplicate"):
+        # the dense form has one value per place and no such input
+        if fault == "mirror":
+            r, c = c, r
+        rows, cols, values = np.r_[rows, r], np.r_[cols, c], np.r_[values, values[k] + 1.0]
+        with pytest.raises(InputError, match="different values"):
+            SymmetricMatrix.from_nonzeros(a.shape[0], rows, cols, values, perm, blocks)
+        return
+    bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[fault]
+    values[k] = a[max(r, c), min(r, c)] = bad
+    for build in (lambda: SymmetricMatrix(a, perm, blocks),
+                  lambda: SymmetricMatrix.from_nonzeros(a.shape[0], rows, cols, values,
+                                                        perm, blocks)):
+        with pytest.raises(InputError, match="finite"):
+            build()
 
 
 @st.composite
