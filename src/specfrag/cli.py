@@ -26,14 +26,15 @@ Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (the
-message names the stage: Kepler's rho^2 build, Henon-Heiles's
-eigendecomposition, or the scan point whose solve or metrics failed; a
-metric's InputError on a value the run computed counts as numerical). Every
-bad input exits 2 before any compute: a malformed or unknown config value,
-a JSON boolean where a number belongs, an out-of-range option,
-a Kepler basis without a shell next to the target (max_n < 2), or a scan
-too short or not monotone for the critical values asked for.
+Exit codes: 0 success, 2 invalid configuration or an output that cannot
+be written, 3 numerical failure (the message names the stage: Kepler's
+rho^2 build, Henon-Heiles's eigendecomposition, or the scan point whose
+solve or metrics failed; a metric's InputError on a value the run computed
+counts as numerical). Every bad input exits 2 before any compute: a
+malformed or unknown config value, a JSON boolean where a number belongs,
+an out-of-range option, an output path at or under an existing file, a
+Kepler basis without a shell next to the target (max_n < 2), or a scan too
+short or not monotone for the critical values asked for.
 """
 from __future__ import annotations
 
@@ -143,8 +144,9 @@ OPTIONS = (
     Option("m", (), _int, _KEPLER.m, "kepler"),  # config file only; must be 0
     Option("target_shell", ("--target-shell",), _int, _KEPLER.target_shell, "kepler",
            "Kepler: shell under study"),
-    Option("gamma_grid", ("--gamma-grid",), _items(_float), _KEPLER.gamma_grid, "kepler",
-           "Kepler: comma list of field strengths"),
+    Option("gamma_grid", ("--gamma-grid",), _items(_float), None, "kepler",
+           "Kepler: comma list of field strengths (default: 61 points whose "
+           "scaled energies span -0.8 to -0.3 for the target shell)"),
 )
 
 
@@ -245,8 +247,13 @@ def _build_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(
             f"unknown metrics {unknown}; choose from {list(KNOWN_METRICS)}"
         )
-    output = opts["output"] or os.environ.get("SPECFRAG_OUTPUT_DIR") or "specfrag-out"
-    opts["output"] = str(Path(output))
+    output = Path(opts["output"] or os.environ.get("SPECFRAG_OUTPUT_DIR") or "specfrag-out")
+    # run makes the directory and its missing parents: the nearest one that
+    # exists must be a directory
+    existing = next((p for p in (output, *output.parents) if os.path.exists(p)), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigurationError(f"output {output}: {existing} exists and is not a directory")
+    opts["output"] = str(output)
     if opts["threads"] is None:
         opts["threads"] = _usable_cpus()
     if opts["threads"] < 1:
@@ -283,6 +290,7 @@ def _build_config(raw: dict) -> ExperimentConfig:
                 "kappa's D0 is the gap to a neighbouring shell; the experiment needs "
                 f"max_n >= 2, got {model.max_n}"
             )
+        opts["gamma_grid"] = list(model.gamma_grid)  # echoes the grid derived when unset
         scan, scan_keys = opts["gamma_grid"], "gamma_grid"
     # a critical value interpolates along a strictly monotone axis
     if set(opts["metrics"]) & {"w-pt", "w-exact", "kappa"}:
@@ -551,8 +559,6 @@ def run(config: ExperimentConfig) -> RunManifest:
     runner = _run_henon_heiles if config.options["system"] == "henon-heiles" else _run_kepler
     system, rows, critical, scan = runner(config)
 
-    out = Path(config.options["output"])
-    out.mkdir(parents=True, exist_ok=True)
     sha = hashlib.sha256(
         json.dumps(config.result_key(), sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -561,41 +567,41 @@ def run(config: ExperimentConfig) -> RunManifest:
         "system": config.options["system"],
         "config-sha256": sha,
     }
-
-    files: list[str] = []
-    metric_files: dict = {}
-    curve_name = system.curve_file
-    _write_csv(out / curve_name, system.columns, _curve_lines(system.columns, rows), meta)
-    files.append(curve_name)
-    for name in config.options["metrics"]:
-        if name != "strength-function":
-            metric_files[name] = curve_name
-
+    # (file name, columns, data lines) of each CSV
+    csvs = [(system.curve_file, system.columns, _curve_lines(system.columns, rows))]
+    metric_files = {
+        name: system.curve_file
+        for name in config.options["metrics"]
+        if name != "strength-function"
+    }
     if "strength-function" in config.options["metrics"]:
-        sf_name = "strength_function.csv"
         axis_col = system.columns[0]
-        _write_csv(
-            out / sf_name,
-            (axis_col, "eigen_energy", "weight"),
-            _strength_lines(axis_col, rows),
-            meta,
-        )
-        files.append(sf_name)
-        metric_files["strength-function"] = sf_name
-
+        csvs.append(("strength_function.csv", (axis_col, "eigen_energy", "weight"),
+                     _strength_lines(axis_col, rows)))
+        metric_files["strength-function"] = "strength_function.csv"
     manifest = RunManifest(
         version=__version__,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         config=config.options,
         config_sha256=sha,
-        files=tuple(files),
+        files=tuple(name for name, _, _ in csvs),
         metric_files=metric_files,
         critical=critical,
         scan=scan,
     )
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+    # _build_config refused an output path that cannot be a directory; any
+    # other failure to write is reported as bad output configuration
+    out = Path(config.options["output"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, columns, lines in csvs:
+            _write_csv(out / name, columns, lines, meta)
+        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output to {out}: {exc}") from exc
     return manifest
 
 

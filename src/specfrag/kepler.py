@@ -35,7 +35,7 @@ here, not a numerical knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import laguerre
@@ -95,7 +95,7 @@ class KeplerConfig:
     max_n: int = 20
     m: int = 0
     target_shell: int = 10
-    gamma_grid: tuple[float, ...] = field(default_factory=default_gamma_grid)
+    gamma_grid: tuple[float, ...] | None = None  # None: default_gamma_grid(target_shell)
 
     def __post_init__(self):
         # finiteness first: int() raises its own errors on NaN and infinities
@@ -113,7 +113,8 @@ class KeplerConfig:
             raise ConfigurationError(
                 f"target_shell must lie in [1, max_n={self.max_n}], got {self.target_shell}"
             )
-        grid = tuple(float(g) for g in self.gamma_grid)
+        given = default_gamma_grid(self.target_shell) if self.gamma_grid is None else self.gamma_grid
+        grid = tuple(float(g) for g in given)
         if not grid or any(not math.isfinite(g) or g <= 0 for g in grid):
             raise ConfigurationError("gamma_grid must hold one or more positive finite values")
         object.__setattr__(self, "gamma_grid", grid)

@@ -15,8 +15,8 @@ entry is a nonzero or the mirror of one, and the involution is its own
 inverse, so a zero whose image is nonzero is found at that image, which
 fails its own check. An operator built from its nonzeros
 (SymmetricMatrix.from_nonzeros) is never held twice; the dense
-constructor feeds its lower triangle's nonzeros to the same check a band
-of rows at a time, so no check holds a temporary larger than one band.
+constructor feeds the same check one list, its strict lower triangle's
+nonzeros and its whole diagonal.
 Finiteness is read off the minimum and maximum, with no mask. eigh then
 solves the even and odd sectors of each orbit of blocks as separate
 blocks, and those of a pair of blocks the involution swaps only once,
@@ -31,7 +31,7 @@ metrics.
 
 Decompositions stay in sector form. projection_onto_subset, and with it
 every metric, reads the block eigenvectors directly; the full-basis
-eigenvectors are assembled only when first asked for.
+eigenvectors are assembled from the sectors on each access.
 
 numpy's solves release the GIL, so independent decompositions can run on
 several Python threads at once. single_threaded_blas pins numpy's bundled
@@ -45,7 +45,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -84,10 +83,10 @@ class SymmetricMatrix:
 
     The checks run on the matrix's nonzeros only (see _place_checked),
     each of which is written at its place and at its mirror. The dense
-    constructor reads its input's lower triangle a band of rows at a time
-    for them; from_nonzeros is handed them. ``entries`` is the mirror of
-    the lower triangle bitwise, with an off-diagonal -0.0 turned into +0.0
-    and the diagonal kept as given.
+    constructor reads them off its input: the strict lower triangle's
+    nonzeros and the whole diagonal. from_nonzeros is handed them.
+    ``entries`` is the mirror of the lower triangle bitwise, with an
+    off-diagonal -0.0 turned into +0.0 and the diagonal kept as given.
 
     Entries, perm and blocks are frozen after construction and safe to
     share across threads.
@@ -104,13 +103,7 @@ class SymmetricMatrix:
             raise InputError("matrix dimension must be at least 1")
         if not _finite(a):
             raise InputError("matrix entries must be finite")
-        p = _involution(dim, perm)
-        labels = _blocks(dim, p, blocks)
-        # +0.0 wherever the lower triangle holds +-0.0
-        full = np.zeros((dim, dim))
-        _place_checked(full, lambda: _lower_nonzeros(a), p, labels)
-        np.fill_diagonal(full, a.diagonal())
-        self._freeze(full, p, labels)
+        self._build(dim, lambda: _lower_nonzeros(a), perm, blocks)
 
     @classmethod
     def from_nonzeros(cls, dim: int, rows, cols, values, perm=None,
@@ -123,9 +116,9 @@ class SymmetricMatrix:
         itself or as its mirror, must carry the same value each time, else
         InputError. perm and blocks are declared and checked as for the
         dense constructor, on the given entries, so the matrix is built and
-        checked without a second dim x dim array. Given the nonzeros of a
-        dense matrix's lower triangle, it holds bitwise what the dense
-        constructor holds for that matrix, unless its diagonal holds a -0.0.
+        checked without a second dim x dim array. Given a dense matrix's
+        strict lower triangle nonzeros and its whole diagonal, it holds
+        bitwise what the dense constructor holds for that matrix.
         """
         if not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise InputError(f"matrix dimension must be an integer of at least 1, got {dim!r}")
@@ -139,12 +132,8 @@ class SymmetricMatrix:
             raise InputError(f"rows and cols must hold basis indices in [0, {dim - 1}]")
         if not _finite(x):
             raise InputError("matrix entries must be finite")
-        p = _involution(dim, perm)
-        labels = _blocks(dim, p, blocks)
-        full = np.zeros((dim, dim))
-        _place_checked(full, lambda: [(i, j, x)], p, labels)
         m = object.__new__(cls)
-        m._freeze(full, p, labels)
+        m._build(dim, lambda: (i, j, x), perm, blocks)
         return m
 
     def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
@@ -178,6 +167,15 @@ class SymmetricMatrix:
         m = object.__new__(SymmetricMatrix)
         m._freeze(out, self.perm, self.blocks)
         return m
+
+    def _build(self, dim: int, nonzeros: Callable[[], tuple], perm, blocks) -> None:
+        """Check perm and blocks, then place and check the nonzeros in a
+        zero-filled dim x dim array and freeze it."""
+        p = _involution(dim, perm)
+        labels = _blocks(dim, p, blocks)
+        full = np.zeros((dim, dim))
+        _place_checked(full, nonzeros, p, labels)
+        self._freeze(full, p, labels)
 
     def _freeze(self, entries: np.ndarray, perm: np.ndarray, blocks: np.ndarray) -> None:
         for name, arr in zip(self.__slots__, (entries, perm, blocks)):
@@ -227,39 +225,26 @@ def _finite(x: np.ndarray) -> bool:
     return x.size == 0 or (math.isfinite(x.min()) and math.isfinite(x.max()))
 
 
-_BAND_ENTRIES = 1 << 18
+def _lower_nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, a[i, j]) for the nonzeros of a's strict lower triangle
+    (!= 0.0, so +-0.0 count as zero) and its whole diagonal, signed zeros
+    included."""
+    mask = np.tril(a != 0.0, -1)
+    mask.flat[::a.shape[0] + 1] = True
+    i, j = np.nonzero(mask)
+    return i, j, a[i, j]
 
 
-def _bands(dim: int) -> Iterator[slice]:
-    """Consecutive row slices of a dim x dim matrix, about _BAND_ENTRIES
-    entries each."""
-    step = max(1, _BAND_ENTRIES // dim)
-    return (slice(start, start + step) for start in range(0, dim, step))
-
-
-_Nonzeros = Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def _lower_nonzeros(a: np.ndarray) -> _Nonzeros:
-    """The nonzeros (i, j, a[i, j]) of a's lower triangle (j <= i; != 0.0,
-    so +-0.0 count as zero), one batch per band of rows."""
-    for rows in _bands(a.shape[0]):
-        # the columns up to the band's last row hold its lower triangle
-        i, j = np.nonzero(np.tril(a[rows, :rows.stop] != 0.0, rows.start))
-        i += rows.start
-        yield i, j, a[i, j]
-
-
-def _place_checked(out: np.ndarray, nonzeros: Callable[[], _Nonzeros], perm: np.ndarray,
+def _place_checked(out: np.ndarray, nonzeros: Callable[[], tuple], perm: np.ndarray,
                    labels: np.ndarray) -> None:
-    """Write each nonzero (i, j, value) that nonzeros() yields into the
-    zero-filled out at (i, j) and (j, i), then check the declared structure
-    on those nonzeros only, batch by batch.
+    """Write each nonzero (i, j, value) of the batch nonzeros() returns
+    into the zero-filled out at (i, j) and (j, i), then check the declared
+    structure on those nonzeros only.
 
-    nonzeros is called twice, once to write and once to check, so every
-    check reads the finished matrix, also where an entry's mirror or image
-    comes in a later batch. Each nonzero must find its own value in out (a
-    duplicate or mirror that disagrees fails), P must give
+    nonzeros is called twice, once to write and once to check, and the
+    first batch is dropped before the second is read, so the two are never
+    held at once. Each nonzero must find its own value in out (a duplicate
+    or mirror that disagrees fails), P must give
     out[perm[i], perm[j]] == value, and labels[i] == labels[j] must hold.
     Every entry of out is a nonzero or the mirror of one, so a check of the
     nonzeros covers all of them; and P is an involution, so a zero whose
@@ -269,17 +254,17 @@ def _place_checked(out: np.ndarray, nonzeros: Callable[[], _Nonzeros], perm: np.
     maps each entry onto itself, and undeclared blocks give every state one
     label.
     """
-    for i, j, values in nonzeros():
-        out[i, j] = values
-        out[j, i] = values
-    i = j = values = None  # the last batch goes before the first is read again
-    for i, j, values in nonzeros():
-        if not np.array_equal(out[i, j], values):
-            raise InputError("matrix has two different values for one entry or its mirror")
-        if not np.array_equal(out[perm[i], perm[j]], values):
-            raise InputError("matrix does not commute with its declared symmetry")
-        if np.any(labels[i] != labels[j]):
-            raise InputError("matrix has a nonzero entry between two declared blocks")
+    i, j, values = nonzeros()
+    out[i, j] = values
+    out[j, i] = values
+    del i, j, values
+    i, j, values = nonzeros()
+    if not np.array_equal(out[i, j], values):
+        raise InputError("matrix has two different values for one entry or its mirror")
+    if not np.array_equal(out[perm[i], perm[j]], values):
+        raise InputError("matrix does not commute with its declared symmetry")
+    if np.any(labels[i] != labels[j]):
+        raise InputError("matrix has a nonzero entry between two declared blocks")
 
 
 @dataclass(frozen=True)
@@ -295,25 +280,19 @@ class SectorEigenpairs:
     columns: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
     matrix, kept per symmetry sector.
 
     Column i of ``eigenvectors`` holds the coefficients of eigenstate i in
     the basis the matrix was written in. That dim x dim array is assembled
-    from the sectors on first access, once, even when several threads ask
-    at the same time; the metrics never need it (see
+    from the sectors on each access; the metrics never need it (see
     projection_onto_subset).
     """
 
-    def __init__(self, eigenvalues: np.ndarray, sectors: tuple[SectorEigenpairs, ...]) -> None:
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "_vectors", None)
-        object.__setattr__(self, "_lock", threading.Lock())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralDecomposition is immutable")
+    eigenvalues: np.ndarray
+    sectors: tuple[SectorEigenpairs, ...]
 
     @property
     def dim(self) -> int:
@@ -321,14 +300,10 @@ class SpectralDecomposition:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        with self._lock:
-            if self._vectors is None:
-                vecs = np.zeros((self.dim, self.dim))
-                for part in self.sectors:
-                    part.sector.scatter(part.vectors, vecs, part.columns)
-                vecs.flags.writeable = False
-                object.__setattr__(self, "_vectors", vecs)
-            return self._vectors
+        vecs = np.zeros((self.dim, self.dim))
+        for part in self.sectors:
+            part.sector.scatter(part.vectors, vecs, part.columns)
+        return vecs
 
 
 @dataclass(frozen=True)

@@ -361,6 +361,17 @@ class TestRun:
                     for row in rows for e, w in zip(*(x.tolist() for x in row["_sf"]))]
         assert "".join(cli._strength_lines("shell", rows)) == "".join(expected)
 
+    def test_default_gamma_grid_follows_target_shell(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["run", "--system", "kepler", "--max-n", "14", "--target-shell", "6",
+                "-o", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["gamma_grid"] == list(kepler.default_gamma_grid(6))
+        # the shell-6 window holds every crossing; shell 10's holds none of them
+        for name in ("pt", "exact", "kappa"):
+            assert manifest["critical"][f"{name}_critical_scaled_energy"] is not None
+
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("SPECFRAG_OUTPUT_DIR", str(target))
@@ -534,6 +545,26 @@ class TestErrors:
         assert key in capsys.readouterr().err
         assert solves == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_at_a_file_rejected_before_compute(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        monkeypatch.setattr(cli, "_run_henon_heiles", lambda config: pytest.fail("computed"))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        assert main([command, "--system", "henon-heiles", "--shells", "8", "-o", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # a directory where the curves file goes: found only when writing
+        (tmp_path / "hh_curves.csv").mkdir()
+        assert main([*HH_SMALL, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "Traceback" not in err
 
     def test_rho2_build_failure_named(self, tmp_path, capsys, monkeypatch):
         # a negative tolerance fails build_rho2's own quadrature self-check

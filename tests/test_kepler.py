@@ -67,6 +67,13 @@ def test_config_validation():
         KeplerConfig(gamma_grid=(float("inf"),))
 
 
+def test_default_gamma_grid_follows_target_shell():
+    # the default scan spans the scaled-energy window of the shell studied
+    assert KeplerConfig(max_n=14, target_shell=6).gamma_grid == default_gamma_grid(6)
+    assert KeplerConfig().gamma_grid == default_gamma_grid(10)
+    assert KeplerConfig(target_shell=6, gamma_grid=[1e-3]).gamma_grid == (1e-3,)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("max_n", math.nan), ("max_n", math.inf), ("target_shell", math.nan),

@@ -178,14 +178,17 @@ class TestSymmetryBlocks:
         for part in d.sectors:
             np.testing.assert_array_equal(d.eigenvalues[part.columns], part.eigenvalues)
 
-    def test_eigenvectors_assembled_once(self):
+    def test_decomposition_frozen(self):
         h = commuting_matrix(self.PERM, seed=9)
         d = eigh(SymmetricMatrix(h, perm=self.PERM))
-        assert d.eigenvectors is d.eigenvectors
         with pytest.raises(ValueError):
-            d.eigenvectors[0, 0] = 1.0
+            d.eigenvalues[0] = 1.0
+        with pytest.raises(ValueError):
+            d.sectors[0].vectors[0, 0] = 1.0
         with pytest.raises(AttributeError):
             d.sectors = ()
+        with pytest.raises(AttributeError):
+            d.eigenvalues = d.eigenvalues.copy()
 
     def test_failed_block_solve_names_full_dimension(self, monkeypatch):
         def fail(a):
