@@ -12,16 +12,19 @@ its config-file key (also the manifest key), its flags, its conversion,
 its default and its system. The output directory falls back to the
 SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
 
-Scan points run on --threads worker threads (default: the CPUs this process
-may use), with numpy's bundled OpenBLAS pinned to one thread for the length
-of the scan, so each point's solve runs on its own worker. Rows are
-collected in scan order. Kepler's rho^2 and Henon-Heiles's one
-decomposition are built before the scan, serially, with the same one-thread
-pin; Henon-Heiles's H is written in closed form in the circular basis, whose
-C3v blocks the decomposition solves separately. Identical config and seed
-therefore produce byte-identical CSVs on one platform whatever --threads
-and the BLAS thread setting say. Where no such OpenBLAS is found, the scan runs on one worker
-and the BLAS setting applies throughout.
+Kepler's scan points, each with its own solve, run on --threads worker
+threads (default: the CPUs this process may use), with numpy's bundled
+OpenBLAS pinned to one thread for the length of the scan, so each point's
+solve runs on its own worker. Rows are collected in scan order. Kepler's
+rho^2 is built before the scan, serially, with the same one-thread pin.
+Henon-Heiles has one decomposition, which every shell of its scan shares:
+it is built and solved under the same pin, and the shells are then
+measured in order on the calling thread; its H is written in closed form in
+the circular basis, whose C3v blocks the decomposition solves separately.
+Identical config and seed therefore produce byte-identical CSVs on one
+platform whatever --threads and the BLAS thread setting say. Where no such
+OpenBLAS is found, the Kepler scan runs on one worker and the BLAS setting
+applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash.
@@ -54,13 +57,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import __version__, henon_heiles, kepler, metrics
 from .errors import ConfigurationError, InputError, NumericalError
-from .linalg import (
-    ShellGroup,
-    SpectralDecomposition,
-    eigh,
-    projection_onto_subset,
-    single_threaded_blas,
-)
+from .linalg import ShellGroup, eigh, projection_onto_subset, single_threaded_blas
 from .metrics import StateSelection, critical_parameter, spreading_width, strength_function
 
 KNOWN_METRICS = ("w-pt", "w-exact", "kappa", "strength-function")
@@ -127,8 +124,8 @@ OPTIONS = (
     Option("seed", ("--seed",), _int, 0),
     Option("metrics", ("--metrics",), _items(str), "w-pt,w-exact,kappa",
            help="comma list from: " + ",".join(KNOWN_METRICS)),
-    Option("threads", ("--threads",), _int,
-           help="worker threads for the scan points, each with a one-thread "
+    Option("threads", ("--threads",), _int, None, "kepler",
+           "Kepler: worker threads for the scan points, each with a one-thread "
            "BLAS (default: the CPUs this process may use)"),
     Option("selection", ("--selection",), str, StateSelection.PROJECTION_WINDOW.value,
            choices=tuple(s.value for s in StateSelection),
@@ -247,6 +244,10 @@ def _build_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(
             f"unknown metrics {unknown}; choose from {list(KNOWN_METRICS)}"
         )
+    # a repeated name would hash the same scan differently
+    repeated = sorted({s for s in opts["metrics"] if opts["metrics"].count(s) > 1})
+    if repeated:
+        raise ConfigurationError(f"metrics named more than once: {repeated}")
     output = Path(opts["output"] or os.environ.get("SPECFRAG_OUTPUT_DIR") or "specfrag-out")
     # run makes the directory and its missing parents: the nearest one that
     # exists must be a directory
@@ -254,10 +255,9 @@ def _build_config(raw: dict) -> ExperimentConfig:
     if existing is not None and not existing.is_dir():
         raise ConfigurationError(f"output {output}: {existing} exists and is not a directory")
     opts["output"] = str(output)
-    if opts["threads"] is None:
-        opts["threads"] = _usable_cpus()
-    if opts["threads"] < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {opts['threads']}")
+    # a given thread count is range-checked whatever the system
+    if values["threads"] is not None and values["threads"] < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {values['threads']}")
 
     if system == "henon-heiles":
         model = henon_heiles.HHConfig(
@@ -291,6 +291,8 @@ def _build_config(raw: dict) -> ExperimentConfig:
                 f"max_n >= 2, got {model.max_n}"
             )
         opts["gamma_grid"] = list(model.gamma_grid)  # echoes the grid derived when unset
+        if opts["threads"] is None:
+            opts["threads"] = _usable_cpus()
         scan, scan_keys = opts["gamma_grid"], "gamma_grid"
     # a critical value interpolates along a strictly monotone axis
     if set(opts["metrics"]) & {"w-pt", "w-exact", "kappa"}:
@@ -351,23 +353,9 @@ def _crossing_entry(curve, threshold: float, axis: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class _Point:
-    """One scan point: the row's axis columns (plus w_pt when asked for),
-    the shell under study, the name a failure of its solve or metrics goes
-    by, the exact solve, and the map from the selected states' mean
-    eigenvalue to the row's exact-energy column."""
-
-    row: dict
-    group: ShellGroup
-    where: str
-    solve: Callable[[], SpectralDecomposition]
-    exact_energy: Callable[[float], float]
-
-
-@dataclass(frozen=True)
 class _System:
-    """What the scan driver needs to know about one worked system's scan
-    as a whole."""
+    """What the runners' shared code needs to know about one worked
+    system's scan as a whole."""
 
     columns: tuple[str, ...]  # the first one labels strength-function rows
     curve_file: str
@@ -387,15 +375,19 @@ def _solve(where: str, solve: Callable):
         raise NumericalError(f"{where}: {exc}") from exc
 
 
-def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -> dict:
-    row = dict(point.row)
-    idx = point.group.indices
+def _measure(config: ExperimentConfig, system: _System, row: dict, group: ShellGroup,
+             decomp, exact_energy: Callable[[float], float]) -> dict:
+    """row with the exact metrics of the shell group filled in from decomp;
+    exact_energy maps the selected states' mean eigenvalue to the row's
+    exact-energy column."""
+    row = dict(row)
+    idx = group.indices
     if "w-exact" in config.options["metrics"]:
         rule = StateSelection(config.options["selection"])
-        picked = metrics.select_eigenstates(decomp, idx, rule, shell_energy=point.group.energy)
+        picked = metrics.select_eigenstates(decomp, idx, rule, shell_energy=group.energy)
         proj = projection_onto_subset(decomp, idx)
         row["w_exact"] = float(1.0 - proj[picked].mean())
-        row[system.exact_column] = point.exact_energy(float(decomp.eigenvalues[picked].mean()))
+        row[system.exact_column] = exact_energy(float(decomp.eigenvalues[picked].mean()))
     if "kappa" in config.options["metrics"]:
         chaos = metrics.chaoticity(
             spreading_width(strength_function(decomp, idx)), system.d0
@@ -408,35 +400,9 @@ def _measure(system: _System, point: _Point, decomp, config: ExperimentConfig) -
     return row
 
 
-def _scan(
-    config: ExperimentConfig, system: _System, points: list[_Point]
-) -> tuple[list, dict, dict]:
-    """Rows and critical values of one scan, and how it ran.
-
-    Points run on up to --threads workers while BLAS is pinned to one
-    thread; pool.map hands the rows back in scan order. A point's
-    decomposition is released when its row is done, so each worker holds
-    at most one. Once a point fails, points not yet started are skipped,
-    and the failure is raised when its row is reached.
-    """
-    exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
-    failed = threading.Event()
-
-    def measure(point: _Point) -> dict | None:
-        if failed.is_set():
-            return None
-        try:
-            return _solve(point.where, lambda: _measure(
-                system, point, point.solve() if exact else None, config
-            ))
-        except BaseException:
-            failed.set()
-            raise
-
-    with single_threaded_blas() as pinned:
-        workers = min(config.options["threads"], len(points)) if pinned else 1
-        with ThreadPoolExecutor(workers) as pool:
-            rows = list(pool.map(measure, points))
+def _critical(config: ExperimentConfig, system: _System, rows: list[dict]) -> dict:
+    """The critical value and bracket of each curve asked for, along the
+    system's crossing axis."""
     critical: dict = {}
     suffix = system.axis.replace("-", "_")
     for metric, column, threshold, name in (
@@ -449,7 +415,7 @@ def _scan(
             critical[key], critical[key + "_bracket"] = _crossing_entry(
                 [(r[system.axis_column], r[column]) for r in rows], threshold, system.axis
             )
-    return rows, critical, {"workers": workers, "blas_pinned": pinned}
+    return critical
 
 
 def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
@@ -458,6 +424,14 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
     shells = range(config.options["shell_min"], config.options["shell_max"] + 1)
     groups = [partition.group(n) for n in shells]
     rows = [{"shell": g.label, "energy": g.energy} for g in groups]
+    system = _System(
+        columns=HH_COLUMNS,
+        curve_file="hh_curves.csv",
+        axis="energy",
+        axis_column="energy",
+        exact_column="energy_exact_mean",
+        d0=cfg.hbar,  # the uniform shell spacing
+    )
     if "w-pt" in config.options["metrics"]:
         # V goes before build_h forms its own, so the run holds one at a time
         v = henon_heiles.build_v(cfg)
@@ -467,29 +441,29 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
 
     # one decomposition serves every shell of the scan; it is built and
     # solved here, in C3v blocks, serially on one BLAS thread, so its bytes
-    # do not depend on the BLAS thread setting
-    decomp = None
+    # do not depend on the BLAS thread setting. The shells are then
+    # measured in order: they share the solve, so a pool would gain nothing
+    pinned = False  # w-pt alone solves nothing
     if set(config.options["metrics"]) & EXACT_METRICS:
-        with single_threaded_blas():
+        with single_threaded_blas() as pinned:
             h = henon_heiles.build_h(cfg)
             decomp = _solve("henon-heiles-model eigendecomposition", lambda: eigh(h))
         del h
-    points = [
-        _Point(row, g, f"henon-heiles-model at shell {g.label}", lambda: decomp, float)
-        for row, g in zip(rows, groups)
-    ]
-    system = _System(
-        columns=HH_COLUMNS,
-        curve_file="hh_curves.csv",
-        axis="energy",
-        axis_column="energy",
-        exact_column="energy_exact_mean",
-        d0=cfg.hbar,  # the uniform shell spacing
-    )
-    return system, *_scan(config, system, points)
+        rows = [
+            _solve(f"henon-heiles-model at shell {g.label}",
+                   lambda: _measure(config, system, row, g, decomp, float))
+            for row, g in zip(rows, groups)
+        ]
+    return system, rows, _critical(config, system, rows), {"workers": 1, "blas_pinned": pinned}
 
 
 def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
+    """Kepler's scan: every gamma has its own solve, so the points run on
+    up to --threads workers while BLAS is pinned to one thread; pool.map
+    hands the rows back in scan order. A point's decomposition is released
+    when its row is done, so each worker holds at most one. Once a point
+    fails, points not yet started are skipped, and the failure is raised
+    when its row is reached."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     with single_threaded_blas():
@@ -501,33 +475,6 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
         for g in partition.groups
         if abs(g.label - cfg.target_shell) == 1
     )
-
-    # W is exactly quadratic in the coupling, so one unit-coupling
-    # evaluation serves the whole grid
-    w_pt_base = (
-        metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0)
-        if "w-pt" in config.options["metrics"]
-        else None
-    )
-
-    points = []
-    for gamma in cfg.gamma_grid:
-        row: dict = {
-            "gamma": gamma,
-            "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma),
-        }
-        if w_pt_base is not None:
-            coupling = gamma * gamma / 8.0
-            row["w_pt"] = w_pt_base * coupling * coupling
-        points.append(
-            _Point(
-                row,
-                target,
-                f"kepler-model at scan point gamma={gamma!r}",
-                lambda gamma=gamma: eigh(kepler.build_h(cfg, gamma, rho2)),
-                functools.partial(kepler.scaled_energy, gamma=gamma),
-            )
-        )
     system = _System(
         columns=KEPLER_COLUMNS,
         curve_file="kepler_curves.csv",
@@ -537,7 +484,43 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
         exact_column="scaled_energy_exact",
         d0=d0,
     )
-    rows, critical, scan = _scan(config, system, points)
+
+    # W is exactly quadratic in the coupling, so one unit-coupling
+    # evaluation serves the whole grid
+    w_pt_base = (
+        metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0)
+        if "w-pt" in config.options["metrics"]
+        else None
+    )
+    exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
+    failed = threading.Event()
+
+    def measure(gamma: float) -> dict | None:
+        if failed.is_set():
+            return None
+        row: dict = {
+            "gamma": gamma,
+            "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma),
+        }
+        if w_pt_base is not None:
+            coupling = gamma * gamma / 8.0
+            row["w_pt"] = w_pt_base * coupling * coupling
+        if not exact:
+            return row
+        try:
+            return _solve(f"kepler-model at scan point gamma={gamma!r}", lambda: _measure(
+                config, system, row, target, eigh(kepler.build_h(cfg, gamma, rho2)),
+                functools.partial(kepler.scaled_energy, gamma=gamma),
+            ))
+        except BaseException:
+            failed.set()
+            raise
+
+    with single_threaded_blas() as pinned:
+        workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
+        with ThreadPoolExecutor(workers) as pool:
+            rows = list(pool.map(measure, cfg.gamma_grid))
+    critical = _critical(config, system, rows)
     if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the
@@ -552,7 +535,7 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
             value, bracket = None, None
         critical["exact_critical_scaled_energy_mean_axis"] = value
         critical["exact_critical_scaled_energy_mean_axis_bracket"] = bracket
-    return system, rows, critical, scan
+    return system, rows, critical, {"workers": workers, "blas_pinned": pinned}
 
 
 def run(config: ExperimentConfig) -> RunManifest:

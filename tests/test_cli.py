@@ -249,6 +249,27 @@ class TestRun:
                      "--threads", "2", "-o", str(tmp_path)]) == 0
         assert len(calls) == solves
 
+    def test_henon_heiles_runs_no_pool(self, tmp_path, monkeypatch):
+        # every shell shares the one solve, so the shells are measured in order
+        def no_pool(*args, **kwargs):
+            raise AssertionError("Henon-Heiles built a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        assert main([*HH_SMALL, "--metrics", ALL_METRICS, "-o", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scan"] == {"workers": 1, "blas_pinned": linalg._openblas() is not None}
+        assert "threads" not in manifest["config"]
+
+    def test_kepler_w_pt_alone_solves_nothing(self, tmp_path, monkeypatch):
+        # the points still pass through the pool, each without a solve
+        monkeypatch.setattr(cli, "eigh", _fail)
+        assert main([*KEPLER_SMALL, "--metrics", "w-pt", "-o", str(tmp_path)]) == 0
+        _, header, rows = read_csv(tmp_path / "kepler_curves.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[header.index("w_pt")]) > 0.0
+            assert row[header.index("w_exact")] == ""
+
     def test_lambda_zero_no_mixing(self, tmp_path):
         out = tmp_path / "frozen"
         assert main(
@@ -483,9 +504,23 @@ class TestErrors:
     @pytest.mark.parametrize("form", ["flag", "file"])
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, tmp_path, capsys, form, threads):
-        given = {"system": "kepler", "threads": threads}
-        assert main(["validate", *_given(tmp_path, form, given)]) == 2
-        assert "threads must be >= 1" in capsys.readouterr().err
+        # only Kepler's scan reads threads, but a given count is checked for both
+        for system in ("henon-heiles", "kepler"):
+            given = {"system": system, "threads": threads}
+            assert main(["validate", *_given(tmp_path, form, given)]) == 2
+            assert "threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_repeated_metric_rejected(self, tmp_path, capsys, monkeypatch, form):
+        # the same scan with a name given twice would hash differently
+        monkeypatch.setattr(cli, "_run_henon_heiles", lambda config: pytest.fail("computed"))
+        repeated = ["w-pt", "strength-function", "w-pt"]
+        out = tmp_path / "out"
+        given = {"system": "henon-heiles", "output": str(out),
+                 "metrics": repeated if form == "file" else ",".join(repeated)}
+        assert main(["run", *_given(tmp_path, form, given)]) == 2
+        assert "metrics named more than once: ['w-pt']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "form, given, key",
@@ -715,7 +750,6 @@ SAMPLES = {
         "system": ("henon-heiles", "henon-heiles"),
         "seed": ("3", 3),
         "metrics": ("w-pt,kappa", ["w-pt", "kappa"]),
-        "threads": ("2", 2),
         "selection": ("energy-window", "energy-window"),
         "hbar": ("0.02", 0.02),
         "lambda": ("0.5", 0.5),
@@ -786,10 +820,10 @@ class TestOptionTable:
             manifests.append(json.loads((tmp_path / "out" / "manifest.json").read_text()))
         by_flag, by_file = manifests
         # the keys the config hash is taken over: shared ones plus the system's own
-        shared = {"system", "output", "seed", "metrics", "threads", "selection"}
+        shared = {"system", "output", "seed", "metrics", "selection"}
         own = {
             "henon-heiles": {"hbar", "lambda", "num_shells", "shell_min", "shell_max"},
-            "kepler": {"max_n", "m", "target_shell", "gamma_grid"},
+            "kepler": {"max_n", "m", "target_shell", "gamma_grid", "threads"},
         }[system]
         assert set(by_flag["config"]) == shared | own
         assert by_flag["config"] == by_file["config"]
