@@ -4,7 +4,9 @@ The system is the unit-mass, unit-frequency planar oscillator with the odd
 cubic coupling q1^2 q2 - q2^3/3 = Im(z^3) / 3, z = q1 + i q2. The basis
 states are i^l |n_+, n_->, with n_+ and n_- quanta of the circular modes
 a_+- = (a1 -+ i a2) / sqrt(2), shell N = n_+ + n_- and angular momentum
-l = n_+ - n_-. There z = sqrt(hbar) (a_- + a_+^dagger), the phases i^l make
+l = n_+ - n_-. enumerate_basis gives each state's quanta (n_+, n_-) in the
+layout of linalg.triangular_basis: shell N holds n_+ = 0 .. N from index
+N(N+1)/2. There z = sqrt(hbar) (a_- + a_+^dagger), the phases i^l make
 the coupling the real (z^3 + z^3^T) / 6, and V is written in closed form:
 each term C(3, k) a_-^k a_+^dagger^(3-k) of z^3 gives elements
 hbar^(3/2) / 6 * C(3, k) * sqrt(integer), the integer formed exactly, so
@@ -28,26 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .linalg import ShellGroup, ShellPartition, SymmetricMatrix
-
-
-@dataclass(frozen=True)
-class OscState:
-    """One circular oscillator state i^l |n_+, n_->, l = n_+ - n_-."""
-
-    n_plus: int
-    n_minus: int
-
-    @property
-    def shell(self) -> int:
-        return self.n_plus + self.n_minus
-
-    @property
-    def l(self) -> int:
-        return self.n_plus - self.n_minus
-
-    def energy(self, hbar: float) -> float:
-        return hbar * (self.shell + 1)
+from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 
 @dataclass(frozen=True)
@@ -71,7 +54,7 @@ class HHConfig:
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigurationError(f"lambda must be non-negative, got {self.lam}")
         # finiteness first: int() raises its own errors on NaN and infinities
-        if not (
+        if isinstance(self.num_shells, bool) or not (
             math.isfinite(self.num_shells)
             and int(self.num_shells) == self.num_shells
             and self.num_shells >= 1
@@ -79,31 +62,21 @@ class HHConfig:
             raise ConfigurationError(
                 f"num_shells must be a positive integer, got {self.num_shells}"
             )
+        # an integral float is kept as the int it equals, which the basis needs
+        object.__setattr__(self, "num_shells", int(self.num_shells))
 
 
-def enumerate_basis(cfg: HHConfig) -> tuple[list[OscState], ShellPartition]:
-    """Canonical basis order: ascending shell N, then ascending n_+; shell
-    N starts at index N(N+1)/2."""
-    states: list[OscState] = []
-    groups: list[ShellGroup] = []
-    for n in range(cfg.num_shells):
-        start = len(states)
-        for n_plus in range(n + 1):
-            states.append(OscState(n_plus, n - n_plus))
-        groups.append(
-            ShellGroup(
-                label=n,
-                indices=tuple(range(start, len(states))),
-                energy=cfg.hbar * (n + 1),
-            )
-        )
-    return states, ShellPartition(tuple(groups))
+def enumerate_basis(cfg: HHConfig) -> tuple[np.ndarray, ShellPartition]:
+    """The quanta (n_+, n_-) of each state, in linalg.triangular_basis's
+    order: ascending shell N, then ascending n_+; shell N starts at index
+    N(N+1)/2 and has energy hbar*(N+1). Also the partition into shells."""
+    return triangular_basis(cfg.num_shells, 0, lambda n: cfg.hbar * (n + 1))
 
 
 def build_h0(cfg: HHConfig) -> SymmetricMatrix:
     """Diagonal harmonic part, entries hbar*(N+1)."""
-    states, _ = enumerate_basis(cfg)
-    return SymmetricMatrix(np.diag([s.energy(cfg.hbar) for s in states]))
+    quanta, _ = enumerate_basis(cfg)
+    return SymmetricMatrix(np.diag(cfg.hbar * (quanta.sum(axis=1) + 1)))
 
 
 def build_v(cfg: HHConfig) -> SymmetricMatrix:
@@ -122,26 +95,24 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
     which swaps blocks 1 and 2; construction checks both bitwise on the
     nonzeros.
     """
-    size = cfg.num_shells
-    shell = np.repeat(np.arange(size), np.arange(1, size + 1))
-    start = shell * (shell + 1) // 2
-    n_plus = np.arange(shell.size) - start
-    n_minus = shell - n_plus
+    quanta, partition = enumerate_basis(cfg)
+    n_plus, n_minus = quanta.T
+    shell = n_plus + n_minus
+    starts = np.array([g.indices[0] for g in partition.groups])
     bras, kets, values = [], [], []
     for k in range(4):
-        ket = np.flatnonzero((n_minus >= k) & (shell + 3 - 2 * k < size))
+        ket = np.flatnonzero((n_minus >= k) & (shell + 3 - 2 * k < cfg.num_shells))
         # the integer under the root, exact in int64
         root = np.sqrt(
             (n_plus[ket, None] + np.arange(1, 4 - k)).prod(axis=1)
             * (n_minus[ket, None] - np.arange(k)).prod(axis=1)
         )
-        bra_shell = shell[ket] + 3 - 2 * k
-        bras.append(bra_shell * (bra_shell + 1) // 2 + n_plus[ket] + 3 - k)
+        bras.append(starts[shell[ket] + 3 - 2 * k] + n_plus[ket] + 3 - k)
         kets.append(ket)
         values.append(cfg.hbar ** 1.5 / 6.0 * math.comb(3, k) * root)
     return SymmetricMatrix.from_nonzeros(
-        shell.size, np.concatenate(bras), np.concatenate(kets), np.concatenate(values),
-        perm=start + n_minus, blocks=(n_plus - n_minus) % 3,
+        len(quanta), np.concatenate(bras), np.concatenate(kets), np.concatenate(values),
+        perm=triangular_exchange(quanta), blocks=(n_plus - n_minus) % 3,
     )
 
 
@@ -150,9 +121,8 @@ def build_h(cfg: HHConfig) -> SymmetricMatrix:
     with V's C3v structure: the diagonal H0 depends on the shell alone, so
     it is mirror-invariant and needs only the O(dim) check of
     SymmetricMatrix.scaled_plus_diagonal."""
-    states, _ = enumerate_basis(cfg)
-    energies = np.array([s.energy(cfg.hbar) for s in states])
-    return build_v(cfg).scaled_plus_diagonal(cfg.lam, energies)
+    quanta, _ = enumerate_basis(cfg)
+    return build_v(cfg).scaled_plus_diagonal(cfg.lam, cfg.hbar * (quanta.sum(axis=1) + 1))
 
 
 def bound_energy_ceiling(lam: float) -> float:

@@ -19,6 +19,10 @@ element between shells n and n' then separates into two 1D integrals
 and  <n1 n2|rho^2|n1' n2'> = (C_n C_n'/4) * (J_2(n1,n1') J_1(n2,n2')
                               + J_1(n1,n1') J_2(n2,n2')),  C_n = sqrt(2)/n^2.
 
+The basis is linalg.triangular_basis with quanta (n1, n2): shell n holds
+|n1, n - 1 - n1> in ascending n1 from index n(n-1)/2, and the n1 <-> n2
+exchange (z-parity) is the symmetry every matrix declares.
+
 Each integrand is e^-t times a polynomial of degree at most 2 max_n, so
 one N-node Gauss-Laguerre rule (numpy's laggauss) with t^k folded into its
 weights gives J_1 and J_2 exactly, since N >= max_n + 4. Both k share one
@@ -41,7 +45,7 @@ import numpy as np
 from numpy.polynomial import laguerre
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .linalg import ShellGroup, ShellPartition, SymmetricMatrix
+from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 QUADRATURE_AGREEMENT_RTOL = 1e-8
 # Both rule sizes integrate the polynomial integrands exactly, so any
@@ -52,8 +56,9 @@ QUADRATURE_AGREEMENT_RTOL = 1e-8
 QUADRATURE_FLOOR_REL = 1e-6
 
 
-def shell_energy(n: int) -> float:
-    """Coulomb bound energy -1/(2 n^2) in atomic units."""
+def shell_energy(n):
+    """Coulomb bound energy -1/(2 n^2) in atomic units, of an int or
+    elementwise of an int array."""
     return -0.5 / (n * n)
 
 
@@ -74,23 +79,6 @@ def default_gamma_grid(
 
 
 @dataclass(frozen=True)
-class ParabolicState:
-    """Hydrogen bound state |n1, n2, m> in parabolic quantum numbers."""
-
-    n1: int
-    n2: int
-    m: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2 + abs(self.m) + 1
-
-    @property
-    def energy(self) -> float:
-        return shell_energy(self.n)
-
-
-@dataclass(frozen=True)
 class KeplerConfig:
     max_n: int = 20
     m: int = 0
@@ -99,13 +87,13 @@ class KeplerConfig:
 
     def __post_init__(self):
         # finiteness first: int() raises its own errors on NaN and infinities
-        if not (
+        if isinstance(self.max_n, bool) or not (
             math.isfinite(self.max_n) and int(self.max_n) == self.max_n and self.max_n >= 1
         ):
             raise ConfigurationError(f"max_n must be a positive integer, got {self.max_n}")
         if self.m != 0:
             raise ConfigurationError("only the m=0 subspace is supported")
-        if not (
+        if isinstance(self.target_shell, bool) or not (
             math.isfinite(self.target_shell)
             and int(self.target_shell) == self.target_shell
             and 1 <= self.target_shell <= self.max_n
@@ -113,6 +101,9 @@ class KeplerConfig:
             raise ConfigurationError(
                 f"target_shell must lie in [1, max_n={self.max_n}], got {self.target_shell}"
             )
+        # integral floats are kept as the ints they equal, which the basis needs
+        object.__setattr__(self, "max_n", int(self.max_n))
+        object.__setattr__(self, "target_shell", int(self.target_shell))
         given = default_gamma_grid(self.target_shell) if self.gamma_grid is None else self.gamma_grid
         grid = tuple(float(g) for g in given)
         if not grid or any(not math.isfinite(g) or g <= 0 for g in grid):
@@ -120,29 +111,18 @@ class KeplerConfig:
         object.__setattr__(self, "gamma_grid", grid)
 
 
-def enumerate_parabolic_basis(cfg: KeplerConfig) -> tuple[list[ParabolicState], ShellPartition]:
-    """Canonical order: ascending principal n, then ascending n1. Shell n
-    holds n states at m=0."""
-    states: list[ParabolicState] = []
-    groups: list[ShellGroup] = []
-    for n in range(1, cfg.max_n + 1):
-        start = len(states)
-        for n1 in range(n):
-            states.append(ParabolicState(n1, n - 1 - n1, 0))
-        groups.append(
-            ShellGroup(
-                label=n,
-                indices=tuple(range(start, len(states))),
-                energy=shell_energy(n),
-            )
-        )
-    return states, ShellPartition(tuple(groups))
+def enumerate_parabolic_basis(cfg: KeplerConfig) -> tuple[np.ndarray, ShellPartition]:
+    """The quanta (n1, n2) of each m=0 state, in linalg.triangular_basis's
+    order: ascending principal n = n1 + n2 + 1, then ascending n1; shell n
+    holds n states and has energy -1/(2n^2). Also the partition into
+    shells."""
+    return triangular_basis(cfg.max_n, 1, shell_energy)
 
 
 def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
-    states, partition = enumerate_parabolic_basis(cfg)
+    quanta, partition = enumerate_parabolic_basis(cfg)
     t, w = laguerre.laggauss(nodes)
-    rho2 = np.zeros((len(states), len(states)))
+    rho2 = np.zeros((len(quanta), len(quanta)))
     starts = {g.label: g.indices[0] for g in partition.groups}
     for n in range(1, cfg.max_n + 1):
         # the shell pairs (n, n' >= n): only one shell's tables at a time
@@ -204,24 +184,17 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     diff = np.subtract(first, second)
     # written so that NaN fails it
     bad = ~(np.abs(diff, out=diff) <= tol)
+    quanta, _ = triangular_basis(cfg.max_n, 1, shell_energy)
     if np.any(bad):
-        states, _ = enumerate_parabolic_basis(cfg)
         i, jdx = np.argwhere(bad)[0]
+        (n1, n2), (n1p, n2p) = quanta[[i, jdx]].tolist()
         raise NumericalError(
-            f"quadrature self-check failed for <{states[i]}|rho^2|{states[jdx]}>: "
+            f"quadrature self-check failed for <n1={n1}, n2={n2}|rho^2|n1={n1p}, n2={n2p}>: "
             f"{first[i, jdx]!r} vs {second[i, jdx]!r} at {nodes}/{2 * nodes} nodes"
         )
     # SymmetricMatrix copies and checks first; only first is held by then
     del second, tol, diff, bad
-    return SymmetricMatrix(first, perm=_exchange(cfg.max_n))
-
-
-def _exchange(max_n: int) -> np.ndarray:
-    """The n1 <-> n2 exchange (z-parity) as a permutation of the basis:
-    within a shell, |n2 n1> sits n2 - n1 places after |n1 n2>."""
-    return np.concatenate(
-        [np.arange(n * (n - 1) // 2, n * (n + 1) // 2)[::-1] for n in range(1, max_n + 1)]
-    )
+    return SymmetricMatrix(first, perm=triangular_exchange(quanta))
 
 
 def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> SymmetricMatrix:
@@ -238,13 +211,12 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> Symmetric
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")
-    states, _ = enumerate_parabolic_basis(cfg)
-    energies = np.array([s.energy for s in states])
-    if rho2.dim != len(states):
+    quanta, _ = enumerate_parabolic_basis(cfg)
+    if rho2.dim != len(quanta):
         raise InputError(
-            f"rho2 has dim {rho2.dim} but the basis holds {len(states)} states"
+            f"rho2 has dim {rho2.dim} but the basis holds {len(quanta)} states"
         )
-    return rho2.scaled_plus_diagonal(gamma * gamma / 8.0, energies)
+    return rho2.scaled_plus_diagonal(gamma * gamma / 8.0, shell_energy(quanta.sum(axis=1) + 1))
 
 
 def scaled_energy(e: float, gamma: float) -> float:

@@ -360,6 +360,36 @@ class ShellPartition:
         raise InputError(f"no group labeled {label!r} in partition")
 
 
+def triangular_basis(
+    num_shells: int, first_label: int, energy: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, ShellPartition]:
+    """The basis layout of both models: shell s = 0 .. num_shells-1 holds
+    the s + 1 states (a, s - a), in ascending a, from index s(s+1)/2, and is
+    the group labeled first_label + s with energy(label).
+
+    Returns the read-only (dim, 2) int array of quanta (a, s - a), one row
+    per state, and the checked partition into shells. energy maps an int
+    array of labels to their energies elementwise.
+    """
+    shell = np.repeat(np.arange(num_shells), np.arange(1, num_shells + 1))
+    a = np.arange(shell.size) - shell * (shell + 1) // 2
+    quanta = np.stack([a, shell - a], axis=1)
+    quanta.flags.writeable = False
+    labels = np.arange(num_shells) + first_label
+    groups = tuple(
+        ShellGroup(label, tuple(range(s * (s + 1) // 2, (s + 1) * (s + 2) // 2)), e)
+        for s, (label, e) in enumerate(zip(labels.tolist(), energy(labels).tolist()))
+    )
+    return quanta, ShellPartition(groups)
+
+
+def triangular_exchange(quanta: np.ndarray) -> np.ndarray:
+    """The exchange (a, b) -> (b, a) of triangular_basis's quanta as a
+    permutation of the basis: (a, b) sits a places into its shell, and
+    (b, a) b places."""
+    return np.arange(len(quanta)) - quanta[:, 0] + quanta[:, 1]
+
+
 def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, validated.
 
@@ -539,9 +569,11 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
     w_i sums y_r^2 over the sector rows r, weighted by each row's share of
     states inside the subset (_Sector.share). Rows are summed in order.
     """
-    idx = np.asarray(list(subset), dtype=int)
+    idx = np.asarray(list(subset))
     if idx.size == 0:
         raise InputError("subset must be nonempty")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InputError(f"subset must hold integer basis indices, got dtype {idx.dtype}")
     if len(set(idx.tolist())) != idx.size:
         raise InputError("subset contains duplicate basis indices")
     if idx.min() < 0 or idx.max() >= d.dim:

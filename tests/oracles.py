@@ -8,8 +8,9 @@ ladder operators, or built in the Cartesian basis and rotated shell by shell
 into the circular one, instead of written in closed form, the parabolic
 rho^2 elements are recomputed in the spherical basis and rotated over, and
 their Gauss-Laguerre rule is also run for all shell pairs at once, the
-spreading width is found by enumerating every contiguous window, and a
-matrix's declared structure is decided by comparing every pair of entries.
+spreading width is found by enumerating every contiguous window, a
+matrix's declared structure is decided by comparing every pair of entries,
+and the basis layout both models share is enumerated one state at a time.
 """
 from __future__ import annotations
 
@@ -27,6 +28,30 @@ from scipy.special import (
 )
 
 from specfrag.linalg import SymmetricMatrix
+
+
+# -------------------------------------------------------------- basis layout
+
+
+def triangular_basis_loop(num_shells: int, first_label: int, energy):
+    """Both models' basis one state at a time: the quanta (a, s - a) of
+    shell s = 0 .. num_shells-1 in ascending a, and per shell the tuple
+    (label, indices, energy(label)) with label = first_label + s, energy
+    called on a Python int."""
+    quanta: list[tuple[int, int]] = []
+    groups: list[tuple[int, tuple[int, ...], float]] = []
+    for s in range(num_shells):
+        start = len(quanta)
+        for a in range(s + 1):
+            quanta.append((a, s - a))
+        label = first_label + s
+        groups.append((label, tuple(range(start, len(quanta))), energy(label)))
+    return quanta, groups
+
+
+def basis_index(quanta: np.ndarray) -> dict[tuple[int, int], int]:
+    """The index of each state, keyed by its quanta (a, b)."""
+    return {(a, b): i for i, (a, b) in enumerate(quanta.tolist())}
 
 
 # ---------------------------------------------------------------- oscillator

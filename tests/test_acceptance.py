@@ -50,7 +50,7 @@ PT_MATCH_TOL = 0.05
 @pytest.fixture(scope="module")
 def hh_scan():
     cfg = HHConfig()  # hbar=0.01, lambda=1, 30 shells
-    states, part = enumerate_basis(cfg)
+    _, part = enumerate_basis(cfg)
     v = build_v(cfg)
     h = build_h(cfg)
     decomp = eigh(h)
@@ -79,7 +79,7 @@ def hh_scan():
 @pytest.fixture(scope="module")
 def kepler_scan():
     cfg = KeplerConfig()  # 20 shells, m=0, target shell 10, default gamma grid
-    states, part = enumerate_parabolic_basis(cfg)
+    _, part = enumerate_parabolic_basis(cfg)
     rho2 = build_rho2(cfg)
     target = part.group(cfg.target_shell)
     e10 = shell_energy(cfg.target_shell)

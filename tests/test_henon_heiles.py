@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    basis_index,
     cartesian_h,
     cartesian_states,
     cartesian_v_matrix,
@@ -12,11 +13,11 @@ from oracles import (
     circular_v_matrix,
     hermite_v_element,
     rotate_to_circular,
+    triangular_basis_loop,
 )
 from specfrag.errors import ConfigurationError, InputError
 from specfrag.henon_heiles import (
     HHConfig,
-    OscState,
     bound_energy_ceiling,
     build_h,
     build_h0,
@@ -27,32 +28,32 @@ from specfrag.linalg import SymmetricMatrix, eigh
 
 
 def test_single_shell_basis():
-    states, part = enumerate_basis(HHConfig(num_shells=1))
-    assert states == [OscState(0, 0)]
+    quanta, part = enumerate_basis(HHConfig(num_shells=1))
+    assert quanta.tolist() == [[0, 0]]
     assert part.groups[0].energy == pytest.approx(0.01)
 
 
 def test_four_shell_basis():
-    states, part = enumerate_basis(HHConfig(num_shells=4))
-    assert len(states) == 10
+    quanta, part = enumerate_basis(HHConfig(num_shells=4))
+    assert len(quanta) == 10
     assert [len(g.indices) for g in part.groups] == [1, 2, 3, 4]
 
 
 def test_triangular_counts():
     for ns, dim in ((30, 465), (31, 496)):
-        states, part = enumerate_basis(HHConfig(num_shells=ns))
-        assert len(states) == ns * (ns + 1) // 2 == dim
+        quanta, part = enumerate_basis(HHConfig(num_shells=ns))
+        assert len(quanta) == ns * (ns + 1) // 2 == dim
         assert len(part.groups) == ns
 
 
 def test_enumeration_order():
-    states, part = enumerate_basis(HHConfig(num_shells=5))
-    shells = [s.shell for s in states]
+    quanta, part = enumerate_basis(HHConfig(num_shells=5))
+    shells = quanta.sum(axis=1).tolist()
     assert shells == sorted(shells)
     for g in part.groups:
-        n_plus = [states[i].n_plus for i in g.indices]
+        n_plus = quanta[list(g.indices), 0].tolist()
         assert n_plus == sorted(n_plus)
-        assert all(states[i].shell == g.label for i in g.indices)
+        assert all(shells[i] == g.label for i in g.indices)
     energies = [g.energy for g in part.groups]
     assert energies == [0.01 * (n + 1) for n in range(5)]
 
@@ -74,6 +75,45 @@ def test_config_rejects_non_finite_num_shells(value):
         HHConfig(num_shells=value)
 
 
+def test_config_rejects_boolean_num_shells():
+    with pytest.raises(ConfigurationError, match="num_shells"):
+        HHConfig(num_shells=True)
+
+
+def test_integral_float_num_shells_builds_as_int():
+    # the basis needs an int: range() and np.arange refuse or mis-type a float
+    cfg = HHConfig(num_shells=6.0)
+    assert type(cfg.num_shells) is int
+    v, expected = build_v(cfg), build_v(HHConfig(num_shells=6))
+    for name in ("entries", "perm", "blocks"):
+        assert getattr(v, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.parametrize("num_shells", [1, 2, 4, 30, 60])
+def test_basis_matches_loop_oracle(num_shells):
+    cfg = HHConfig(num_shells=num_shells)
+    quanta, part = enumerate_basis(cfg)
+    ref_quanta, ref_groups = triangular_basis_loop(
+        num_shells, 0, lambda n: cfg.hbar * (n + 1)
+    )
+    assert quanta.dtype.kind == "i" and not quanta.flags.writeable
+    assert quanta.tolist() == [list(q) for q in ref_quanta]
+    assert [(g.label, g.indices, g.energy) for g in part.groups] == ref_groups
+    assert all(type(g.label) is int and type(g.energy) is float for g in part.groups)
+    # V's diagonal is zero, so H's is H0's
+    diagonal = np.array([cfg.hbar * (a + b + 1) for a, b in ref_quanta])
+    assert np.diag(build_h(cfg).entries).tobytes() == diagonal.tobytes()
+
+
+@pytest.mark.parametrize("num_shells", [1, 2, 4, 30])
+def test_v_declares_the_layouts_exchange(num_shells):
+    # (n_+, n_-) -> (n_-, n_+): shell start plus n_-
+    quanta, groups = triangular_basis_loop(num_shells, 0, float)
+    start = [g[1][0] for g in groups for _ in g[1]]
+    expected = [s + n_minus for s, (_, n_minus) in zip(start, quanta)]
+    np.testing.assert_array_equal(build_v(HHConfig(num_shells=num_shells)).perm, expected)
+
+
 class TestH0:
     def test_ground_energy(self):
         h0 = build_h0(HHConfig(num_shells=3))
@@ -81,9 +121,9 @@ class TestH0:
 
     def test_hbar_one_state(self):
         cfg = HHConfig(hbar=1.0, num_shells=7)
-        states, _ = enumerate_basis(cfg)
+        quanta, _ = enumerate_basis(cfg)
         h0 = build_h0(cfg)
-        i = states.index(OscState(2, 3))
+        i = basis_index(quanta)[2, 3]
         assert h0.entries[i, i] == 6.0
 
     def test_shell_trace(self):
@@ -149,19 +189,20 @@ class TestV:
     def test_pinned_circular_elements(self):
         # z^3 / 6 takes |0, 0> to sqrt(6)/6 |3, 0> and |0, 1> to 3 sqrt(2)/6 |2, 0>
         cfg = HHConfig(num_shells=5)
-        states, _ = enumerate_basis(cfg)
+        quanta, _ = enumerate_basis(cfg)
         v = build_v(cfg).entries
-        i, j, k, m = (states.index(OscState(*s)) for s in ((3, 0), (0, 0), (2, 0), (0, 1)))
+        i, j, k, m = (basis_index(quanta)[s] for s in ((3, 0), (0, 0), (2, 0), (0, 1)))
         assert v[i, j] == v[j, i] == pytest.approx(math.sqrt(6) / 6 * 0.01 ** 1.5, rel=1e-15)
         assert v[k, m] == pytest.approx(3 * math.sqrt(2) / 6 * 0.01 ** 1.5, rel=1e-15)
 
     def test_selection_rule_exact(self):
         cfg = HHConfig(num_shells=7)
-        states, _ = enumerate_basis(cfg)
+        quanta, _ = enumerate_basis(cfg)
         v = build_v(cfg)
-        for i, bra in enumerate(states):
-            for j, ket in enumerate(states):
-                if abs(bra.shell - ket.shell) not in (1, 3) or abs(bra.l - ket.l) != 3:
+        shell, l = quanta.sum(axis=1), quanta[:, 0] - quanta[:, 1]
+        for i in range(len(quanta)):
+            for j in range(len(quanta)):
+                if abs(shell[i] - shell[j]) not in (1, 3) or abs(l[i] - l[j]) != 3:
                     assert v.entries[i, j] == 0.0
 
     def test_build_peak_memory(self):
@@ -235,9 +276,10 @@ class TestH:
 
     def test_c3v_blocks(self):
         cfg = HHConfig(num_shells=10)
-        states, _ = enumerate_basis(cfg)
+        quanta, _ = enumerate_basis(cfg)
         h = build_h(cfg).entries
-        classes = [[i for i, s in enumerate(states) if s.l % 3 == c] for c in range(3)]
+        l = quanta[:, 0] - quanta[:, 1]
+        classes = [np.flatnonzero(l % 3 == c) for c in range(3)]
         for a in range(3):
             for b in range(a + 1, 3):
                 assert np.all(h[np.ix_(classes[a], classes[b])] == 0.0)
@@ -252,30 +294,32 @@ class TestH:
         """H is the constructor's image of the sum H0 + lambda*V, bit for
         bit, signed zeros included."""
         cfg = HHConfig(lam=lam, num_shells=12)
-        states, _ = enumerate_basis(cfg)
-        mirror = [states.index(OscState(s.n_minus, s.n_plus)) for s in states]
+        quanta, _ = enumerate_basis(cfg)
+        index = basis_index(quanta)
+        mirror = [index[n_minus, n_plus] for n_plus, n_minus in quanta.tolist()]
         expected = SymmetricMatrix(
             build_h0(cfg).entries + lam * build_v(cfg).entries,
             mirror,
-            blocks=[s.l % 3 for s in states],
+            blocks=(quanta[:, 0] - quanta[:, 1]) % 3,
         )
         assert build_h(cfg).entries.tobytes() == expected.entries.tobytes()
 
     def test_v_declares_c3v(self):
         cfg = HHConfig(num_shells=7)
-        states, _ = enumerate_basis(cfg)
+        quanta, _ = enumerate_basis(cfg)
+        index = basis_index(quanta)
         v = build_v(cfg)
-        np.testing.assert_array_equal(v.blocks, [s.l % 3 for s in states])
+        np.testing.assert_array_equal(v.blocks, (quanta[:, 0] - quanta[:, 1]) % 3)
         np.testing.assert_array_equal(
-            v.perm, [states.index(OscState(s.n_minus, s.n_plus)) for s in states]
+            v.perm, [index[n_minus, n_plus] for n_plus, n_minus in quanta.tolist()]
         )
 
     def test_declares_c3v(self):
         cfg = HHConfig(num_shells=10)
-        states, _ = enumerate_basis(cfg)
+        quanta, _ = enumerate_basis(cfg)
         h, v = build_h(cfg), build_v(cfg)
         np.testing.assert_array_equal(h.perm, v.perm)
-        np.testing.assert_array_equal(h.blocks, [s.l % 3 for s in states])
+        np.testing.assert_array_equal(h.blocks, (quanta[:, 0] - quanta[:, 1]) % 3)
 
 
 class TestCircular:

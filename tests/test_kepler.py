@@ -9,7 +9,6 @@ import specfrag.kepler as kepler_mod
 from specfrag.errors import ConfigurationError, InputError, NumericalError
 from specfrag.kepler import (
     KeplerConfig,
-    ParabolicState,
     _rho2_entries,
     build_h,
     build_rho2,
@@ -18,7 +17,7 @@ from specfrag.kepler import (
     scaled_energy,
     shell_energy,
 )
-from specfrag.linalg import eigh
+from specfrag.linalg import SymmetricMatrix, eigh
 
 
 def small_cfg(max_n, **kw):
@@ -28,24 +27,24 @@ def small_cfg(max_n, **kw):
 
 
 def test_default_basis_counts():
-    states, part = enumerate_parabolic_basis(KeplerConfig())
-    assert len(states) == 210
+    quanta, part = enumerate_parabolic_basis(KeplerConfig())
+    assert len(quanta) == 210
     assert len(part.groups) == 20
     assert len(part.group(10).indices) == 10
 
 
 def test_single_shell():
-    states, part = enumerate_parabolic_basis(small_cfg(1, target_shell=1))
-    assert states == [ParabolicState(0, 0, 0)]
+    quanta, part = enumerate_parabolic_basis(small_cfg(1, target_shell=1))
+    assert quanta.tolist() == [[0, 0]]
     assert part.groups[0].energy == -0.5
 
 
 def test_enumeration_order_and_energies():
-    states, part = enumerate_parabolic_basis(small_cfg(5))
-    ns = [s.n for s in states]
+    quanta, part = enumerate_parabolic_basis(small_cfg(5))
+    ns = (quanta.sum(axis=1) + 1).tolist()
     assert ns == sorted(ns)
     for g in part.groups:
-        n1s = [states[i].n1 for i in g.indices]
+        n1s = quanta[list(g.indices), 0].tolist()
         assert n1s == list(range(g.label))
         assert g.energy == pytest.approx(-0.5 / g.label ** 2)
     energies = [g.energy for g in part.groups]
@@ -84,6 +83,48 @@ def test_config_rejects_non_finite_sizes(field, value):
         KeplerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["max_n", "target_shell"])
+def test_config_rejects_boolean_sizes(field):
+    # True would otherwise read as 1, which either field accepts here
+    with pytest.raises(ConfigurationError, match=field):
+        KeplerConfig(**{"max_n": 1, "target_shell": 1, field: True})
+
+
+def test_integral_float_sizes_build_as_ints():
+    # the basis needs ints: range() and np.arange refuse or mis-type floats
+    cfg = KeplerConfig(max_n=6.0, target_shell=3.0)
+    assert type(cfg.max_n) is int and type(cfg.target_shell) is int
+    expected = KeplerConfig(max_n=6, target_shell=3)
+    assert cfg.gamma_grid == expected.gamma_grid
+    rho2, ref = build_rho2(cfg), build_rho2(expected)
+    for name in ("entries", "perm", "blocks"):
+        assert getattr(rho2, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 4, 30, 40])
+def test_basis_matches_loop_oracle(max_n):
+    cfg = small_cfg(max_n)
+    quanta, part = enumerate_parabolic_basis(cfg)
+    ref_quanta, ref_groups = oracles.triangular_basis_loop(max_n, 1, shell_energy)
+    assert quanta.dtype.kind == "i" and not quanta.flags.writeable
+    assert quanta.tolist() == [list(q) for q in ref_quanta]
+    assert [(g.label, g.indices, g.energy) for g in part.groups] == ref_groups
+    assert all(type(g.label) is int and type(g.energy) is float for g in part.groups)
+    # with a zero rho^2, H is its diagonal alone
+    zero = SymmetricMatrix(np.zeros((len(quanta), len(quanta))))
+    diagonal = np.array([shell_energy(n1 + n2 + 1) for n1, n2 in ref_quanta])
+    assert np.diag(build_h(cfg, 1e-3, zero).entries).tobytes() == diagonal.tobytes()
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 4, 30])
+def test_rho2_declares_the_layouts_exchange(max_n):
+    # (n1, n2) -> (n2, n1): shell start plus n2
+    quanta, groups = oracles.triangular_basis_loop(max_n, 1, float)
+    start = [g[1][0] for g in groups for _ in g[1]]
+    expected = [s + n2 for s, (_, n2) in zip(start, quanta)]
+    np.testing.assert_array_equal(build_rho2(small_cfg(max_n)).perm, expected)
+
+
 class TestRho2:
     def test_hydrogen_ground_expectation(self):
         rho2 = build_rho2(small_cfg(2))
@@ -94,18 +135,20 @@ class TestRho2:
 
     def test_exchange_symmetry(self):
         cfg = small_cfg(5)
-        states, _ = enumerate_parabolic_basis(cfg)
+        quanta, _ = enumerate_parabolic_basis(cfg)
         rho2 = build_rho2(cfg).entries
-        swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
+        index = oracles.basis_index(quanta)
+        swap = [index[n2, n1] for n1, n2 in quanta.tolist()]
         np.testing.assert_array_equal(rho2, rho2[np.ix_(swap, swap)])
 
     def test_declares_exchange(self):
         cfg = small_cfg(5)
-        states, _ = enumerate_parabolic_basis(cfg)
+        quanta, _ = enumerate_parabolic_basis(cfg)
         rho2 = build_rho2(cfg)
-        swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
+        index = oracles.basis_index(quanta)
+        swap = [index[n2, n1] for n1, n2 in quanta.tolist()]
         np.testing.assert_array_equal(rho2.perm, swap)
-        np.testing.assert_array_equal(rho2.blocks, np.zeros(len(states)))
+        np.testing.assert_array_equal(rho2.blocks, np.zeros(len(quanta)))
 
     def test_positive_semidefinite(self):
         rho2 = build_rho2(KeplerConfig()).entries
@@ -160,26 +203,27 @@ class TestRho2:
 
     def test_self_check_failure_named(self, monkeypatch):
         monkeypatch.setattr(kepler_mod, "QUADRATURE_AGREEMENT_RTOL", 0.0)
-        with pytest.raises(NumericalError, match="rho\\^2"):
+        with pytest.raises(NumericalError, match=r"<n1=\d+, n2=\d+\|rho\^2\|n1=\d+, n2=\d+>"):
             build_rho2(small_cfg(6))
 
 
 class TestHamiltonian:
     def test_gamma_zero_is_coulomb_diagonal(self):
         cfg = small_cfg(4)
-        states, _ = enumerate_parabolic_basis(cfg)
+        quanta, _ = enumerate_parabolic_basis(cfg)
         h = build_h(cfg, 0.0, build_rho2(cfg))
-        expected = np.diag([shell_energy(s.n) for s in states])
+        expected = np.diag([shell_energy(n1 + n2 + 1) for n1, n2 in quanta.tolist()])
         assert h.entries.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-3])
     def test_declares_exchange_at_every_gamma(self, gamma):
         cfg = small_cfg(5)
-        states, _ = enumerate_parabolic_basis(cfg)
-        swap = [states.index(ParabolicState(s.n2, s.n1, 0)) for s in states]
+        quanta, _ = enumerate_parabolic_basis(cfg)
+        index = oracles.basis_index(quanta)
+        swap = [index[n2, n1] for n1, n2 in quanta.tolist()]
         h = build_h(cfg, gamma, build_rho2(cfg))
         np.testing.assert_array_equal(h.perm, swap)
-        np.testing.assert_array_equal(h.blocks, np.zeros(len(states)))
+        np.testing.assert_array_equal(h.blocks, np.zeros(len(quanta)))
 
     def test_gamma_difference_is_scaled_rho2(self):
         cfg = small_cfg(5)
@@ -195,9 +239,10 @@ class TestHamiltonian:
 
     def test_bitwise_equal_to_diagonal_plus_scaled_rho2(self):
         cfg = small_cfg(6)
-        states, _ = enumerate_parabolic_basis(cfg)
+        quanta, _ = enumerate_parabolic_basis(cfg)
         rho2 = build_rho2(cfg)
-        expected = np.diag([s.energy for s in states]) + (0.3 ** 2 / 8.0) * rho2.entries
+        energies = [shell_energy(n1 + n2 + 1) for n1, n2 in quanta.tolist()]
+        expected = np.diag(energies) + (0.3 ** 2 / 8.0) * rho2.entries
         assert build_h(cfg, 0.3, rho2=rho2).entries.tobytes() == expected.tobytes()
 
     def test_rejects_negative_gamma(self):
@@ -213,7 +258,7 @@ class TestHamiltonian:
         """Exact eigenvalues at small gamma, Richardson-extrapolated in
         gamma^2, reproduce the secular eigenvalues of the shell block."""
         cfg = KeplerConfig(max_n=12, target_shell=10, gamma_grid=(1e-4,))
-        states, part = enumerate_parabolic_basis(cfg)
+        _, part = enumerate_parabolic_basis(cfg)
         rho2 = build_rho2(cfg)
         ix = np.array(part.group(10).indices)
         block = rho2.entries[np.ix_(ix, ix)]

@@ -498,6 +498,14 @@ class TestProjection:
         with pytest.raises(InputError):
             projection_onto_subset(d, [0, 0])
 
+    @pytest.mark.parametrize("subset", [[1.7, 2.2], [1.0], [True], np.array([0.0, 2.0])],
+                             ids=["fractions", "integral-float", "bool", "float-array"])
+    def test_rejects_non_integer_subset(self, subset):
+        # int() would read [1.7, 2.2] as the states [1, 2] and True as 1
+        d = eigh(SymmetricMatrix(np.diag([1.0, 2.0, 3.0, 4.0])))
+        with pytest.raises(InputError, match="integer"):
+            projection_onto_subset(d, subset)
+
 
 class TestShellPartition:
     def test_valid_partition(self):

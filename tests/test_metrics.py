@@ -22,7 +22,7 @@ from specfrag.metrics import (
 
 def hh_system(num_shells=12, lam=1.0):
     cfg = HHConfig(lam=lam, num_shells=num_shells)
-    states, part = enumerate_basis(cfg)
+    _, part = enumerate_basis(cfg)
     d = eigh(build_h(cfg))
     return cfg, part, d
 
