@@ -31,9 +31,11 @@ config echo and hash.
 
 Exit codes: 0 success, 2 invalid configuration or an output that cannot
 be written, 3 numerical failure (the message names the stage: Kepler's
-rho^2 build, Henon-Heiles's eigendecomposition, or the scan point whose
-solve or metrics failed; a metric's InputError on a value the run computed
-counts as numerical). Every bad input exits 2 before any compute: a
+rho^2 build, either system's V or rho^2 first-order estimate (w-pt),
+Henon-Heiles's H build and eigendecomposition, the scan point whose solve
+or metrics failed, or the critical values; a metric's InputError on a
+value the run computed, and a float overflow, count as numerical). Every
+bad input exits 2 before any compute: a
 malformed or unknown config value, a JSON boolean where a number belongs,
 an out-of-range option, an output path at or under an existing file, a
 Kepler basis without a shell next to the target (max_n < 2), or a scan too
@@ -138,7 +140,7 @@ OPTIONS = (
     Option("shell_max", ("--shell-max",), _int, None, "henon-heiles", "HH: last scanned shell"),
     Option("max_n", ("--max-n",), _int, _KEPLER.max_n, "kepler",
            "Kepler: number of shells in the basis"),
-    Option("m", (), _int, _KEPLER.m, "kepler"),  # config file only; must be 0
+    Option("m", (), _int, 0, "kepler"),  # config file only; must be 0
     Option("target_shell", ("--target-shell",), _int, _KEPLER.target_shell, "kepler",
            "Kepler: shell under study"),
     Option("gamma_grid", ("--gamma-grid",), _items(_float), None, "kepler",
@@ -279,9 +281,10 @@ def _build_config(raw: dict) -> ExperimentConfig:
             )
         scan, scan_keys = range(opts["shell_min"], opts["shell_max"] + 1), "shell_min/shell_max"
     else:
+        if opts["m"] != 0:
+            raise ConfigurationError("only the m=0 subspace is supported")
         model = kepler.KeplerConfig(
             max_n=opts["max_n"],
-            m=opts["m"],
             target_shell=opts["target_shell"],
             gamma_grid=opts["gamma_grid"],
         )
@@ -368,11 +371,13 @@ class _System:
 def _solve(where: str, solve: Callable):
     """solve(), with a numerical failure of it named by where. Inside a run
     the inputs are the run's own computed values, so an InputError there is
-    a numerical failure too."""
+    a numerical failure too, and so is a float overflow (ArithmeticError)."""
     try:
         return solve()
     except (NumericalError, InputError) as exc:
         raise NumericalError(f"{where}: {exc}") from exc
+    except ArithmeticError as exc:  # its message alone does not say what failed
+        raise NumericalError(f"{where}: {exc!r}") from exc
 
 
 def _measure(config: ExperimentConfig, system: _System, row: dict, group: ShellGroup,
@@ -434,10 +439,12 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
     )
     if "w-pt" in config.options["metrics"]:
         # V goes before build_h forms its own, so the run holds one at a time
-        v = henon_heiles.build_v(cfg)
-        for row, g in zip(rows, groups):
-            row["w_pt"] = metrics.w_perturbative(v, partition, g.label, cfg.lam)
-        del v
+        def w_pt() -> list[float]:
+            v = henon_heiles.build_v(cfg)
+            return [metrics.w_perturbative(v, partition, g.label, cfg.lam) for g in groups]
+
+        for row, value in zip(rows, _solve("henon-heiles-model w-pt", w_pt)):
+            row["w_pt"] = value
 
     # one decomposition serves every shell of the scan; it is built and
     # solved here, in C3v blocks, serially on one BLAS thread, so its bytes
@@ -445,16 +452,18 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
     # measured in order: they share the solve, so a pool would gain nothing
     pinned = False  # w-pt alone solves nothing
     if set(config.options["metrics"]) & EXACT_METRICS:
+        # H is built inside the solve's stage and released once solved
         with single_threaded_blas() as pinned:
-            h = henon_heiles.build_h(cfg)
-            decomp = _solve("henon-heiles-model eigendecomposition", lambda: eigh(h))
-        del h
+            decomp = _solve("henon-heiles-model eigendecomposition",
+                            lambda: eigh(henon_heiles.build_h(cfg)))
         rows = [
             _solve(f"henon-heiles-model at shell {g.label}",
                    lambda: _measure(config, system, row, g, decomp, float))
             for row, g in zip(rows, groups)
         ]
-    return system, rows, _critical(config, system, rows), {"workers": 1, "blas_pinned": pinned}
+    critical = _solve("henon-heiles-model critical values",
+                      lambda: _critical(config, system, rows))
+    return system, rows, critical, {"workers": 1, "blas_pinned": pinned}
 
 
 def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
@@ -488,7 +497,8 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
     # W is exactly quadratic in the coupling, so one unit-coupling
     # evaluation serves the whole grid
     w_pt_base = (
-        metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0)
+        _solve("kepler-model w-pt",
+               lambda: metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0))
         if "w-pt" in config.options["metrics"]
         else None
     )
@@ -520,7 +530,7 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
         workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
         with ThreadPoolExecutor(workers) as pool:
             rows = list(pool.map(measure, cfg.gamma_grid))
-    critical = _critical(config, system, rows)
+    critical = _solve("kepler-model critical values", lambda: _critical(config, system, rows))
     if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all specfrag modules."""
+"""Exception hierarchy shared by all specfrag modules, and the number
+check the model configs share."""
+import numbers
 
 
 class SpecfragError(Exception):
@@ -19,3 +21,9 @@ class NumericalError(SpecfragError):
 
 class ConvergenceError(NumericalError):
     """An iterative numerical procedure failed to converge."""
+
+
+def is_real(value) -> bool:
+    """True for an int or a float, numpy's included; False for a boolean,
+    which Python would read as 0 or 1, and for anything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

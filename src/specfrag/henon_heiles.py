@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, is_real
 from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 
@@ -49,13 +49,15 @@ class HHConfig:
     num_shells: int = 30
 
     def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigurationError(f"lambda must be non-negative, got {self.lam}")
-        # finiteness first: int() raises its own errors on NaN and infinities
-        if isinstance(self.num_shells, bool) or not (
-            math.isfinite(self.num_shells)
+        # a boolean or a string is refused, not read as a number; finiteness
+        # before int(), which raises its own errors on NaN and infinities
+        if not (is_real(self.hbar) and math.isfinite(self.hbar) and self.hbar > 0):
+            raise ConfigurationError(f"hbar must be positive, got {self.hbar!r}")
+        if not (is_real(self.lam) and math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigurationError(f"lambda must be non-negative, got {self.lam!r}")
+        if not (
+            is_real(self.num_shells)
+            and math.isfinite(self.num_shells)
             and int(self.num_shells) == self.num_shells
             and self.num_shells >= 1
         ):
@@ -71,12 +73,6 @@ def enumerate_basis(cfg: HHConfig) -> tuple[np.ndarray, ShellPartition]:
     order: ascending shell N, then ascending n_+; shell N starts at index
     N(N+1)/2 and has energy hbar*(N+1). Also the partition into shells."""
     return triangular_basis(cfg.num_shells, 0, lambda n: cfg.hbar * (n + 1))
-
-
-def build_h0(cfg: HHConfig) -> SymmetricMatrix:
-    """Diagonal harmonic part, entries hbar*(N+1)."""
-    quanta, _ = enumerate_basis(cfg)
-    return SymmetricMatrix(np.diag(cfg.hbar * (quanta.sum(axis=1) + 1)))
 
 
 def build_v(cfg: HHConfig) -> SymmetricMatrix:

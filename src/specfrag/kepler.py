@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import laguerre
 
-from .errors import ConfigurationError, InputError, NumericalError
+from .errors import ConfigurationError, InputError, NumericalError, is_real
 from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 QUADRATURE_AGREEMENT_RTOL = 1e-8
@@ -62,39 +62,37 @@ def shell_energy(n):
     return -0.5 / (n * n)
 
 
-def default_gamma_grid(
-    target_shell: int = 10,
-    eps_lo: float = -0.80,
-    eps_hi: float = -0.30,
-    points: int = 61,
-) -> tuple[float, ...]:
-    """Geometric gamma grid whose zeroth-order scaled energies for the
-    target shell span [eps_lo, eps_hi]."""
-    if eps_lo >= eps_hi or eps_hi >= 0:
-        raise ConfigurationError("need eps_lo < eps_hi < 0")
+# the scaled-energy window of the default scan, and its number of points
+DEFAULT_EPS_WINDOW = (-0.80, -0.30)
+DEFAULT_GRID_POINTS = 61
+
+
+def default_gamma_grid(target_shell: int = 10) -> tuple[float, ...]:
+    """The default scan: DEFAULT_GRID_POINTS geometric gamma values whose
+    zeroth-order scaled energies E_n * gamma^(-2/3) for the target shell
+    run from -0.8 to -0.3 (DEFAULT_EPS_WINDOW), the transition window."""
     e_n = abs(shell_energy(target_shell))
-    g_lo = (e_n / abs(eps_lo)) ** 1.5
-    g_hi = (e_n / abs(eps_hi)) ** 1.5
-    return tuple(float(g) for g in np.geomspace(g_lo, g_hi, points))
+    g_lo, g_hi = ((e_n / abs(eps)) ** 1.5 for eps in DEFAULT_EPS_WINDOW)
+    return tuple(float(g) for g in np.geomspace(g_lo, g_hi, DEFAULT_GRID_POINTS))
 
 
 @dataclass(frozen=True)
 class KeplerConfig:
     max_n: int = 20
-    m: int = 0
     target_shell: int = 10
     gamma_grid: tuple[float, ...] | None = None  # None: default_gamma_grid(target_shell)
 
     def __post_init__(self):
-        # finiteness first: int() raises its own errors on NaN and infinities
-        if isinstance(self.max_n, bool) or not (
-            math.isfinite(self.max_n) and int(self.max_n) == self.max_n and self.max_n >= 1
+        # a boolean or a string is refused, not read as a number; finiteness
+        # before int(), which raises its own errors on NaN and infinities
+        if not (
+            is_real(self.max_n) and math.isfinite(self.max_n)
+            and int(self.max_n) == self.max_n and self.max_n >= 1
         ):
             raise ConfigurationError(f"max_n must be a positive integer, got {self.max_n}")
-        if self.m != 0:
-            raise ConfigurationError("only the m=0 subspace is supported")
-        if isinstance(self.target_shell, bool) or not (
-            math.isfinite(self.target_shell)
+        if not (
+            is_real(self.target_shell)
+            and math.isfinite(self.target_shell)
             and int(self.target_shell) == self.target_shell
             and 1 <= self.target_shell <= self.max_n
         ):
@@ -105,10 +103,13 @@ class KeplerConfig:
         object.__setattr__(self, "max_n", int(self.max_n))
         object.__setattr__(self, "target_shell", int(self.target_shell))
         given = default_gamma_grid(self.target_shell) if self.gamma_grid is None else self.gamma_grid
-        grid = tuple(float(g) for g in given)
-        if not grid or any(not math.isfinite(g) or g <= 0 for g in grid):
+        try:
+            grid = tuple(given)
+        except TypeError:  # a lone number is not a grid
+            grid = ()
+        if not grid or not all(is_real(g) and math.isfinite(g) and g > 0 for g in grid):
             raise ConfigurationError("gamma_grid must hold one or more positive finite values")
-        object.__setattr__(self, "gamma_grid", grid)
+        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in grid))
 
 
 def enumerate_parabolic_basis(cfg: KeplerConfig) -> tuple[np.ndarray, ShellPartition]:

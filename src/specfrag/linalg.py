@@ -25,13 +25,13 @@ model: SymmetricMatrix.scaled_plus_diagonal forms c*A + diag(d) from an
 already checked A and checks only that d is invariant, so a scan over
 couplings never repeats the dim x dim check. Decompositions are validated
 on the spot: orthogonality, residual and completeness checks run on every
-block right after its solve, and a violation, NaN included, raises
-ConvergenceError instead of letting bad numbers propagate into the
-metrics.
+block right after its solve, and a violation, NaN or a block norm that
+overflows included, raises ConvergenceError instead of letting bad numbers
+propagate into the metrics.
 
-Decompositions stay in sector form. projection_onto_subset, and with it
-every metric, reads the block eigenvectors directly; the full-basis
-eigenvectors are assembled from the sectors on each access.
+Decompositions stay in sector form, and that form is their whole
+contract: projection_onto_subset, and with it every metric, reads the
+block eigenvectors directly, and no full-basis eigenvector is formed.
 
 numpy's solves release the GIL, so independent decompositions can run on
 several Python threads at once. single_threaded_blas pins numpy's bundled
@@ -56,7 +56,6 @@ from .errors import ConvergenceError, InputError
 ORTHOGONALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
-BLOCK_UNITARY_TOL = 1e-12
 
 
 class SymmetricMatrix:
@@ -283,13 +282,8 @@ class SectorEigenpairs:
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix, kept per symmetry sector.
-
-    Column i of ``eigenvectors`` holds the coefficients of eigenstate i in
-    the basis the matrix was written in. That dim x dim array is assembled
-    from the sectors on each access; the metrics never need it (see
-    projection_onto_subset).
-    """
+    matrix, kept per symmetry sector: eigenstate i is the sector
+    eigenvector whose merged column is i (see projection_onto_subset)."""
 
     eigenvalues: np.ndarray
     sectors: tuple[SectorEigenpairs, ...]
@@ -297,13 +291,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        vecs = np.zeros((self.dim, self.dim))
-        for part in self.sectors:
-            part.sector.scatter(part.vectors, vecs, part.columns)
-        return vecs
 
 
 @dataclass(frozen=True)
@@ -409,7 +396,8 @@ def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
 
     The entries are finite: the constructor and scaled_plus_diagonal refuse
     any other. Raises ConvergenceError (naming the full matrix dimension)
-    if a block solve fails or violates a tolerance, or yields NaN.
+    if a block solve fails, violates a tolerance or yields NaN, or if a
+    block's Frobenius norm, the residual gate's scale, overflows.
     """
     h = m.entries
     dim = m.dim
@@ -476,15 +464,6 @@ class _Sector:
         pair = inside[self.reps] + inside[self.partners]
         return np.concatenate([inside[self.fixed], 0.5 * pair])
 
-    def scatter(self, y: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
-        """Write the full-basis coefficients of the block eigenvectors y
-        (one per column) into the columns cols of out."""
-        nf = self.fixed.size
-        out[np.ix_(self.fixed, cols)] = y[:nf]
-        pair = y[nf:] / _SQRT2
-        out[np.ix_(self.reps, cols)] = pair
-        out[np.ix_(self.partners, cols)] = self.parity * pair
-
 
 def _sectors(perm: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
     """The nonempty sectors of P, orbit by orbit of the blocks under P in
@@ -537,7 +516,10 @@ def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(
             f"eigenvectors of {where} lost orthogonality (deviation {ortho:.3e})"
         )
+    # an overflowed norm would make the residual gate below check nothing
     fro = np.linalg.norm(b)
+    if not math.isfinite(fro):
+        raise ConvergenceError(f"the Frobenius norm of {where} is not finite ({fro})")
     resid = np.matmul(b, vecs, out=gram)
     scratch = np.multiply(vecs, vals, out=np.empty_like(vecs))
     resid -= scratch

@@ -10,7 +10,9 @@ rho^2 elements are recomputed in the spherical basis and rotated over, and
 their Gauss-Laguerre rule is also run for all shell pairs at once, the
 spreading width is found by enumerating every contiguous window, a
 matrix's declared structure is decided by comparing every pair of entries,
-and the basis layout both models share is enumerated one state at a time.
+the basis layout both models share is enumerated one state at a time, and
+a decomposition's full-basis eigenvectors are assembled from its sectors,
+which the library itself never does.
 """
 from __future__ import annotations
 
@@ -55,6 +57,14 @@ def basis_index(quanta: np.ndarray) -> dict[tuple[int, int], int]:
 
 
 # ---------------------------------------------------------------- oscillator
+
+def build_h0(cfg) -> SymmetricMatrix:
+    """The Hénon–Heiles harmonic part: diagonal, hbar * (N + 1) on each of
+    the N + 1 states of shell N, written one state at a time."""
+    return SymmetricMatrix(np.diag(
+        [cfg.hbar * (n + 1) for n in range(cfg.num_shells) for _ in range(n + 1)]
+    ))
+
 
 def hermite_v_element(bra: tuple, ket: tuple, hbar: float, nodes: int = 24) -> float:
     """<bra|q1^2 q2 - q2^3/3|ket> by 2D Gauss-Hermite quadrature.
@@ -395,3 +405,23 @@ def dense_structure_check(a, perm, blocks) -> np.ndarray | None:
             if labels[i] != labels[j] and m[i, j] != 0.0:
                 return None
     return m
+
+
+def assembled_eigenvectors(d) -> np.ndarray:
+    """The dim x dim matrix whose column i holds eigenstate i of the
+    decomposition d in the basis its matrix was written in.
+
+    A sector's row r is a fixed basis state, or the pair
+    (e_r + parity * e_q) / sqrt(2) with q its partner, so a block
+    eigenvector y puts y_r on a fixed state, y_r / sqrt(2) on r and
+    parity * y_r / sqrt(2) on q.
+    """
+    vecs = np.zeros((d.dim, d.dim))
+    for part in d.sectors:
+        sec, y, cols = part.sector, part.vectors, part.columns
+        nf = sec.fixed.size
+        vecs[np.ix_(sec.fixed, cols)] = y[:nf]
+        pair = y[nf:] / math.sqrt(2.0)
+        vecs[np.ix_(sec.reps, cols)] = pair
+        vecs[np.ix_(sec.partners, cols)] = sec.parity * pair
+    return vecs

@@ -627,6 +627,39 @@ class TestErrors:
         assert "kepler-model rho^2 build" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, stage", [
+        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e250"],
+         "henon-heiles-model w-pt: OverflowError"),
+        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e250", "--metrics", "w-exact"],
+         "henon-heiles-model eigendecomposition: OverflowError"),
+        # V is finite, its block norms and W_pt overflow
+        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e200"],
+         "henon-heiles-model eigendecomposition: the Frobenius norm of"),
+        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e200", "--metrics", "w-pt"],
+         "henon-heiles-model critical values: curve samples must be finite"),
+        (["--system", "kepler", "--max-n", "6", "--target-shell", "3",
+          "--gamma-grid", "1e160,1e161", "--metrics", "w-pt"],
+         "kepler-model critical values: curve samples must be finite"),
+    ], ids=["hh-v-build", "hh-h-build", "hh-block-norm", "hh-w-pt", "kepler-w-pt"])
+    def test_overflow_exits_3_named(self, tmp_path, capsys, argv, stage):
+        out = tmp_path / "out"
+        assert main(["run", *argv, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: " + stage in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_kepler_m_other_than_zero_rejected_before_compute(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_kepler", lambda config: pytest.fail("computed"))
+        out = tmp_path / "out"
+        given = {"system": "kepler", "m": 1, "output": str(out)}
+        assert main(["run", *_given(tmp_path, "file", given)]) == 2
+        assert "only the m=0 subspace is supported" in capsys.readouterr().err
+        assert not out.exists()
+        # a Henon-Heiles run ignores Kepler's well-formed keys
+        given = {"system": "henon-heiles", "num_shells": 8, "m": 1}
+        assert main(["validate", *_given(tmp_path, "file", given)]) == 0
+
     def test_one_point_strength_function_scan_runs(self, tmp_path):
         assert main(
             ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
@@ -672,7 +705,7 @@ class TestLibraryNumbers:
             self.assert_row(row, w_pt, decomp, partition.group(n), cfg.hbar)
 
     def test_kepler(self, tmp_path):
-        grid = kepler.default_gamma_grid(target_shell=4, points=5)
+        grid = kepler.default_gamma_grid(4)[::15]
         assert main(["run", "--system", "kepler", "--max-n", "8", "--target-shell", "4",
                      "--gamma-grid", ",".join(map(repr, grid)),
                      "--metrics", ALL_METRICS, "-o", str(tmp_path)]) == 0

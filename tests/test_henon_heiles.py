@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     basis_index,
+    build_h0,
     cartesian_h,
     cartesian_states,
     cartesian_v_matrix,
@@ -20,7 +21,6 @@ from specfrag.henon_heiles import (
     HHConfig,
     bound_energy_ceiling,
     build_h,
-    build_h0,
     build_v,
     enumerate_basis,
 )
@@ -78,6 +78,17 @@ def test_config_rejects_non_finite_num_shells(value):
 def test_config_rejects_boolean_num_shells():
     with pytest.raises(ConfigurationError, match="num_shells"):
         HHConfig(num_shells=True)
+
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [("hbar", True, "hbar"), ("lam", True, "lambda"), ("hbar", "0.01", "hbar"),
+     ("lam", "1", "lambda")],
+)
+def test_config_rejects_non_number_couplings(field, value, name):
+    # True would otherwise run as 1.0; a string would reach math.isfinite
+    with pytest.raises(ConfigurationError, match=name):
+        HHConfig(**{field: value})
 
 
 def test_integral_float_num_shells_builds_as_int():

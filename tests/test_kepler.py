@@ -57,8 +57,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         KeplerConfig(target_shell=25)  # beyond max_n
     with pytest.raises(ConfigurationError):
-        KeplerConfig(m=1)
-    with pytest.raises(ConfigurationError):
         KeplerConfig(gamma_grid=(0.0,))
     with pytest.raises(ConfigurationError):
         KeplerConfig(gamma_grid=(-1e-3,))
@@ -88,6 +86,14 @@ def test_config_rejects_boolean_sizes(field):
     # True would otherwise read as 1, which either field accepts here
     with pytest.raises(ConfigurationError, match=field):
         KeplerConfig(**{"max_n": 1, "target_shell": 1, field: True})
+
+
+@pytest.mark.parametrize("grid", [(True,), (0.01, "0.02"), 0.01, "0.01"],
+                         ids=["boolean", "string-item", "number", "string"])
+def test_config_rejects_non_number_gamma_grid(grid):
+    # True would otherwise run as 1.0, and a lone number or string is no grid
+    with pytest.raises(ConfigurationError, match="gamma_grid"):
+        KeplerConfig(max_n=6, target_shell=3, gamma_grid=grid)
 
 
 def test_integral_float_sizes_build_as_ints():

@@ -7,7 +7,6 @@ import oracles
 from specfrag import henon_heiles, kepler, linalg
 from specfrag.errors import ConvergenceError, InputError
 from specfrag.linalg import (
-    BLOCK_UNITARY_TOL,
     ShellGroup,
     ShellPartition,
     SymmetricMatrix,
@@ -64,7 +63,7 @@ class TestEigh:
     def test_one_by_one(self):
         d = eigh(SymmetricMatrix(np.array([[3.5]])))
         assert d.eigenvalues[0] == 3.5
-        assert abs(d.eigenvectors[0, 0]) == 1.0
+        assert abs(oracles.assembled_eigenvectors(d)[0, 0]) == 1.0
 
     def test_diagonal_sorted(self):
         d = eigh(SymmetricMatrix(np.diag([3.0, 1.0, 2.0])))
@@ -72,23 +71,32 @@ class TestEigh:
         # permutation eigenvectors: |C| has a single 1 per column
         perm = np.zeros((3, 3))
         perm[1, 0] = perm[2, 1] = perm[0, 2] = 1.0
-        np.testing.assert_allclose(np.abs(d.eigenvectors), perm, atol=1e-14)
+        np.testing.assert_allclose(np.abs(oracles.assembled_eigenvectors(d)), perm, atol=1e-14)
 
     def test_reconstruction_random_6x6(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6))
         m = SymmetricMatrix(a + a.T)
         d = eigh(m)
-        rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
+        vecs = oracles.assembled_eigenvectors(d)
+        rebuilt = vecs @ np.diag(d.eigenvalues) @ vecs.T
         assert np.abs(rebuilt - m.entries).max() <= 1e-10 * np.abs(m.entries).max()
 
     def test_orthogonality_and_completeness(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((12, 12))
         d = eigh(SymmetricMatrix(a + a.T))
-        gram = d.eigenvectors.T @ d.eigenvectors
+        vecs = oracles.assembled_eigenvectors(d)
+        gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(12)).max() <= 1e-10
-        assert np.abs((d.eigenvectors ** 2).sum(axis=1) - 1.0).max() <= 1e-10
+        assert np.abs((vecs ** 2).sum(axis=1) - 1.0).max() <= 1e-10
+
+    def test_overflowed_block_norm_fails_residual_gate(self):
+        # |B|_F overflows to inf, and residual <= 1e-10 * inf would pass
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6))
+        with pytest.raises(ConvergenceError, match="norm of a 6x6 block of a 6x6 matrix"):
+            eigh(SymmetricMatrix((a + a.T) * 1e160))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -96,7 +104,9 @@ class TestEigh:
         m = SymmetricMatrix(a + a.T)
         d1, d2 = eigh(m), eigh(m)
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
-        np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
+        np.testing.assert_array_equal(
+            oracles.assembled_eigenvectors(d1), oracles.assembled_eigenvectors(d2)
+        )
 
     def test_degenerate_multiplicities(self):
         d = eigh(SymmetricMatrix(np.diag([2.0, 1.0, 1.0, 1.0, 2.0])))
@@ -140,9 +150,10 @@ class TestSymmetryBlocks:
         assert sizes == [5, 2]  # even: 3 fixed + 2 pairs; odd: 2 pairs
         ref = eigh(SymmetricMatrix(h))
         np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, atol=1e-12 * np.linalg.norm(h))
-        rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
+        vecs = oracles.assembled_eigenvectors(d)
+        rebuilt = vecs @ np.diag(d.eigenvalues) @ vecs.T
         assert np.abs(rebuilt - h).max() <= 1e-10 * np.abs(h).max()
-        assert np.abs(d.eigenvectors.T @ d.eigenvectors - np.eye(7)).max() <= 1e-10
+        assert np.abs(vecs.T @ vecs - np.eye(7)).max() <= 1e-10
 
     def test_undeclared_is_trivial_symmetry(self):
         m = SymmetricMatrix(np.eye(3))
@@ -331,7 +342,8 @@ class TestBlocks:
         assert odd.vectors is even.vectors and odd.eigenvalues is even.eigenvalues
         ref = eigh(SymmetricMatrix(h))
         np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, atol=1e-12 * np.linalg.norm(h))
-        rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
+        vecs = oracles.assembled_eigenvectors(d)
+        rebuilt = vecs @ np.diag(d.eigenvalues) @ vecs.T
         assert np.abs(rebuilt - h).max() <= 1e-10 * np.abs(h).max()
 
     def test_rejects_entry_between_blocks(self):
@@ -487,7 +499,7 @@ class TestProjection:
         d = eigh(SymmetricMatrix(h, perm=[1, 0]))
         w = projection_onto_subset(d, [0])
         np.testing.assert_allclose(w, [0.5, 0.5], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(w, d.eigenvectors[0] ** 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, oracles.assembled_eigenvectors(d)[0] ** 2, rtol=0, atol=1e-15)
 
     def test_rejects_bad_subset(self):
         d = eigh(SymmetricMatrix(np.eye(3)))
@@ -573,7 +585,7 @@ class TestRandomBlockUnitary:
         p = toy_partition()
         for seed in (0, 1, 2, 3):
             u = random_block_unitary(p, seed=seed)
-            assert np.abs(u.T @ u - np.eye(6)).max() <= BLOCK_UNITARY_TOL
+            assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-12
 
     def test_exact_zeros_off_blocks(self):
         p = toy_partition()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_spreading_width
+from oracles import assembled_eigenvectors, brute_force_spreading_width
 from specfrag.errors import ConfigurationError, InputError
 from specfrag.henon_heiles import HHConfig, build_h, build_v, enumerate_basis
 from specfrag.linalg import SymmetricMatrix, eigh, random_block_unitary
@@ -25,6 +25,20 @@ def hh_system(num_shells=12, lam=1.0):
     _, part = enumerate_basis(cfg)
     d = eigh(build_h(cfg))
     return cfg, part, d
+
+
+@pytest.mark.parametrize("num_shells", [30, 45])
+def test_w_pt_over_hbar_is_the_same_at_half_hbar(num_shells):
+    # V scales as hbar^(3/2) and the shell gaps as hbar, so W_pt(N) / hbar
+    # depends on N alone; checked below the basis edge, with no eigh
+    ratios = []
+    for hbar in (0.01, 0.005):
+        cfg = HHConfig(hbar=hbar, num_shells=num_shells)
+        _, part = enumerate_basis(cfg)
+        v = build_v(cfg)
+        ratios.append([w_perturbative(v, part, n, cfg.lam) / hbar
+                       for n in range(num_shells - 3)])
+    np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12, atol=0)
 
 
 class TestStrengthFunction:
@@ -51,7 +65,7 @@ class TestStrengthFunction:
     def test_local_variant(self):
         _, _, d = hh_system(num_shells=6)
         sf = strength_function(d, [4])
-        np.testing.assert_array_equal(sf.weights, d.eigenvectors[4, :] ** 2)
+        np.testing.assert_array_equal(sf.weights, assembled_eigenvectors(d)[4, :] ** 2)
         assert abs(sf.weights.sum() - 1.0) <= 1e-10
 
     def test_visible_fragmentation_midway(self):
@@ -173,7 +187,7 @@ class TestSelection:
         for g in part.groups[4:9]:
             shell = list(g.indices)
             k = len(shell)
-            proj = (d.eigenvectors[shell, :] ** 2).sum(axis=0)
+            proj = (assembled_eigenvectors(d)[shell, :] ** 2).sum(axis=0)
 
             top = select_eigenstates(d, shell, StateSelection.TOP_PROJECTION)
             best_k = np.sort(np.argsort(-proj, kind="stable")[:k])
