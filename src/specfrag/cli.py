@@ -12,34 +12,34 @@ its config-file key (also the manifest key), its flags, its conversion,
 its default and its system. The output directory falls back to the
 SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
 
-Kepler's scan points, each with its own solve, run on --threads worker
-threads (default: the CPUs this process may use), with numpy's bundled
-OpenBLAS pinned to one thread for the length of the scan, so each point's
-solve runs on its own worker. Rows are collected in scan order. Kepler's
-rho^2 is built before the scan, serially, with the same one-thread pin.
+A run holds numpy's bundled OpenBLAS to one thread from its first build to
+its last metric, so every BLAS call of every stage executes on the thread
+that makes it. Kepler's scan points, each with its own solve, then run on
+--threads worker threads (default: the CPUs this process may use), each
+point's solve whole on its worker, and rows are collected in scan order.
 Henon-Heiles has one decomposition, which every shell of its scan shares:
-it is built and solved under the same pin, and the shells are then
-measured in order on the calling thread; its H is written in closed form in
-the circular basis, whose C3v blocks the decomposition solves separately.
-Identical config and seed therefore produce byte-identical CSVs on one
-platform whatever --threads and the BLAS thread setting say. Where no such
-OpenBLAS is found, the Kepler scan runs on one worker and the BLAS setting
-applies throughout.
+its shells are measured in order on the calling thread; its H is written in
+closed form in the circular basis, whose C3v blocks the decomposition
+solves separately. Identical config and seed therefore produce
+byte-identical CSVs on one platform whatever --threads and the BLAS thread
+setting say. Where no such OpenBLAS is found, the Kepler scan runs on one
+worker and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash.
 
 Exit codes: 0 success, 2 invalid configuration or an output that cannot
 be written, 3 numerical failure (the message names the stage: Kepler's
-rho^2 build, either system's V or rho^2 first-order estimate (w-pt),
-Henon-Heiles's H build and eigendecomposition, the scan point whose solve
-or metrics failed, or the critical values; a metric's InputError on a
-value the run computed, and a float overflow, count as numerical). Every
-bad input exits 2 before any compute: a
-malformed or unknown config value, a JSON boolean where a number belongs,
-an out-of-range option, an output path at or under an existing file, a
-Kepler basis without a shell next to the target (max_n < 2), or a scan too
-short or not monotone for the critical values asked for.
+rho^2 build, either system's V or rho^2 first-order estimate (w-pt, and
+Kepler's W_pt at a scan point), Henon-Heiles's H build and
+eigendecomposition, the scan point whose solve or metrics failed, or the
+critical values; a metric's InputError on a value the run computed, and a
+float overflow, count as numerical). Every bad input exits 2 before any
+compute: a malformed or unknown config value, a JSON boolean where a
+number belongs, an out-of-range option, an output path at or under an
+existing file, a Kepler basis without a shell next to the target
+(max_n < 2), or a scan too short or not monotone for the critical values
+asked for.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import threading
@@ -365,7 +366,14 @@ class _System:
     axis: str  # crossing axis name; the critical keys end in it
     axis_column: str
     exact_column: str
-    d0: float  # kappa's unperturbed spacing to the nearest neighbouring shell
+
+
+_SYSTEMS = {
+    "henon-heiles": _System(HH_COLUMNS, "hh_curves.csv", "energy", "energy", "energy_exact_mean"),
+    # headline axis: zeroth-order scaled energy of the target shell
+    "kepler": _System(KEPLER_COLUMNS, "kepler_curves.csv", "scaled-energy", "scaled_energy_pt",
+                      "scaled_energy_exact"),
+}
 
 
 def _solve(where: str, solve: Callable):
@@ -380,9 +388,10 @@ def _solve(where: str, solve: Callable):
         raise NumericalError(f"{where}: {exc!r}") from exc
 
 
-def _measure(config: ExperimentConfig, system: _System, row: dict, group: ShellGroup,
-             decomp, exact_energy: Callable[[float], float]) -> dict:
+def _measure(config: ExperimentConfig, row: dict, group: ShellGroup, decomp, d0: float,
+             exact_energy: Callable[[float], float]) -> dict:
     """row with the exact metrics of the shell group filled in from decomp;
+    d0 is kappa's unperturbed spacing to the nearest neighbouring shell, and
     exact_energy maps the selected states' mean eigenvalue to the row's
     exact-energy column."""
     row = dict(row)
@@ -392,10 +401,11 @@ def _measure(config: ExperimentConfig, system: _System, row: dict, group: ShellG
         picked = metrics.select_eigenstates(decomp, idx, rule, shell_energy=group.energy)
         proj = projection_onto_subset(decomp, idx)
         row["w_exact"] = float(1.0 - proj[picked].mean())
-        row[system.exact_column] = exact_energy(float(decomp.eigenvalues[picked].mean()))
+        mean = float(decomp.eigenvalues[picked].mean())
+        row[_SYSTEMS[config.options["system"]].exact_column] = exact_energy(mean)
     if "kappa" in config.options["metrics"]:
         chaos = metrics.chaoticity(
-            spreading_width(strength_function(decomp, idx)), system.d0
+            spreading_width(strength_function(decomp, idx)), d0
         )
         row["gamma_spr"] = chaos.gamma_spr
         row["kappa"] = chaos.kappa
@@ -405,9 +415,10 @@ def _measure(config: ExperimentConfig, system: _System, row: dict, group: ShellG
     return row
 
 
-def _critical(config: ExperimentConfig, system: _System, rows: list[dict]) -> dict:
+def _critical(config: ExperimentConfig, rows: list[dict]) -> dict:
     """The critical value and bracket of each curve asked for, along the
     system's crossing axis."""
+    system = _SYSTEMS[config.options["system"]]
     critical: dict = {}
     suffix = system.axis.replace("-", "_")
     for metric, column, threshold, name in (
@@ -423,20 +434,15 @@ def _critical(config: ExperimentConfig, system: _System, rows: list[dict]) -> di
     return critical
 
 
-def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
+def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
+    """Henon-Heiles's scan: one decomposition serves every shell, so the
+    shells are measured in order on the calling thread; a pool would gain
+    nothing. Returns the rows, the critical values and the worker count."""
     cfg = config.model
     _, partition = henon_heiles.enumerate_basis(cfg)
     shells = range(config.options["shell_min"], config.options["shell_max"] + 1)
     groups = [partition.group(n) for n in shells]
     rows = [{"shell": g.label, "energy": g.energy} for g in groups]
-    system = _System(
-        columns=HH_COLUMNS,
-        curve_file="hh_curves.csv",
-        axis="energy",
-        axis_column="energy",
-        exact_column="energy_exact_mean",
-        d0=cfg.hbar,  # the uniform shell spacing
-    )
     if "w-pt" in config.options["metrics"]:
         # V goes before build_h forms its own, so the run holds one at a time
         def w_pt() -> list[float]:
@@ -446,52 +452,37 @@ def _run_henon_heiles(config: ExperimentConfig) -> tuple[_System, list[dict], di
         for row, value in zip(rows, _solve("henon-heiles-model w-pt", w_pt)):
             row["w_pt"] = value
 
-    # one decomposition serves every shell of the scan; it is built and
-    # solved here, in C3v blocks, serially on one BLAS thread, so its bytes
-    # do not depend on the BLAS thread setting. The shells are then
-    # measured in order: they share the solve, so a pool would gain nothing
-    pinned = False  # w-pt alone solves nothing
     if set(config.options["metrics"]) & EXACT_METRICS:
         # H is built inside the solve's stage and released once solved
-        with single_threaded_blas() as pinned:
-            decomp = _solve("henon-heiles-model eigendecomposition",
-                            lambda: eigh(henon_heiles.build_h(cfg)))
+        decomp = _solve("henon-heiles-model eigendecomposition",
+                        lambda: eigh(henon_heiles.build_h(cfg)))
+        # kappa's D0 is hbar, the uniform shell spacing
         rows = [
             _solve(f"henon-heiles-model at shell {g.label}",
-                   lambda: _measure(config, system, row, g, decomp, float))
+                   lambda: _measure(config, row, g, decomp, cfg.hbar, float))
             for row, g in zip(rows, groups)
         ]
-    critical = _solve("henon-heiles-model critical values",
-                      lambda: _critical(config, system, rows))
-    return system, rows, critical, {"workers": 1, "blas_pinned": pinned}
+    critical = _solve("henon-heiles-model critical values", lambda: _critical(config, rows))
+    return rows, critical, 1
 
 
-def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, dict]:
-    """Kepler's scan: every gamma has its own solve, so the points run on
-    up to --threads workers while BLAS is pinned to one thread; pool.map
-    hands the rows back in scan order. A point's decomposition is released
-    when its row is done, so each worker holds at most one. Once a point
-    fails, points not yet started are skipped, and the failure is raised
-    when its row is reached."""
+def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
+    """Kepler's scan: every gamma has its own solve, so while BLAS is
+    pinned to one thread the points run on up to --threads workers, and on
+    one otherwise; pool.map hands the rows back in scan order. A point's
+    decomposition is released when its row is done, so each worker holds at
+    most one. Once a point fails, points not yet started are skipped, and
+    the failure is raised when its row is reached. Returns the rows, the
+    critical values and the worker count."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
-    with single_threaded_blas():
-        rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
+    rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
     target = partition.group(cfg.target_shell)
     # kappa's D0: the gap to the nearest shell; _build_config sees one exists
     d0 = min(
         abs(g.energy - target.energy)
         for g in partition.groups
         if abs(g.label - cfg.target_shell) == 1
-    )
-    system = _System(
-        columns=KEPLER_COLUMNS,
-        curve_file="kepler_curves.csv",
-        axis="scaled-energy",
-        # headline axis: zeroth-order scaled energy of the target shell
-        axis_column="scaled_energy_pt",
-        exact_column="scaled_energy_exact",
-        d0=d0,
     )
 
     # W is exactly quadratic in the coupling, so one unit-coupling
@@ -512,25 +503,27 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
             "gamma": gamma,
             "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma),
         }
-        if w_pt_base is not None:
-            coupling = gamma * gamma / 8.0
-            row["w_pt"] = w_pt_base * coupling * coupling
-        if not exact:
-            return row
         try:
+            if w_pt_base is not None:
+                coupling = gamma * gamma / 8.0
+                row["w_pt"] = w_pt_base * coupling * coupling  # inf, not an error, on overflow
+                if not math.isfinite(row["w_pt"]):
+                    raise NumericalError(f"kepler-model w-pt at gamma={gamma!r}: "
+                                         f"W_pt is not finite ({row['w_pt']!r})")
+            if not exact:
+                return row
             return _solve(f"kepler-model at scan point gamma={gamma!r}", lambda: _measure(
-                config, system, row, target, eigh(kepler.build_h(cfg, gamma, rho2)),
+                config, row, target, eigh(kepler.build_h(cfg, gamma, rho2)), d0,
                 functools.partial(kepler.scaled_energy, gamma=gamma),
             ))
         except BaseException:
             failed.set()
             raise
 
-    with single_threaded_blas() as pinned:
-        workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
-        with ThreadPoolExecutor(workers) as pool:
-            rows = list(pool.map(measure, cfg.gamma_grid))
-    critical = _solve("kepler-model critical values", lambda: _critical(config, system, rows))
+    workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
+    with ThreadPoolExecutor(workers) as pool:
+        rows = list(pool.map(measure, cfg.gamma_grid))
+    critical = _solve("kepler-model critical values", lambda: _critical(config, rows))
     if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the
@@ -545,12 +538,16 @@ def _run_kepler(config: ExperimentConfig) -> tuple[_System, list[dict], dict, di
             value, bracket = None, None
         critical["exact_critical_scaled_energy_mean_axis"] = value
         critical["exact_critical_scaled_energy_mean_axis_bracket"] = bracket
-    return system, rows, critical, {"workers": workers, "blas_pinned": pinned}
+    return rows, critical, workers
 
 
 def run(config: ExperimentConfig) -> RunManifest:
+    system = _SYSTEMS[config.options["system"]]
     runner = _run_henon_heiles if config.options["system"] == "henon-heiles" else _run_kepler
-    system, rows, critical, scan = runner(config)
+    # every BLAS call of the run, in any stage or worker, runs on one
+    # OpenBLAS thread, so its bytes do not depend on the BLAS thread setting
+    with single_threaded_blas() as pinned:
+        rows, critical, workers = runner(config, pinned)
 
     sha = hashlib.sha256(
         json.dumps(config.result_key(), sort_keys=True, separators=(",", ":")).encode()
@@ -580,7 +577,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         files=tuple(name for name, _, _ in csvs),
         metric_files=metric_files,
         critical=critical,
-        scan=scan,
+        scan={"workers": workers, "blas_pinned": pinned},
     )
 
     # _build_config refused an output path that cannot be a directory; any

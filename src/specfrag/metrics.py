@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NumericalError
 from .linalg import ShellPartition, SpectralDecomposition, SymmetricMatrix, projection_onto_subset
 
 WEIGHT_SUM_TOL = 1e-6
@@ -209,36 +209,48 @@ def w_perturbative_terms(
 
     W_n = (lam^2 / dim T_N) * sum_{i in T_N} sum_{alpha in T_n}
           |V_alpha,i|^2 / (E_N - E_n)^2, one term per shell n != N.
+
+    NumericalError when a term is not finite, as an overflow leaves it.
     """
     tgt = partition.group(target)
     t_idx = np.asarray(tgt.indices)
     dim_t = t_idx.size
-    # each shell's rows of these squares are the squares of its block of V,
-    # in the same shape and order, so the sums are those of the block's
-    squares = v.entries[:, t_idx] ** 2
     terms: list[tuple[int, float]] = []
-    for g in partition.groups:
-        if g.label == target:
-            continue
-        # ShellPartition's strictly increasing energies keep denom nonzero
-        denom = tgt.energy - g.energy
-        leak = squares[np.asarray(g.indices)].sum()
-        terms.append((g.label, float(lam * lam * leak / (denom * denom) / dim_t)))
+    # an overflow shows as a term that is not finite, which the check
+    # below reports; numpy's warning would only repeat it
+    with np.errstate(all="ignore"):
+        # each shell's rows of these squares are the squares of its block of
+        # V, in the same shape and order, so the sums are those of the block's
+        squares = v.entries[:, t_idx] ** 2
+        for g in partition.groups:
+            if g.label == target:
+                continue
+            # ShellPartition's strictly increasing energies keep denom nonzero
+            denom = tgt.energy - g.energy
+            leak = squares[np.asarray(g.indices)].sum()
+            term = float(lam * lam * leak / (denom * denom) / dim_t)
+            if not math.isfinite(term):
+                raise NumericalError(f"the W_pt term of shell {g.label} is not finite ({term!r})")
+            terms.append((g.label, term))
     return terms
 
 
 def w_perturbative(v: SymmetricMatrix, partition: ShellPartition, target: int, lam: float) -> float:
     """First-order estimate of the average weight outside the target shell.
 
-    Exactly quadratic in lam; invariant under block-unitary mixing inside
-    shells, which is why raw basis states suffice (see invariance_gap).
+    NumericalError when a term or the sum is not finite. Exactly quadratic
+    in lam; invariant under block-unitary mixing inside shells, which is
+    why raw basis states suffice (see invariance_gap).
 
     It is the leading term of the exact complement weight, not a bound on
     it: w_exact = w_perturbative * (1 + O(lam^2)) as lam -> 0. At a fixed
     coupling the absolute gap therefore grows with the estimate itself and
     is no longer small once the estimate nears the 0.5 crossing.
     """
-    return float(sum(term for _, term in w_perturbative_terms(v, partition, target, lam)))
+    w = float(sum(term for _, term in w_perturbative_terms(v, partition, target, lam)))
+    if not math.isfinite(w):  # finite terms can still sum past the float range
+        raise NumericalError(f"W_pt is not finite ({w!r})")
+    return w
 
 
 def invariance_gap(

@@ -218,6 +218,35 @@ class TestRun:
         finally:
             set_(before)
 
+    def test_henon_heiles_w_pt_alone_runs_pinned(self, tmp_path):
+        # the pin covers the whole run, not only a solve
+        if linalg._openblas() is None:
+            pytest.skip("numpy's BLAS exposes no thread count")
+        assert main([*HH_SMALL, "--metrics", "w-pt", "-o", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scan"] == {"workers": 1, "blas_pinned": True}
+
+    def test_henon_heiles_v_built_on_one_blas_thread(self, tmp_path, monkeypatch):
+        lib = linalg._openblas()
+        if lib is None:
+            pytest.skip("numpy's BLAS exposes no thread count")
+        get, set_ = lib
+        real, seen = henon_heiles.build_v, []
+
+        def recorded(cfg):
+            seen.append(get())
+            return real(cfg)
+
+        monkeypatch.setattr(henon_heiles, "build_v", recorded)
+        before = get()
+        set_(2)
+        try:
+            assert main([*HH_SMALL, "--metrics", "w-pt", "-o", str(tmp_path)]) == 0
+            assert seen == [1]
+            assert get() == 2
+        finally:
+            set_(before)
+
     def test_unpinned_blas_runs_one_worker(self, tmp_path, monkeypatch):
         pinned, unpinned = tmp_path / "pinned", tmp_path / "unpinned"
         assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(pinned)]) == 0
@@ -419,7 +448,7 @@ class TestErrors:
         assert exc.value.code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def boom(config):
+        def boom(config, pinned):
             raise NumericalError("synthetic blowup")
 
         monkeypatch.setattr(cli, "_run_henon_heiles", boom)
@@ -627,20 +656,24 @@ class TestErrors:
         assert "kepler-model rho^2 build" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv, stage", [
         (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e250"],
          "henon-heiles-model w-pt: OverflowError"),
         (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e250", "--metrics", "w-exact"],
          "henon-heiles-model eigendecomposition: OverflowError"),
         # V is finite, its block norms and W_pt overflow
-        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e200"],
+        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e200", "--metrics", "w-exact"],
          "henon-heiles-model eigendecomposition: the Frobenius norm of"),
+        (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e200"],
+         "henon-heiles-model w-pt: the W_pt term of shell"),
         (["--system", "henon-heiles", "--shells", "8", "--hbar", "1e200", "--metrics", "w-pt"],
-         "henon-heiles-model critical values: curve samples must be finite"),
+         "henon-heiles-model w-pt: the W_pt term of shell"),
         (["--system", "kepler", "--max-n", "6", "--target-shell", "3",
           "--gamma-grid", "1e160,1e161", "--metrics", "w-pt"],
-         "kepler-model critical values: curve samples must be finite"),
-    ], ids=["hh-v-build", "hh-h-build", "hh-block-norm", "hh-w-pt", "kepler-w-pt"])
+         "kepler-model w-pt at gamma=1e+160: W_pt is not finite"),
+    ], ids=["hh-v-build", "hh-h-build", "hh-block-norm", "hh-w-pt-default-metrics", "hh-w-pt",
+            "kepler-w-pt"])
     def test_overflow_exits_3_named(self, tmp_path, capsys, argv, stage):
         out = tmp_path / "out"
         assert main(["run", *argv, "-o", str(out)]) == 3
@@ -667,6 +700,39 @@ class TestErrors:
         ) == 0
         _, _, rows = read_csv(tmp_path / "kepler_curves.csv")
         assert len(rows) == 1
+
+
+class TestCrossingScaling:
+    """The crossings scale as first-order theory says, so they mark where
+    the perturbation mixes neighbouring shells at the given hbar or n."""
+
+    @staticmethod
+    def critical(tmp_path, argv) -> dict:
+        assert main(["run", *argv, "-o", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "manifest.json").read_text())["critical"]
+
+    def test_henon_heiles_pt_crossing_scales_as_hbar_to_two_thirds(self, tmp_path):
+        # E_c^pt ~ hbar^(2/3); W_pt(N) reads shells N +- 1 and N +- 3 only, so
+        # 20 shells give the crossings of larger bases, with no eigh
+        crossings = [
+            self.critical(tmp_path / str(hbar), ["--system", "henon-heiles", "--shells", "20",
+                                                 "--hbar", str(hbar), "--metrics", "w-pt"])
+            ["pt_critical_energy"]
+            for hbar in (0.01, 0.005)
+        ]
+        assert abs(crossings[1] / crossings[0] - 2.0 ** (-2.0 / 3.0)) <= 1e-3
+
+    def test_kepler_crossings_fall_with_target_shell(self, tmp_path):
+        # |eps_c^pt| ~ n^(1/3) at fixed cut ratio max_n = 2n
+        pt, exact = [], []
+        for n in (6, 8, 10, 14):
+            critical = self.critical(tmp_path / str(n), [
+                "--system", "kepler", "--target-shell", str(n), "--max-n", str(2 * n),
+                "--metrics", "w-pt,w-exact"])
+            pt.append(critical["pt_critical_scaled_energy"])
+            exact.append(critical["exact_critical_scaled_energy"])
+        assert all(b < a for a, b in zip(pt, pt[1:])), pt
+        assert all(b < a for a, b in zip(exact, exact[1:])), exact
 
 
 class TestLibraryNumbers:

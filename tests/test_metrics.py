@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import assembled_eigenvectors, brute_force_spreading_width
-from specfrag.errors import ConfigurationError, InputError
+from specfrag.errors import ConfigurationError, InputError, NumericalError
 from specfrag.henon_heiles import HHConfig, build_h, build_v, enumerate_basis
-from specfrag.linalg import SymmetricMatrix, eigh, random_block_unitary
+from specfrag.linalg import ShellGroup, ShellPartition, SymmetricMatrix, eigh, random_block_unitary
 from specfrag.metrics import (
     StateSelection,
     StrengthFunction,
@@ -272,6 +272,25 @@ class TestWPerturbative:
         values = [w_perturbative(v, part, n, 1.0) for n in range(1, 8)]
         assert all(w >= 0.0 for w in values)
         assert values == sorted(values)  # grows with shell number
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_term_raises(self):
+        # lam^2 overflows to inf, and inf * 0.0 to NaN on the zero terms
+        cfg = HHConfig(num_shells=8)
+        _, part = enumerate_basis(cfg)
+        v = build_v(cfg)
+        for w in (w_perturbative, w_perturbative_terms):
+            with pytest.raises(NumericalError, match="the W_pt term of shell 0 is not finite"):
+                w(v, part, 3, 1e200)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_terms_summing_past_the_float_range_raise(self):
+        # two terms of 1e308 each, the largest float being 1.8e308
+        part = ShellPartition(tuple(ShellGroup(n, (n,), float(n)) for n in range(3)))
+        v = SymmetricMatrix([[0.0, 1e154, 0.0], [1e154, 0.0, 1e154], [0.0, 1e154, 0.0]])
+        assert [t for _, t in w_perturbative_terms(v, part, 1, 1.0)] == [1e308, 1e308]
+        with pytest.raises(NumericalError, match="W_pt is not finite"):
+            w_perturbative(v, part, 1, 1.0)
 
 
 class TestInvariance:
