@@ -18,6 +18,7 @@ from .errors import (
     SpecfragError,
 )
 from .linalg import (
+    SectorMatrix,
     ShellGroup,
     ShellPartition,
     SpectralDecomposition,
@@ -54,6 +55,7 @@ __all__ = [
     "NumericalError",
     "ConvergenceError",
     "SymmetricMatrix",
+    "SectorMatrix",
     "SpectralDecomposition",
     "ShellGroup",
     "ShellPartition",

@@ -60,7 +60,14 @@ from typing import Callable, Iterable, Iterator
 
 from . import __version__, henon_heiles, kepler, metrics
 from .errors import ConfigurationError, InputError, NumericalError
-from .linalg import ShellGroup, eigh, projection_onto_subset, single_threaded_blas
+from .linalg import (
+    ShellGroup,
+    eigh,
+    projection_onto_subset,
+    sector_form_size,
+    single_threaded_blas,
+    triangular_exchange,
+)
 from .metrics import StateSelection, critical_parameter, spreading_width, strength_function
 
 KNOWN_METRICS = ("w-pt", "w-exact", "kappa", "strength-function")
@@ -595,6 +602,11 @@ def run(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+# kepler.build_rho2's peak in dense arrays: its two rules, the tolerance,
+# the difference and one |second| beside them
+_RHO2_BUILD_ARRAYS = 5
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     opts = config.options
     if opts["system"] == "henon-heiles":
@@ -604,19 +616,30 @@ def validate(config: ExperimentConfig) -> list[str]:
         shells, grid = opts["max_n"], opts["gamma_grid"]
         points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
     dim = shells * (shells + 1) // 2
-    # dense dim x dim arrays held at once. A solve holds its dense H and
-    # about as much again in sector blocks, block eigenvectors and
-    # workspace, and each Kepler worker solves its own points. HH's build_h
-    # holds V and H together for its one solve; w-pt alone holds one V.
+    # floats held at once, sized from the basis alone. A solve holds H's
+    # sector pieces and its largest block four times over: the block, its
+    # eigenvectors and two scratch arrays. HH holds V while its pieces are
+    # gathered; w-pt alone holds one V. Kepler holds rho^2, and each worker
+    # solves its own points, unless building rho^2 peaks higher.
+    dense = dim * dim
     if opts["system"] == "kepler":
-        arrays = 2 * min(opts["threads"], points)
+        quanta, _ = kepler.enumerate_parabolic_basis(config.model)
+        pieces, block = sector_form_size(triangular_exchange(quanta))
     else:
-        arrays = 2 if set(opts["metrics"]) & EXACT_METRICS else 1
+        quanta, _ = henon_heiles.enumerate_basis(config.model)
+        pieces, block = sector_form_size(*henon_heiles.symmetry(quanta))
+    solve = pieces + 4 * block * block
+    exact = bool(set(opts["metrics"]) & EXACT_METRICS)
+    if opts["system"] == "kepler":
+        workers = min(opts["threads"], points) if exact else 0
+        floats = max(_RHO2_BUILD_ARRAYS * dense, dense + workers * solve)
+    else:
+        floats = dense + solve if exact else dense
     return [
         f"system: {opts['system']}",
         f"{dim} states, {shells} shells",
         f"scan points: {points} ({span})",
-        f"estimated peak memory: {arrays * dim * dim * 8 / 1e6:.1f} MB",
+        f"estimated peak memory: {floats * 8 / 1e6:.1f} MB",
         f"metrics: {','.join(opts['metrics'])}",
         f"selection: {opts['selection']}",
     ]

@@ -30,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, is_real
-from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
+from .linalg import (
+    SectorMatrix,
+    ShellPartition,
+    SymmetricMatrix,
+    triangular_basis,
+    triangular_exchange,
+)
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,12 @@ def enumerate_basis(cfg: HHConfig) -> tuple[np.ndarray, ShellPartition]:
     return triangular_basis(cfg.num_shells, 0, lambda n: cfg.hbar * (n + 1))
 
 
+def symmetry(quanta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The structure V declares on enumerate_basis's states: the mirror
+    l <-> -l as a permutation of the basis, and the blocks l mod 3."""
+    return triangular_exchange(quanta), (quanta[:, 0] - quanta[:, 1]) % 3
+
+
 def build_v(cfg: HHConfig) -> SymmetricMatrix:
     """Matrix of q1^2 q2 - q2^3/3 (the coupling strength is NOT folded in;
     callers form H = H0 + lambda*V so one build serves a whole scan).
@@ -106,17 +118,21 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
         bras.append(starts[shell[ket] + 3 - 2 * k] + n_plus[ket] + 3 - k)
         kets.append(ket)
         values.append(cfg.hbar ** 1.5 / 6.0 * math.comb(3, k) * root)
+    perm, blocks = symmetry(quanta)
     return SymmetricMatrix.from_nonzeros(
         len(quanta), np.concatenate(bras), np.concatenate(kets), np.concatenate(values),
-        perm=triangular_exchange(quanta), blocks=(n_plus - n_minus) % 3,
+        perm=perm, blocks=blocks,
     )
 
 
-def build_h(cfg: HHConfig) -> SymmetricMatrix:
-    """Full Hamiltonian H0 + lambda*V, bitwise the sum diag(H0) + lambda*V,
-    with V's C3v structure: the diagonal H0 depends on the shell alone, so
-    it is mirror-invariant and needs only the O(dim) check of
-    SymmetricMatrix.scaled_plus_diagonal."""
+def build_h(cfg: HHConfig) -> SectorMatrix:
+    """Full Hamiltonian H0 + lambda*V with V's C3v structure, in sector
+    form: the result holds only V's pieces on the A1/A2 and E orbits
+    (about a sixth of a dense V at 60 shells), so V is freed before the
+    solve and no dense H is formed. Each block eigh forms from it is
+    bitwise the block of the dense sum diag(H0) + lambda*V. The diagonal H0
+    depends on the shell alone, so it is mirror-invariant and needs only
+    the O(dim) check of SymmetricMatrix.scaled_plus_diagonal."""
     quanta, _ = enumerate_basis(cfg)
     return build_v(cfg).scaled_plus_diagonal(cfg.lam, cfg.hbar * (quanta.sum(axis=1) + 1))
 

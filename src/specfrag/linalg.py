@@ -1,7 +1,8 @@
-"""Dense real-symmetric linear algebra underneath the fragmentation metrics.
+"""Real-symmetric linear algebra underneath the fragmentation metrics.
 
 Every matrix in this package is small (a few hundred to a few thousand
-rows), so storage is plain dense float64 throughout. A matrix may declare
+rows). An operator a model builds once (V, rho^2) is stored as dense
+float64; a Hamiltonian built from it is kept in sector form. A matrix may declare
 an exact Z2 symmetry, an involution of its basis, and a block label per
 basis state; a parity of the basis is declared as two blocks. Construction
 checks bitwise that the matrix commutes with the involution, that no entry
@@ -21,9 +22,14 @@ Finiteness is read off the minimum and maximum, with no mask. eigh then
 solves the even and odd sectors of each orbit of blocks as separate
 blocks, and those of a pair of blocks the involution swaps only once,
 since both have the same block matrix. The structure is checked once per
-model: SymmetricMatrix.scaled_plus_diagonal forms c*A + diag(d) from an
-already checked A and checks only that d is invariant, so a scan over
-couplings never repeats the dim x dim check. Decompositions are validated
+model: SymmetricMatrix.scaled_plus_diagonal takes H = c*A + diag(d) from
+an already checked A and checks only that d is invariant, so a scan over
+couplings never repeats the dim x dim check. It returns a SectorMatrix,
+which holds A's entries on each orbit of blocks in four pieces, gathered
+once, and never the dense H: eigh forms each sector block from the pieces
+with the arithmetic of the dense sum, so every block is bitwise the one
+gathered out of the dense H. A plain SymmetricMatrix is solved through
+the same sector form, unscaled. Decompositions are validated
 on the spot: orthogonality, residual and completeness checks run on every
 block right after its solve, and a violation, NaN or a block norm that
 overflows included, raises ConvergenceError instead of letting bad numbers
@@ -135,18 +141,22 @@ class SymmetricMatrix:
         m._build(dim, lambda: (i, j, x), perm, blocks)
         return m
 
-    def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
-        """c * A + diag(diagonal), with A's symmetry and no O(dim^2) check.
+    def scaled_plus_diagonal(self, c: float, diagonal) -> SectorMatrix:
+        """H = c * A + diag(diagonal) in sector form, with A's symmetry and
+        no O(dim^2) check.
 
-        Every entry is the sum diag(diagonal) + c * A forms, bitwise, signed
-        zeros included (an off-diagonal -0.0 of c * A becomes +0.0). The
-        result keeps A's perm and blocks: c * A commutes with P bitwise
-        because A does, and so does the sum once the diagonal is invariant
-        under the permutation, diagonal[perm[i]] == diagonal[i], since the
-        same operands then go through the same operations. An entry between
-        two blocks is c * 0.0 + 0.0 == 0.0. The O(dim) condition is what is
-        checked; InputError if it or finiteness fails. The result is the
-        only dim x dim array this allocates.
+        The result keeps A's perm and blocks and, per orbit of blocks, A's
+        entries on it in the four pieces eigh forms H's sector blocks from
+        (see SectorMatrix); the dense H is never formed. c * A commutes with
+        P bitwise because A does, and so does the sum once the diagonal is
+        invariant under the permutation, diagonal[perm[i]] == diagonal[i],
+        since the same operands then go through the same operations; an
+        entry between two blocks is c * 0.0 + 0.0 == 0.0. The O(dim)
+        condition is what is checked. Overflow is decided without forming
+        H: rounding is monotone, so fl(|c| * max|A|) is infinite exactly
+        when some c * A_ij overflows, and H's diagonal d + c * diag(A) is
+        checked on its own. InputError if the diagonal's shape, its
+        finiteness or invariance, or H's finiteness fails.
         """
         c = float(c)
         d = np.asarray(diagonal, dtype=float)
@@ -157,27 +167,20 @@ class SymmetricMatrix:
         if not np.array_equal(d[self.perm], d):
             raise InputError("diagonal is not invariant under the declared symmetry")
         with np.errstate(over="ignore"):  # an overflow is reported below
-            out = c * self.entries
-            out += 0.0
-            out[np.diag_indices(self.dim)] = d + c * self.entries.diagonal()
-        if not _finite(out):
+            h_diagonal = d + c * self.entries.diagonal()
+        h = SectorMatrix(self, c, h_diagonal)
+        if not (_finite(h_diagonal) and math.isfinite(abs(c) * h._abs_max())):
             raise InputError("matrix entries must be finite")
-        # past the constructor, whose checks the reasoning above replaces
-        m = object.__new__(SymmetricMatrix)
-        m._freeze(out, self.perm, self.blocks)
-        return m
+        return h
 
     def _build(self, dim: int, nonzeros: Callable[[], tuple], perm, blocks) -> None:
         """Check perm and blocks, then place and check the nonzeros in a
-        zero-filled dim x dim array and freeze it."""
+        zero-filled dim x dim array and freeze it all."""
         p = _involution(dim, perm)
         labels = _blocks(dim, p, blocks)
         full = np.zeros((dim, dim))
         _place_checked(full, nonzeros, p, labels)
-        self._freeze(full, p, labels)
-
-    def _freeze(self, entries: np.ndarray, perm: np.ndarray, blocks: np.ndarray) -> None:
-        for name, arr in zip(self.__slots__, (entries, perm, blocks)):
+        for name, arr in zip(self.__slots__, (full, p, labels)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -190,6 +193,105 @@ class SymmetricMatrix:
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"
+
+
+class SectorMatrix:
+    """H = c * A + diag(d) for a checked SymmetricMatrix A, held in sector
+    form: SymmetricMatrix.scaled_plus_diagonal returns it.
+
+    It holds the scale c, H's diagonal d + c * diag(A), A's perm and blocks
+    (by reference) and, per orbit of blocks, A's entries on the orbit in
+    four pieces, gathered once and shared by the orbit's sectors (see
+    _Orbit). eigh forms each sector block from them with the arithmetic of
+    the dense sum, so every block is bitwise the gather of the dense H. An
+    unscaled form (c None, H = A) is eigh's path for a plain
+    SymmetricMatrix.
+
+    ``entries`` forms the dense H on each access, read-only and bitwise
+    c * A + 0.0 with H's diagonal on its diagonal. It is there for tests
+    and inspection; no run reads it. Everything held is frozen and safe to
+    share across threads.
+    """
+
+    __slots__ = ("scale", "diagonal", "perm", "blocks", "_orbits")
+
+    def __init__(self, a: SymmetricMatrix, scale: float | None, diagonal: np.ndarray) -> None:
+        # the checks are the caller's (scaled_plus_diagonal, or eigh for A itself)
+        diagonal.flags.writeable = False
+        for name, value in zip(self.__slots__, (scale, diagonal, a.perm, a.blocks,
+                                                _orbits(a.entries, a.perm, a.blocks))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SectorMatrix is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        h = np.zeros((self.dim, self.dim))
+        for orbit in self._orbits:
+            even = orbit.sectors[0]
+            f, r, q = even.fixed, even.reps, even.partners
+            # A = PAP and A is symmetric: each piece also sits at its
+            # partners' place and at its mirror
+            for rows, cols, piece in ((f, f, orbit.ff), (r, f, orbit.rf), (q, f, orbit.rf),
+                                      (r, r, orbit.rr), (q, q, orbit.rr), (r, q, orbit.rq)):
+                if piece is not None:
+                    h[np.ix_(rows, cols)] = piece
+                    h[np.ix_(cols, rows)] = piece.T
+        if self.scale is not None:
+            h *= self.scale
+            h += 0.0
+        h[np.diag_indices(self.dim)] = self.diagonal
+        h.flags.writeable = False
+        return h
+
+    def _abs_max(self) -> float:
+        """max |A_ij|: every entry of A is in a piece, or is a zero."""
+        return max(max(-float(p.min()), float(p.max()))
+                   for orbit in self._orbits
+                   for p in (orbit.ff, orbit.rf, orbit.rr, orbit.rq)
+                   if p is not None and p.size)
+
+    def _scaled(self, piece: np.ndarray, out: np.ndarray, states: np.ndarray | None = None):
+        """c * piece + 0.0 written into out, with H's diagonal at states on
+        out's diagonal when states are given; piece as it is when unscaled."""
+        if self.scale is None:
+            out[...] = piece
+            return out
+        np.multiply(piece, self.scale, out=out)
+        out += 0.0
+        if states is not None:
+            out[np.diag_indices(states.size)] = self.diagonal[states]
+        return out
+
+    def _block(self, orbit: _Orbit, sec: _Sector) -> np.ndarray:
+        """sec's block of H in the basis of its fixed states, then one
+        vector (e_r + parity * e_q) / sqrt(2) per pair: bitwise the block
+        gathered out of the dense H. Because H = PHP holds bitwise, each
+        element's partner terms collapse exactly onto sqrt(2) * rf and
+        rr + parity * rq, and the block comes out bitwise symmetric."""
+        nf = sec.fixed.size
+        b = np.empty((sec.size, sec.size))
+        if nf:  # only an even sector has fixed states
+            self._scaled(orbit.ff, b[:nf, :nf], sec.fixed)
+            rf = self._scaled(orbit.rf, b[nf:, :nf])
+            rf *= _SQRT2
+            b[:nf, nf:] = rf.T
+        rr = self._scaled(orbit.rr, b[nf:, nf:], sec.reps)
+        if orbit.rq is None:
+            rr += 0.0  # the even sector's exact zeros, (c * 0.0 + 0.0) * 1.0
+        else:
+            rq = self._scaled(orbit.rq, np.empty_like(orbit.rq))
+            rq *= sec.parity
+            rr += rq
+        return b
+
+    def __repr__(self) -> str:
+        return f"SectorMatrix(dim={self.dim})"
 
 
 def _involution(dim: int, perm) -> np.ndarray:
@@ -379,34 +481,37 @@ def triangular_exchange(quanta: np.ndarray) -> np.ndarray:
     return np.arange(len(quanta)) - quanta[:, 0] + quanta[:, 1]
 
 
-def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
+def eigh(m: SymmetricMatrix | SectorMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, validated.
 
     Each sector of the matrix's Z2 symmetry, per orbit of its blocks (one
-    sector when nothing is declared), is gathered into its own block and
-    solved with LAPACK's divide-and-conquer driver (numpy.linalg.eigh).
+    sector when nothing is declared), is formed into its own block from the
+    orbit's pieces (see SectorMatrix; a SymmetricMatrix is taken unscaled)
+    and solved with LAPACK's divide-and-conquer driver (numpy.linalg.eigh).
     SymmetricMatrix checked bitwise that the symmetry commutes with the
     matrix and that no entry joins two blocks, so no entry couples two
     sectors and the blocks are exact. The two sectors of a pair of blocks
-    that the symmetry swaps have the same block matrix (see _sectors), which
-    is solved once and serves both. Every solved block is checked for
+    that the symmetry swaps have the same block matrix (see _orbit_states),
+    which is solved once and serves both. Every solved block is checked for
     orthogonality, residual (against the block's own Frobenius norm) and
     completeness at the module tolerances. The eigenvalues are merged into
     one ascending order; a stable merge keeps equal eigenvalues in sector
     order, so the result is deterministic. The block eigenvectors are kept
     as they are, with the merged column each one takes.
 
-    The entries are finite: the constructor and scaled_plus_diagonal refuse
-    any other. Raises ConvergenceError (naming the full matrix dimension)
-    if a block solve fails, violates a tolerance or yields NaN, or if a
-    block's Frobenius norm, the residual gate's scale, overflows.
+    The entries are finite: the constructor and scaled_plus_diagonal
+    refuse any other. Raises ConvergenceError (naming the full matrix
+    dimension) if a block solve fails, violates a tolerance or yields NaN,
+    or if a block's Frobenius norm, the residual gate's scale, overflows.
     """
-    h = m.entries
-    dim = m.dim
-    sectors = _sectors(m.perm, m.blocks)
+    h = m if isinstance(m, SectorMatrix) else SectorMatrix(m, None, m.entries.diagonal())
+    dim = h.dim
+    sectors: list[_Sector] = []
     solved: list[tuple[np.ndarray, np.ndarray]] = []
-    for sec in sectors:
-        solved.append(solved[-1] if sec.twin else _solve_block(sec.block(h), dim))
+    for orbit in h._orbits:
+        for sec in orbit.sectors:
+            sectors.append(sec)
+            solved.append(solved[-1] if sec.twin else _solve_block(h._block(orbit, sec), dim))
 
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")
@@ -446,19 +551,6 @@ class _Sector:
     def size(self) -> int:
         return self.fixed.size + self.reps.size
 
-    def block(self, h: np.ndarray) -> np.ndarray:
-        # Index gathers only. Because H = PHP holds bitwise, the partner
-        # terms of each matrix element collapse exactly onto the ones kept
-        # here, and the block comes out bitwise symmetric.
-        nf = self.fixed.size
-        b = np.empty((self.size, self.size))
-        rows = h[self.reps]  # one row gather serves the three column picks
-        b[:nf, :nf] = h[np.ix_(self.fixed, self.fixed)]
-        b[nf:, :nf] = _SQRT2 * rows[:, self.fixed]
-        b[:nf, nf:] = b[nf:, :nf].T
-        b[nf:, nf:] = rows[:, self.reps] + rows[:, self.partners] * self.parity
-        return b
-
     def share(self, inside: np.ndarray) -> np.ndarray:
         """Per sector row, the share of its basis states that the 0/1
         indicator inside marks: 0 or 1 for a fixed state, 0, 1/2 or 1 for
@@ -467,9 +559,27 @@ class _Sector:
         return np.concatenate([inside[self.fixed], 0.5 * pair])
 
 
-def _sectors(perm: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
-    """The nonempty sectors of P, orbit by orbit of the blocks under P in
-    ascending order of the orbit's lowest label, even (parity +1) first.
+@dataclass(frozen=True, eq=False)
+class _Orbit:
+    """One orbit of blocks under P, its nonempty sectors (even first) and
+    A's entries on it in four read-only pieces, gathered once and shared by
+    those sectors: ff = A[fixed, fixed], rf = A[reps, fixed],
+    rr = A[reps, reps] and rq = A[reps, partners]. Every other entry of A
+    in the orbit is one of them or its mirror, since A = PAP. rq is None
+    where P swaps two blocks: no entry joins them, so it is an exact zero."""
+
+    sectors: tuple[_Sector, ...]
+    ff: np.ndarray
+    rf: np.ndarray
+    rr: np.ndarray
+    rq: np.ndarray | None
+
+
+def _orbit_states(perm: np.ndarray, blocks: np.ndarray) -> Iterator[tuple]:
+    """(fixed, reps, swapped) per orbit of the blocks under P, in ascending
+    order of the orbit's lowest label: the states P fixes, one
+    representative r per swapped pair (r, perm[r]), and whether P swaps two
+    blocks.
 
     A block that P maps onto itself has the sectors of P restricted to it:
     its fixed states and pairs in the even one, its pairs in the odd one.
@@ -480,7 +590,6 @@ def _sectors(perm: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
     with the even one.
     """
     idx = np.arange(perm.size)
-    sectors = []
     # a set, not np.unique, which would import numpy.ma
     for label in sorted(set(blocks.tolist())):
         inside = blocks == label
@@ -488,14 +597,44 @@ def _sectors(perm: np.ndarray, blocks: np.ndarray) -> list[_Sector]:
         if image < label:
             continue  # the orbit was handled at its lower label
         if image == label:
-            fixed = idx[inside & (perm == idx)]
-            reps = idx[inside & (perm > idx)]
+            yield idx[inside & (perm == idx)], idx[inside & (perm > idx)], False
         else:
-            fixed, reps = idx[:0], idx[inside]
+            yield idx[:0], idx[inside], True
+
+
+def _orbits(a: np.ndarray, perm: np.ndarray, blocks: np.ndarray) -> tuple[_Orbit, ...]:
+    """The orbits of a matrix with its pieces gathered from its entries a."""
+    orbits = []
+    for fixed, reps, swapped in _orbit_states(perm, blocks):
         partners = perm[reps]
-        sectors += [_Sector(fixed, reps, partners, 1.0),
-                    _Sector(fixed[:0], reps, partners, -1.0, twin=bool(image != label))]
-    return [sec for sec in sectors if sec.size]
+        sectors = (_Sector(fixed, reps, partners, 1.0),
+                   _Sector(fixed[:0], reps, partners, -1.0, twin=swapped))
+        orbits.append(_Orbit(
+            tuple(sec for sec in sectors if sec.size),
+            _gather(a, fixed, fixed), _gather(a, reps, fixed), _gather(a, reps, reps),
+            None if swapped else _gather(a, reps, partners),
+        ))
+    return tuple(orbits)
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a[rows, cols] as a read-only array, with no temporary of a's rows."""
+    piece = a[np.ix_(rows, cols)]
+    piece.flags.writeable = False
+    return piece
+
+
+def sector_form_size(perm, blocks=None) -> tuple[int, int]:
+    """For a matrix that declares this perm and these blocks: the number of
+    floats its sector form's pieces hold (see _Orbit) and the size of the
+    largest block eigh solves. Reads the structure alone, no matrix."""
+    p = _involution(len(perm), perm)
+    floats, largest = 0, 0
+    for fixed, reps, swapped in _orbit_states(p, _blocks(p.size, p, blocks)):
+        nf, nr = fixed.size, reps.size
+        floats += nf * nf + nr * nf + nr * nr * (1 if swapped else 2)
+        largest = max(largest, nf + nr)
+    return floats, largest
 
 
 def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

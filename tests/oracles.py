@@ -10,9 +10,11 @@ rho^2 elements are recomputed in the spherical basis and rotated over, and
 their Gauss-Laguerre rule is also run for all shell pairs at once, the
 spreading width is found by enumerating every contiguous window, a
 matrix's declared structure is decided by comparing every pair of entries,
-the basis layout both models share is enumerated one state at a time, and
-a decomposition's full-basis eigenvectors are assembled from its sectors,
-which the library itself never does.
+the basis layout both models share is enumerated one state at a time, a
+Hamiltonian c * A + diag(d) is formed as one dense array and its symmetry
+blocks are gathered out of it, and a decomposition's full-basis
+eigenvectors are assembled from its sectors, which the library itself
+never does.
 """
 from __future__ import annotations
 
@@ -405,6 +407,31 @@ def dense_structure_check(a, perm, blocks) -> np.ndarray | None:
             if labels[i] != labels[j] and m[i, j] != 0.0:
                 return None
     return m
+
+
+def scaled_plus_diagonal(a: SymmetricMatrix, c: float, d) -> np.ndarray:
+    """c * A + diag(d) as one dense array: c * A + 0.0, so an off-diagonal
+    -0.0 turns +0.0, with d + c * diag(A) on its diagonal."""
+    h = c * a.entries
+    h += 0.0
+    h[np.diag_indices(a.dim)] = np.asarray(d, dtype=float) + c * a.entries.diagonal()
+    return h
+
+
+def sector_block(h: np.ndarray, sector) -> np.ndarray:
+    """The block of the dense symmetric h on one symmetry sector, gathered
+    out of h: the sector's fixed states first, then one row
+    (e_r + parity * e_q) / sqrt(2) per pair r, q. Since h = PhP holds
+    bitwise, each element's partner terms collapse exactly onto
+    sqrt(2) * h[r, fixed] and h[r, r'] + parity * h[r, q']."""
+    nf = sector.fixed.size
+    b = np.empty((sector.size, sector.size))
+    rows = h[sector.reps]
+    b[:nf, :nf] = h[np.ix_(sector.fixed, sector.fixed)]
+    b[nf:, :nf] = math.sqrt(2.0) * rows[:, sector.fixed]
+    b[:nf, nf:] = b[nf:, :nf].T
+    b[nf:, nf:] = rows[:, sector.reps] + rows[:, sector.partners] * sector.parity
+    return b
 
 
 def assembled_eigenvectors(d) -> np.ndarray:

@@ -53,12 +53,23 @@ class TestValidate:
         line = next(l for l in capsys.readouterr().out.splitlines() if "peak memory" in l)
         return float(line.split(": ")[1].split()[0])
 
+    # What a solve holds, in floats: H's sector pieces (A[fixed, fixed],
+    # A[reps, fixed], A[reps, reps] and A[reps, partners], the last left
+    # out where two blocks swap) and four arrays of its largest block.
+    # Kepler 30: 15 fixed states and 225 pairs, so an even block of 240.
+    KEPLER_30_SOLVE = 15 ** 2 + 225 * 15 + 2 * 225 ** 2 + 4 * 240 ** 2
+    # HH 60: A1 + A2 hold 30 fixed states and 290 pairs, E 610 swapped pairs
+    HH_60_SOLVE = 30 ** 2 + 290 * 30 + 2 * 290 ** 2 + 610 ** 2 + 4 * 610 ** 2
+
     def test_memory_estimate_scales_with_kepler_workers(self, capsys):
         argv = ["--system", "kepler", "--max-n", "30", "--threads"]
         one, two, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "2", "4"))
-        per_worker = 2 * 465 ** 2 * 8 / 1e6
+        rho2 = 465 ** 2
         for estimate, workers in ((one, 1), (two, 2), (four, 4)):
-            assert estimate == pytest.approx(workers * per_worker, abs=0.05)
+            # rho^2's build peaks at 5 dense arrays, above 1 or 2 workers' solves
+            floats = max(5 * rho2, rho2 + workers * self.KEPLER_30_SOLVE)
+            assert estimate == pytest.approx(floats * 8 / 1e6, abs=0.05)
+        assert one == two < four
         # never more workers than points
         grid = ["--gamma-grid", "0.004,0.008"]
         assert self.estimate_mb(capsys, argv + ["4"] + grid) == two
@@ -66,13 +77,14 @@ class TestValidate:
     def test_memory_estimate_of_henon_heiles_ignores_threads(self, capsys):
         argv = ["--system", "henon-heiles", "--shells", "60", "--threads"]
         one, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "4"))
-        assert one == four == pytest.approx(2 * 1830 ** 2 * 8 / 1e6, abs=0.05)
+        floats = 1830 ** 2 + self.HH_60_SOLVE  # V, then H's pieces and its solve
+        assert one == four == pytest.approx(floats * 8 / 1e6, abs=0.05)
 
     def test_memory_estimate_of_henon_heiles_w_pt_holds_one_v(self, capsys):
         argv = ["--system", "henon-heiles", "--shells", "60", "--metrics"]
         alone, with_exact = (self.estimate_mb(capsys, argv + [m]) for m in ("w-pt", "w-pt,kappa"))
         assert alone == pytest.approx(1830 ** 2 * 8 / 1e6, abs=0.05)
-        assert with_exact == pytest.approx(2 * alone, abs=0.1)
+        assert with_exact == pytest.approx(alone + self.HH_60_SOLVE * 8 / 1e6, abs=0.1)
 
     def test_zero_shells_config_error(self, capsys):
         assert main(["validate", "--system", "henon-heiles", "--shells", "0"]) == 2

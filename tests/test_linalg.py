@@ -284,6 +284,95 @@ class TestScaledPlusDiagonal:
         assert peak <= 1.05 * h.entries.nbytes
 
 
+def record_blocks(monkeypatch) -> list[np.ndarray]:
+    """Copies of the blocks handed to the LAPACK solver from here on."""
+    blocks: list[np.ndarray] = []
+    solve = np.linalg.eigh
+
+    def recording(a):
+        blocks.append(a.copy())
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return blocks
+
+
+class TestSectorForm:
+    """H = c * A + diag(d) is held as A's sector pieces: every block eigh
+    hands the solver is bitwise the block gathered out of the dense sum,
+    entries is that sum bitwise, and no dense H is held."""
+
+    @staticmethod
+    def check(m, dense, blocks):
+        blocks.clear()
+        d = eigh(m)
+        expected = [oracles.sector_block(dense, part.sector)
+                    for part in d.sectors if not part.sector.twin]
+        assert [b.tobytes() for b in blocks] == [b.tobytes() for b in expected]
+        assert m.entries.tobytes() == dense.tobytes()
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shells", [12, 30])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_henon_heiles_blocks_bitwise_dense_gathers(self, shells, lam, monkeypatch):
+        cfg = henon_heiles.HHConfig(num_shells=shells, lam=lam)
+        h0 = oracles.build_h0(cfg).entries.diagonal()
+        dense = oracles.scaled_plus_diagonal(henon_heiles.build_v(cfg), lam, h0)
+        self.check(henon_heiles.build_h(cfg), dense, record_blocks(monkeypatch))
+
+    @pytest.mark.parametrize("max_n", [12, 20])
+    def test_kepler_blocks_bitwise_dense_gathers(self, max_n, monkeypatch):
+        cfg = kepler.KeplerConfig(max_n=max_n)
+        rho2 = kepler.build_rho2(cfg)
+        _, groups = oracles.triangular_basis_loop(max_n, 1, kepler.shell_energy)
+        energies = [e for _, indices, e in groups for _ in indices]
+        blocks = record_blocks(monkeypatch)
+        for gamma in (0.0, *cfg.gamma_grid):
+            dense = oracles.scaled_plus_diagonal(rho2, gamma * gamma / 8.0, energies)
+            self.check(kepler.build_h(cfg, gamma, rho2), dense, blocks)
+
+    def test_plain_and_scaled_blocks_bitwise_dense_gathers(self, monkeypatch):
+        # two swapped blocks and one mapped onto itself, with a fixed state
+        # and a pair; scales of either sign and signed zeros
+        a = SymmetricMatrix(TestBlocks().matrix(seed=5), TestBlocks.PERM, TestBlocks.BLOCKS)
+        d = np.array([-0.0, 1.5, 1.5, -0.0, 0.0, 2.0, 2.0])
+        blocks = record_blocks(monkeypatch)
+        self.check(a, a.entries, blocks)
+        for c in (0.0, -0.0, 0.37, -2.5):
+            self.check(a.scaled_plus_diagonal(c, d), oracles.scaled_plus_diagonal(a, c, d), blocks)
+
+    @staticmethod
+    def traced(build):
+        """(retained, peak) bytes that tracemalloc sees while build() runs,
+        and the result."""
+        build()
+        tracemalloc.start()
+        try:
+            result = build()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return retained, peak, result
+
+    def test_henon_heiles_build_h_retains_under_half_a_dense_array(self):
+        # a dense H was one whole array; V is freed once its pieces are out
+        retained, _, h = self.traced(lambda: henon_heiles.build_h(henon_heiles.HHConfig(num_shells=40)))
+        assert retained < 0.5 * h.dim ** 2 * 8
+
+    def test_kepler_build_h_retains_under_three_quarters_of_a_dense_array(self):
+        cfg = kepler.KeplerConfig(max_n=30)
+        rho2 = kepler.build_rho2(cfg)
+        retained, _, _ = self.traced(lambda: kepler.build_h(cfg, cfg.gamma_grid[-1], rho2))
+        assert retained < 0.75 * rho2.entries.nbytes
+
+    def test_henon_heiles_solve_peaks_under_1_6_dense_arrays(self):
+        # V and a dense H held together peaked at 2.02 arrays
+        cfg = henon_heiles.HHConfig(num_shells=40)
+        _, peak, d = self.traced(lambda: eigh(henon_heiles.build_h(cfg)))
+        assert peak <= 1.6 * d.dim ** 2 * 8
+
+
 def hh30():
     cfg = henon_heiles.HHConfig(num_shells=30)
     return henon_heiles.build_h(cfg), henon_heiles.enumerate_basis(cfg)[1]
