@@ -616,25 +616,26 @@ def validate(config: ExperimentConfig) -> list[str]:
         shells, grid = opts["max_n"], opts["gamma_grid"]
         points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
     dim = shells * (shells + 1) // 2
-    # floats held at once, sized from the basis alone. A solve holds H's
-    # sector pieces and its largest block four times over: the block, its
-    # eigenvectors and two scratch arrays. HH holds V while its pieces are
-    # gathered; w-pt alone holds one V. Kepler holds rho^2, and each worker
-    # solves its own points, unless building rho^2 peaks higher.
-    dense = dim * dim
+    # floats held at once, sized from the basis alone. No operator is held
+    # dense: V and rho^2 keep their sector pieces, and H shares them. A solve
+    # holds its largest block four times over: the block, its eigenvectors
+    # and two scratch arrays. HH's w-pt holds V's pieces and a slab of V's
+    # columns on the largest scanned shell; an exact metric, V's pieces
+    # again and a solve. Kepler holds rho^2's pieces once, shared by every
+    # worker's H, and a solve per worker, unless building rho^2 peaks higher.
     if opts["system"] == "kepler":
         quanta, _ = kepler.enumerate_parabolic_basis(config.model)
         pieces, block = sector_form_size(triangular_exchange(quanta))
     else:
         quanta, _ = henon_heiles.enumerate_basis(config.model)
         pieces, block = sector_form_size(*henon_heiles.symmetry(quanta))
-    solve = pieces + 4 * block * block
-    exact = bool(set(opts["metrics"]) & EXACT_METRICS)
+    solve = 4 * block * block if set(opts["metrics"]) & EXACT_METRICS else 0
     if opts["system"] == "kepler":
-        workers = min(opts["threads"], points) if exact else 0
-        floats = max(_RHO2_BUILD_ARRAYS * dense, dense + workers * solve)
+        workers = min(opts["threads"], points) if solve else 0
+        floats = max(_RHO2_BUILD_ARRAYS * dim * dim, pieces + workers * solve)
     else:
-        floats = dense + solve if exact else dense
+        slab = dim * (opts["shell_max"] + 1) if "w-pt" in opts["metrics"] else 0
+        floats = pieces + max(slab, solve)
     return [
         f"system: {opts['system']}",
         f"{dim} states, {shells} shells",

@@ -97,11 +97,11 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
     * n_- ... (n_- - k + 1)); V holds it there and at its transpose. So
     elements vanish unless the shells differ by exactly 1 or 3. These
     elements are V's nonzeros (about 7 per row); they go to
-    SymmetricMatrix.from_nonzeros, which writes each at its place and its
-    mirror into the one dense array V keeps. The matrix declares the
-    blocks l mod 3 and the mirror l <-> -l (the reflection q1 -> -q1),
-    which swaps blocks 1 and 2; construction checks both bitwise on the
-    nonzeros.
+    SymmetricMatrix.from_nonzeros, which checks them as a list and
+    scatters them into V's sector pieces, so no dense V is formed. The
+    matrix declares the blocks l mod 3 and the mirror l <-> -l (the
+    reflection q1 -> -q1), which swaps blocks 1 and 2; construction checks
+    both bitwise on the nonzeros.
     """
     quanta, partition = enumerate_basis(cfg)
     n_plus, n_minus = quanta.T
@@ -127,12 +127,12 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
 
 def build_h(cfg: HHConfig) -> SectorMatrix:
     """Full Hamiltonian H0 + lambda*V with V's C3v structure, in sector
-    form: the result holds only V's pieces on the A1/A2 and E orbits
-    (about a sixth of a dense V at 60 shells), so V is freed before the
-    solve and no dense H is formed. Each block eigh forms from it is
-    bitwise the block of the dense sum diag(H0) + lambda*V. The diagonal H0
-    depends on the shell alone, so it is mirror-invariant and needs only
-    the O(dim) check of SymmetricMatrix.scaled_plus_diagonal."""
+    form: the result shares V's pieces on the A1/A2 and E orbits (about a
+    sixth of a dense V at 60 shells), gathers nothing, and no dense V or H
+    is formed. Each block eigh forms from it is bitwise the block of the
+    dense sum diag(H0) + lambda*V. The diagonal H0 depends on the shell
+    alone, so it is mirror-invariant and needs only the O(dim) check of
+    SymmetricMatrix.scaled_plus_diagonal."""
     quanta, _ = enumerate_basis(cfg)
     return build_v(cfg).scaled_plus_diagonal(cfg.lam, cfg.hbar * (quanta.sum(axis=1) + 1))
 

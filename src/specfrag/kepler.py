@@ -172,7 +172,8 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
 
     Each rule builds its Laguerre tables one shell at a time, and the check
     holds at most two comparison arrays beside the two evaluations, so the
-    build's peak stays a few times the matrix it returns.
+    build's peak stays a few times a dense rho^2; the matrix it returns
+    keeps only its sector pieces, about half of one.
 
     The matrix declares its exact Z2 symmetry, the n1 <-> n2 exchange, and
     that is checked here, once; build_h carries it to every H(gamma).
@@ -199,7 +200,8 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
             f"quadrature self-check failed for <n1={n1}, n2={n2}|rho^2|n1={n1p}, n2={n2p}>: "
             f"{first[i, jdx]!r} vs {second[i, jdx]!r} at {nodes}/{2 * nodes} nodes"
         )
-    # SymmetricMatrix copies and checks first; only first is held by then
+    # SymmetricMatrix checks first's nonzeros and keeps its sector pieces;
+    # only first is held by then
     del second, tol, diff, bad
     return SymmetricMatrix(first, perm=triangular_exchange(quanta))
 
@@ -208,10 +210,11 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> SectorMat
     """H = diag(-1/(2n^2)) + (gamma^2/8) rho^2, from rho2 = build_rho2(cfg),
     built once for a whole gamma scan.
 
-    H is in sector form (SymmetricMatrix.scaled_plus_diagonal): it holds
-    rho2's pieces on the two sectors of its symmetry, about half a dense
-    matrix, and no dense H is formed. The symmetry is rho2's, carried over
-    without a new dim x dim check: build_rho2 declares the exact one, the
+    H is in sector form (SymmetricMatrix.scaled_plus_diagonal): it shares
+    rho2's pieces on the two sectors of its symmetry by reference, so a
+    scan gathers nothing and holds the pieces once, and no dense H is
+    formed. The symmetry is rho2's, carried over without a new check:
+    build_rho2 declares the exact one, the
     n1 <-> n2 exchange (z-parity), so eigh solves its two sectors as
     separate blocks, each bitwise the block of the dense sum. At gamma = 0
     every off-diagonal 0.0 * rho2 + 0.0 is +0.0 and every diagonal entry is

@@ -1,35 +1,39 @@
 """Real-symmetric linear algebra underneath the fragmentation metrics.
 
 Every matrix in this package is small (a few hundred to a few thousand
-rows). An operator a model builds once (V, rho^2) is stored as dense
-float64; a Hamiltonian built from it is kept in sector form. A matrix may declare
-an exact Z2 symmetry, an involution of its basis, and a block label per
-basis state; a parity of the basis is declared as two blocks. Construction
-checks bitwise that the matrix commutes with the involution, that no entry
-joins two blocks and that the involution maps blocks onto blocks. The
-check works on a list of nonzeros (row, column, value): it writes each
-one and its mirror into the one dim x dim array the matrix keeps, then
-checks on those nonzeros only that each agrees with what its place holds
-(a mirror or a duplicate that disagrees fails there), the involution and
-the blocks. That decides exactly as checking every pair would: every
-entry is a nonzero or the mirror of one, and the involution is its own
-inverse, so a zero whose image is nonzero is found at that image, which
-fails its own check. An operator built from its nonzeros
-(SymmetricMatrix.from_nonzeros) is never held twice; the dense
+rows), and none is held dense: an operator a model builds once (V, rho^2)
+and a Hamiltonian built from it both keep only their sector pieces. A
+matrix may declare an exact Z2 symmetry, an involution of its basis, and a
+block label per basis state; a parity of the basis is declared as two
+blocks. Construction checks bitwise that the matrix commutes with the
+involution, that no entry joins two blocks and that the involution maps
+blocks onto blocks. The check works on a list of nonzeros (row, column,
+value) and never on a dim x dim array: sorted by their places, the
+nonzeros given at one place or at its mirror must agree, each one's image
+under the involution must hold the same value (an image nothing is given
+at holds 0.0), and no nonzero may join two blocks. That decides exactly as
+checking every pair of the dense matrix would: every entry is a nonzero or
+the mirror of one, and the involution is its own inverse, so a zero whose
+image is nonzero is found at that image, which fails its own check. The
+checked list is then scattered into the matrix's pieces: per orbit of
+blocks, fixed x fixed, representative x fixed, representative x
+representative and representative x partner (see _Orbit), with the
+diagonal kept as given. An operator built from its nonzeros
+(SymmetricMatrix.from_nonzeros) is never held dense; the dense
 constructor feeds the same check one list, its strict lower triangle's
-nonzeros and its whole diagonal.
+nonzeros and its whole diagonal. ``entries`` forms the dense matrix on
+each access, for tests and inspection, and ``columns`` forms a slab of it.
 Finiteness is read off the minimum and maximum, with no mask. eigh then
 solves the even and odd sectors of each orbit of blocks as separate
 blocks, and those of a pair of blocks the involution swaps only once,
 since both have the same block matrix. The structure is checked once per
 model: SymmetricMatrix.scaled_plus_diagonal takes H = c*A + diag(d) from
 an already checked A and checks only that d is invariant, so a scan over
-couplings never repeats the dim x dim check. It returns a SectorMatrix,
-which holds A's entries on each orbit of blocks in four pieces, gathered
-once, and never the dense H: eigh forms each sector block from the pieces
-with the arithmetic of the dense sum, so every block is bitwise the one
-gathered out of the dense H. A plain SymmetricMatrix is solved through
-the same sector form, unscaled. Decompositions are validated
+couplings never repeats the check. It returns a SectorMatrix, which shares
+A's pieces and never forms the dense H: eigh forms each sector block from
+the pieces with the arithmetic of the dense sum, so every block is bitwise
+the one gathered out of the dense H. A plain SymmetricMatrix is solved
+through the same sector form, unscaled. Decompositions are validated
 on the spot: orthogonality, residual and completeness checks run on every
 block right after its solve, and a violation, NaN or a block norm that
 overflows included, raises ConvergenceError instead of letting bad numbers
@@ -65,8 +69,8 @@ COMPLETENESS_TOL = 1e-10
 
 
 class SymmetricMatrix:
-    """Dense real symmetric matrix with an optional exact Z2 symmetry and
-    optional exact blocks.
+    """Real symmetric matrix with an optional exact Z2 symmetry and
+    optional exact blocks, held as its sector pieces.
 
     The lower triangle of the input is authoritative; construction mirrors
     it onto the upper triangle, so ``entries[i, j] == entries[j, i]`` holds
@@ -86,18 +90,22 @@ class SymmetricMatrix:
     the matrix commutes with, is declared as blocks: label 0 for the states
     of sign +1 and 1 for those of sign -1.
 
-    The checks run on the matrix's nonzeros only (see _place_checked),
-    each of which is written at its place and at its mirror. The dense
-    constructor reads them off its input: the strict lower triangle's
-    nonzeros and the whole diagonal. from_nonzeros is handed them.
-    ``entries`` is the mirror of the lower triangle bitwise, with an
-    off-diagonal -0.0 turned into +0.0 and the diagonal kept as given.
+    The checks run on the matrix's nonzeros only (see _check_nonzeros).
+    The dense constructor reads them off its input: the strict lower
+    triangle's nonzeros and the whole diagonal. from_nonzeros is handed
+    them. The matrix keeps no dim x dim array: it holds its diagonal as
+    given and, per orbit of blocks, the four pieces eigh forms its sector
+    blocks from (see _Orbit), with perm and blocks. Signed zeros: the
+    diagonal, and each piece's diagonal at the representative states, hold
+    the value given there, -0.0 included; every other zero is +0.0, so an
+    off-diagonal -0.0 turns +0.0. ``entries`` forms the dense matrix from
+    them on each access, and ``columns`` a slab of its columns.
 
-    Entries, perm and blocks are frozen after construction and safe to
-    share across threads.
+    Everything held is frozen after construction and safe to share across
+    threads.
     """
 
-    __slots__ = ("entries", "perm", "blocks")
+    __slots__ = ("diagonal", "perm", "blocks", "_orbits", "_layout")
 
     def __init__(self, entries, perm=None, blocks=None) -> None:
         a = np.asarray(entries, dtype=float)
@@ -113,17 +121,17 @@ class SymmetricMatrix:
     @classmethod
     def from_nonzeros(cls, dim: int, rows, cols, values, perm=None,
                       blocks=None) -> SymmetricMatrix:
-        """The dim x dim matrix that holds values[k], as given, at
-        (rows[k], cols[k]) and at its mirror (cols[k], rows[k]), and +0.0
-        wherever nothing is given.
+        """The dim x dim matrix that holds values[k] at (rows[k], cols[k])
+        and at its mirror (cols[k], rows[k]), and +0.0 wherever nothing is
+        given.
 
         Either triangle may be given, or both; a nonzero given twice, as
         itself or as its mirror, must carry the same value each time, else
         InputError. perm and blocks are declared and checked as for the
         dense constructor, on the given entries, so the matrix is built and
-        checked without a second dim x dim array. Given a dense matrix's
-        strict lower triangle nonzeros and its whole diagonal, it holds
-        bitwise what the dense constructor holds for that matrix.
+        checked without any dim x dim array. Given a dense matrix's strict
+        lower triangle nonzeros and its whole diagonal, it holds bitwise
+        what the dense constructor holds for that matrix.
         """
         if not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise InputError(f"matrix dimension must be an integer of at least 1, got {dim!r}")
@@ -145,10 +153,9 @@ class SymmetricMatrix:
         """H = c * A + diag(diagonal) in sector form, with A's symmetry and
         no O(dim^2) check.
 
-        The result keeps A's perm and blocks and, per orbit of blocks, A's
-        entries on it in the four pieces eigh forms H's sector blocks from
-        (see SectorMatrix); the dense H is never formed. c * A commutes with
-        P bitwise because A does, and so does the sum once the diagonal is
+        The result keeps A's perm, blocks and pieces, by reference (see
+        SectorMatrix); the dense H is never formed. c * A commutes with P
+        bitwise because A does, and so does the sum once the diagonal is
         invariant under the permutation, diagonal[perm[i]] == diagonal[i],
         since the same operands then go through the same operations; an
         entry between two blocks is c * 0.0 + 0.0 == 0.0. The O(dim)
@@ -167,29 +174,73 @@ class SymmetricMatrix:
         if not np.array_equal(d[self.perm], d):
             raise InputError("diagonal is not invariant under the declared symmetry")
         with np.errstate(over="ignore"):  # an overflow is reported below
-            h_diagonal = d + c * self.entries.diagonal()
+            h_diagonal = d + c * self.diagonal
         h = SectorMatrix(self, c, h_diagonal)
         if not (_finite(h_diagonal) and math.isfinite(abs(c) * h._abs_max())):
             raise InputError("matrix entries must be finite")
         return h
 
     def _build(self, dim: int, nonzeros: Callable[[], tuple], perm, blocks) -> None:
-        """Check perm and blocks, then place and check the nonzeros in a
-        zero-filled dim x dim array and freeze it all."""
+        """Check perm and blocks, then check the nonzeros, scatter them into
+        the pieces and freeze it all."""
         p = _involution(dim, perm)
         labels = _blocks(dim, p, blocks)
-        full = np.zeros((dim, dim))
-        _place_checked(full, nonzeros, p, labels)
-        for name, arr in zip(self.__slots__, (full, p, labels)):
+        i, j, x = nonzeros()
+        _check_nonzeros(dim, i, j, x, p, labels)
+        diagonal, orbits, layout = _scatter(dim, i, j, x, p, labels)
+        for arr in (diagonal, p, labels):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, value in zip(self.__slots__, (diagonal, p, labels, orbits, layout)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMatrix is immutable")
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, formed from the pieces on each access and
+        read-only; for tests and inspection, no run reads it."""
+        return _dense(self._orbits, None, self.diagonal)
+
+    def columns(self, idx) -> np.ndarray:
+        """entries[:, idx], bitwise, formed from the pieces as a
+        dim x len(idx) array with no dim x dim one.
+
+        The slab is filled transposed, one row per column of idx and the
+        states in piece order (see _layout), so that each piece fills whole
+        runs of a row; each is read as _dense writes it last, a partner's
+        place holding its representative's piece."""
+        idx = np.asarray(idx, dtype=np.intp)
+        kind, pos, rows = self._layout
+        kinds = kind[idx]
+        slab = np.zeros((idx.size, self.dim))
+        top = 0
+        for o, orbit in enumerate(self._orbits):
+            even = orbit.sectors[0]
+            nf, nr = even.fixed.size, even.reps.size
+            f, r, q = (slice(top, top + nf), slice(top + nf, top + nf + nr),
+                       slice(top + nf + nr, top + nf + 2 * nr))
+            top += nf + 2 * nr
+            for role, parts in enumerate((
+                ((f, orbit.ff, True), (r, orbit.rf, False), (q, orbit.rf, False)),
+                ((f, orbit.rf, True), (r, orbit.rr, True), (q, orbit.rq, True)),
+                ((f, orbit.rf, True), (r, orbit.rq, False), (q, orbit.rr, True)),
+            )):
+                ks = np.flatnonzero(kinds == _ROLES * o + role)
+                if not ks.size:
+                    continue
+                at = pos[idx[ks]]
+                for part, piece, across in parts:
+                    if piece is not None:
+                        slab[ks, part] = piece[at] if across else piece[:, at].T
+        out = np.empty((self.dim, idx.size))
+        out[rows] = slab.T
+        out[idx, np.arange(idx.size)] = self.diagonal[idx]
+        return out
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"
@@ -199,13 +250,12 @@ class SectorMatrix:
     """H = c * A + diag(d) for a checked SymmetricMatrix A, held in sector
     form: SymmetricMatrix.scaled_plus_diagonal returns it.
 
-    It holds the scale c, H's diagonal d + c * diag(A), A's perm and blocks
-    (by reference) and, per orbit of blocks, A's entries on the orbit in
-    four pieces, gathered once and shared by the orbit's sectors (see
-    _Orbit). eigh forms each sector block from them with the arithmetic of
-    the dense sum, so every block is bitwise the gather of the dense H. An
-    unscaled form (c None, H = A) is eigh's path for a plain
-    SymmetricMatrix.
+    It holds the scale c, H's diagonal d + c * diag(A), and A's perm,
+    blocks and pieces by reference (see _Orbit), so building it gathers
+    nothing. eigh forms each sector block from the pieces with the
+    arithmetic of the dense sum, so every block is bitwise the gather of
+    the dense H. An unscaled form (c None, H = A) is eigh's path for a
+    plain SymmetricMatrix.
 
     ``entries`` forms the dense H on each access, read-only and bitwise
     c * A + 0.0 with H's diagonal on its diagonal. It is there for tests
@@ -218,8 +268,7 @@ class SectorMatrix:
     def __init__(self, a: SymmetricMatrix, scale: float | None, diagonal: np.ndarray) -> None:
         # the checks are the caller's (scaled_plus_diagonal, or eigh for A itself)
         diagonal.flags.writeable = False
-        for name, value in zip(self.__slots__, (scale, diagonal, a.perm, a.blocks,
-                                                _orbits(a.entries, a.perm, a.blocks))):
+        for name, value in zip(self.__slots__, (scale, diagonal, a.perm, a.blocks, a._orbits)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -231,23 +280,7 @@ class SectorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim))
-        for orbit in self._orbits:
-            even = orbit.sectors[0]
-            f, r, q = even.fixed, even.reps, even.partners
-            # A = PAP and A is symmetric: each piece also sits at its
-            # partners' place and at its mirror
-            for rows, cols, piece in ((f, f, orbit.ff), (r, f, orbit.rf), (q, f, orbit.rf),
-                                      (r, r, orbit.rr), (q, q, orbit.rr), (r, q, orbit.rq)):
-                if piece is not None:
-                    h[np.ix_(rows, cols)] = piece
-                    h[np.ix_(cols, rows)] = piece.T
-        if self.scale is not None:
-            h *= self.scale
-            h += 0.0
-        h[np.diag_indices(self.dim)] = self.diagonal
-        h.flags.writeable = False
-        return h
+        return _dense(self._orbits, self.scale, self.diagonal)
 
     def _abs_max(self) -> float:
         """max |A_ij|: every entry of A is in a piece, or is a zero."""
@@ -294,6 +327,29 @@ class SectorMatrix:
         return f"SectorMatrix(dim={self.dim})"
 
 
+def _dense(orbits: tuple[_Orbit, ...], scale: float | None, diagonal: np.ndarray) -> np.ndarray:
+    """The dense matrix of the pieces, scaled by c * piece + 0.0 unless
+    scale is None, with diagonal on its diagonal; read-only."""
+    dim = diagonal.shape[0]
+    h = np.zeros((dim, dim))
+    for orbit in orbits:
+        even = orbit.sectors[0]
+        f, r, q = even.fixed, even.reps, even.partners
+        # A = PAP and A is symmetric: each piece also sits at its
+        # partners' place and at its mirror
+        for rows, cols, piece in ((f, f, orbit.ff), (r, f, orbit.rf), (q, f, orbit.rf),
+                                  (r, r, orbit.rr), (q, q, orbit.rr), (r, q, orbit.rq)):
+            if piece is not None:
+                h[np.ix_(rows, cols)] = piece
+                h[np.ix_(cols, rows)] = piece.T
+    if scale is not None:
+        h *= scale
+        h += 0.0
+    h[np.diag_indices(dim)] = diagonal
+    h.flags.writeable = False
+    return h
+
+
 def _involution(dim: int, perm) -> np.ndarray:
     p = np.arange(dim) if perm is None else np.array(perm)
     if p.shape != (dim,):
@@ -336,38 +392,69 @@ def _lower_nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, a[i, j]
 
 
-def _place_checked(out: np.ndarray, nonzeros: Callable[[], tuple], perm: np.ndarray,
-                   labels: np.ndarray) -> None:
-    """Write each nonzero (i, j, value) of the batch nonzeros() returns
-    into the zero-filled out at (i, j) and (j, i), then check the declared
-    structure on those nonzeros only.
+_CHUNK = 4096  # nonzeros per pass of the check and the scatter
 
-    nonzeros is called twice, once to write and once to check, and the
-    first batch is dropped before the second is read, so the two are never
-    held at once. Keeping one batch for both raised a Kepler run's peak RSS
-    from 50.6 to 54.4 MiB at max_n 30 and from 76.0 to 88.0 MiB at max_n
-    40, so the batch is read twice. Each nonzero must find its own value in
-    out (a duplicate or mirror that disagrees fails), P must give
-    out[perm[i], perm[j]] == value, and labels[i] == labels[j] must hold.
-    Every entry of out is a nonzero or the mirror of one, so a check of the
+
+def _chunks(n: int) -> Iterator[slice]:
+    """Slices of _CHUNK nonzeros covering n: the passes over a list hold
+    temporaries of one chunk, not of the list."""
+    return (slice(s, s + _CHUNK) for s in range(0, n, _CHUNK))
+
+
+def _place_keys(i: np.ndarray, j: np.ndarray, dim: int) -> np.ndarray:
+    """One int64 key per unordered place {i, j}, max * dim + min: a place
+    and its mirror share it, and a lower triangle read row by row comes out
+    in ascending order."""
+    key = np.maximum(i, j, dtype=np.int64)
+    key *= dim
+    key += np.minimum(i, j, dtype=np.int64)
+    return key
+
+
+def _check_nonzeros(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray,
+                    perm: np.ndarray, labels: np.ndarray) -> None:
+    """Check the declared structure of the matrix that holds each nonzero
+    (i, j, value) at (i, j) and (j, i), and +0.0 wherever nothing is
+    given, on the list itself.
+
+    In order, each over the whole list: the values given at one place or
+    at its mirror must agree; each nonzero's image under P must hold the
+    same value, an image nothing is given at holding 0.0; and
+    labels[i] == labels[j] must hold. The list is sorted by place (key
+    max * dim + min), unless it already is, so that the values of a place
+    are neighbours and each image is found by binary search. Every entry
+    of the matrix is a nonzero or the mirror of one, so a check of the
     nonzeros covers all of them; and P is an involution, so a zero whose
     image is nonzero fails at that image. The decisions are those of
-    checking every pair of out. A failed check raises InputError. All
-    checks run on every matrix: an undeclared perm is the identity, which
-    maps each entry onto itself, and undeclared blocks give every state one
-    label.
+    checking every pair of the dense matrix, and comparisons are of values
+    (-0.0 == 0.0). A failed check raises InputError. All checks run on
+    every matrix: an undeclared perm is the identity, which maps each
+    entry onto itself, and undeclared blocks give every state one label.
+    The passes after the sort run chunk by chunk (_chunks), so that the
+    check holds about one key per nonzero beside the list itself.
     """
-    i, j, values = nonzeros()
-    out[i, j] = values
-    out[j, i] = values
-    del i, j, values
-    i, j, values = nonzeros()
-    if not np.array_equal(out[i, j], values):
+    if not x.size:
+        return
+    key, held = _place_keys(i, j, dim), x
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key)
+        key, held = key[order], x[order]
+        del order
+    if np.any((key[1:] == key[:-1]) & (held[1:] != held[:-1])):
         raise InputError("matrix has two different values for one entry or its mirror")
-    if not np.array_equal(out[perm[i], perm[j]], values):
-        raise InputError("matrix does not commute with its declared symmetry")
-    if np.any(labels[i] != labels[j]):
-        raise InputError("matrix has a nonzero entry between two declared blocks")
+    # a place's values agree now, so the first of them, which a binary
+    # search finds, stands for all
+    for s in _chunks(x.size):
+        image = _place_keys(perm[i[s]], perm[j[s]], dim)
+        at = np.searchsorted(key, image)
+        np.minimum(at, key.size - 1, out=at)
+        value = held[at]
+        value[key[at] != image] = 0.0
+        if not np.array_equal(value, x[s]):
+            raise InputError("matrix does not commute with its declared symmetry")
+    for s in _chunks(x.size):
+        if np.any(labels[i[s]] != labels[j[s]]):
+            raise InputError("matrix has a nonzero entry between two declared blocks")
 
 
 @dataclass(frozen=True)
@@ -504,7 +591,7 @@ def eigh(m: SymmetricMatrix | SectorMatrix) -> SpectralDecomposition:
     dimension) if a block solve fails, violates a tolerance or yields NaN,
     or if a block's Frobenius norm, the residual gate's scale, overflows.
     """
-    h = m if isinstance(m, SectorMatrix) else SectorMatrix(m, None, m.entries.diagonal())
+    h = m if isinstance(m, SectorMatrix) else SectorMatrix(m, None, m.diagonal)
     dim = h.dim
     sectors: list[_Sector] = []
     solved: list[tuple[np.ndarray, np.ndarray]] = []
@@ -562,11 +649,13 @@ class _Sector:
 @dataclass(frozen=True, eq=False)
 class _Orbit:
     """One orbit of blocks under P, its nonempty sectors (even first) and
-    A's entries on it in four read-only pieces, gathered once and shared by
-    those sectors: ff = A[fixed, fixed], rf = A[reps, fixed],
-    rr = A[reps, reps] and rq = A[reps, partners]. Every other entry of A
-    in the orbit is one of them or its mirror, since A = PAP. rq is None
-    where P swaps two blocks: no entry joins them, so it is an exact zero."""
+    A's entries on it in four read-only pieces, scattered once from A's
+    nonzeros and shared by those sectors and by every SectorMatrix built
+    from A: ff = A[fixed, fixed], rf = A[reps, fixed], rr = A[reps, reps]
+    and rq = A[reps, partners]. Every other entry of A in the orbit is one
+    of them or its mirror, since A = PAP; ff, rr and rq are bitwise
+    symmetric. rq is None where P swaps two blocks: no entry joins them, so
+    it is an exact zero."""
 
     sectors: tuple[_Sector, ...]
     ff: np.ndarray
@@ -602,26 +691,98 @@ def _orbit_states(perm: np.ndarray, blocks: np.ndarray) -> Iterator[tuple]:
             yield idx[:0], idx[inside], True
 
 
-def _orbits(a: np.ndarray, perm: np.ndarray, blocks: np.ndarray) -> tuple[_Orbit, ...]:
-    """The orbits of a matrix with its pieces gathered from its entries a."""
-    orbits = []
-    for fixed, reps, swapped in _orbit_states(perm, blocks):
+_ROLES = 3  # of a basis state in its orbit: fixed, representative, partner
+
+
+def _layout(evens: Iterable[_Sector], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From each orbit's even sector: per basis state, its kind,
+    _ROLES * orbit + role (0 fixed, 1 representative, 2 partner), and its
+    position among the states of its kind, a partner taking its
+    representative's; and the basis states in piece order, each orbit's
+    fixed states, representatives and partners in turn. All read-only."""
+    kind = np.empty(dim, dtype=np.intp)
+    pos = np.empty(dim, dtype=np.intp)
+    rows = []
+    for o, even in enumerate(evens):
+        for role, members in enumerate((even.fixed, even.reps, even.partners)):
+            kind[members] = _ROLES * o + role
+            pos[members] = np.arange(members.size)
+            rows.append(members)
+    rows = np.concatenate(rows)
+    for arr in (kind, pos, rows):
+        arr.flags.writeable = False
+    return kind, pos, rows
+
+
+def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.ndarray,
+             labels: np.ndarray) -> tuple[np.ndarray, tuple[_Orbit, ...], tuple]:
+    """The diagonal, the orbits with their pieces and the _layout of the
+    matrix a checked list of nonzeros gives.
+
+    The diagonal holds the value given at each diagonal place (+0.0 where
+    none is). Each nonzero (a, b) is written at its slot and at its
+    mirror's: the slot of (a, b) is row a of the piece that holds a's
+    places with states of b's role, at b's position. A partner's row and
+    column are its representative's (A = PAP), so a place, its mirror and
+    their images under P land on one slot, and the check made their values
+    agree. The buffer also holds fr, rf's transpose, where the mirrors of
+    rf's places land. An off-diagonal value is written plus 0.0, so a -0.0
+    turns +0.0; the pieces' diagonals, at the fixed states and
+    representatives, are then the given diagonal there. Every piece is a
+    read-only view of the one buffer.
+    """
+    diagonal = np.zeros(dim)
+    on = i == j
+    diagonal[i[on]] = x[on]
+    del on
+    orbits, pieces = [], []
+    for fixed, reps, swapped in _orbit_states(perm, labels):
         partners = perm[reps]
         sectors = (_Sector(fixed, reps, partners, 1.0),
                    _Sector(fixed[:0], reps, partners, -1.0, twin=swapped))
-        orbits.append(_Orbit(
-            tuple(sec for sec in sectors if sec.size),
-            _gather(a, fixed, fixed), _gather(a, reps, fixed), _gather(a, reps, reps),
-            None if swapped else _gather(a, reps, partners),
-        ))
-    return tuple(orbits)
-
-
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """a[rows, cols] as a read-only array, with no temporary of a's rows."""
-    piece = a[np.ix_(rows, cols)]
-    piece.flags.writeable = False
-    return piece
+        orbits.append(tuple(sec for sec in sectors if sec.size))
+        nf, nr = fixed.size, reps.size
+        # ff, rf, rr, rq (left out where two blocks swap) and fr
+        pieces.append(((nf, nf), (nr, nf), (nr, nr), None if swapped else (nr, nr), (nf, nr)))
+    layout = _layout([sectors[0] for sectors in orbits], dim)
+    kind, pos, _ = layout
+    role = kind % _ROLES
+    # per state and role of the other state: where the state's row starts
+    # in the piece that holds their place; a fixed row is in ff, fr, fr, a
+    # representative's in rf, rr, rq and a partner's in rf, rq, rr
+    base = np.zeros((dim, _ROLES), dtype=np.intp)
+    starts, total = [], 0
+    for sectors, shapes in zip(orbits, pieces):
+        at = []
+        for shape in shapes:
+            at.append(total)
+            total += 0 if shape is None else shape[0] * shape[1]
+        starts.append(at)
+        ff, rf, rr, rq, fr = at
+        even = sectors[0]
+        width = np.array([even.fixed.size, even.reps.size, even.reps.size])
+        for members, first in ((even.fixed, (ff, fr, fr)), (even.reps, (rf, rr, rq)),
+                               (even.partners, (rf, rq, rr))):
+            base[members] = np.array(first) + np.arange(members.size)[:, None] * width
+    base = base.ravel()
+    buf = np.zeros(total)
+    for s in _chunks(x.size):
+        a, b = i[s].astype(np.intp, copy=False), j[s].astype(np.intp, copy=False)
+        value = x[s] + 0.0
+        buf[base[_ROLES * a + role[b]] + pos[b]] = value
+        buf[base[_ROLES * b + role[a]] + pos[a]] = value
+    held = []
+    for sectors, shapes, at in zip(orbits, pieces, starts):
+        views = [None if shape is None else buf[o:o + shape[0] * shape[1]].reshape(shape)
+                 for o, shape in zip(at, shapes[:4])]
+        even = sectors[0]
+        views[0][np.diag_indices(even.fixed.size)] = diagonal[even.fixed]
+        views[2][np.diag_indices(even.reps.size)] = diagonal[even.reps]
+        for piece in views:
+            if piece is not None:
+                piece.flags.writeable = False
+        held.append(_Orbit(sectors, *views))
+    return diagonal, tuple(held), layout
 
 
 def sector_form_size(perm, blocks=None) -> tuple[int, int]:

@@ -31,6 +31,7 @@ perturbed levels after they drift away from the unperturbed shell energy.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -219,15 +220,21 @@ def w_perturbative_terms(
     # an overflow shows as a term that is not finite, which the check
     # below reports; numpy's warning would only repeat it
     with np.errstate(all="ignore"):
-        # each shell's rows of these squares are the squares of its block of
-        # V, in the same shape and order, so the sums are those of the block's
-        squares = v.entries[:, t_idx] ** 2
+        # V's target columns, a dim x dim_t slab formed from its pieces, with
+        # their rows shell after shell: each shell's run of rows of these
+        # squares is the squares of its block of V, in the same shape and
+        # order, so the sums are those of the block's
+        rows = np.fromiter(itertools.chain.from_iterable(g.indices for g in partition.groups),
+                           dtype=np.intp, count=partition.dim)
+        squares = v.columns(t_idx)[rows] ** 2
+        stop = 0
         for g in partition.groups:
+            start, stop = stop, stop + len(g.indices)
             if g.label == target:
                 continue
             # ShellPartition's strictly increasing energies keep denom nonzero
             denom = tgt.energy - g.energy
-            leak = squares[np.asarray(g.indices)].sum()
+            leak = squares[start:stop].sum()
             term = float(lam * lam * leak / (denom * denom) / dim_t)
             if not math.isfinite(term):
                 raise NumericalError(f"the W_pt term of shell {g.label} is not finite ({term!r})")

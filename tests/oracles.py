@@ -10,7 +10,9 @@ rho^2 elements are recomputed in the spherical basis and rotated over, and
 their Gauss-Laguerre rule is also run for all shell pairs at once, the
 spreading width is found by enumerating every contiguous window, a
 matrix's declared structure is decided by comparing every pair of entries,
-the basis layout both models share is enumerated one state at a time, a
+or, for a list of nonzeros, by writing the list into one dense array and
+checking each nonzero against that array, and W_pt is summed from the
+dense array's columns, the basis layout both models share is enumerated one state at a time, a
 Hamiltonian c * A + diag(d) is formed as one dense array and its symmetry
 blocks are gathered out of it, and a decomposition's full-basis
 eigenvectors are assembled from its sectors, which the library itself
@@ -31,6 +33,7 @@ from scipy.special import (
     roots_legendre,
 )
 
+from specfrag.errors import InputError
 from specfrag.linalg import SymmetricMatrix
 
 
@@ -409,12 +412,62 @@ def dense_structure_check(a, perm, blocks) -> np.ndarray | None:
     return m
 
 
-def scaled_plus_diagonal(a: SymmetricMatrix, c: float, d) -> np.ndarray:
-    """c * A + diag(d) as one dense array: c * A + 0.0, so an off-diagonal
-    -0.0 turns +0.0, with d + c * diag(A) on its diagonal."""
-    h = c * a.entries
+def lower_nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The list the dense constructor is fed: a's strict lower triangle's
+    nonzeros (!= 0.0) and its whole diagonal, signed zeros included, in
+    row-major order, as (rows, cols, values)."""
+    keep = np.tril(a != 0.0, -1) | np.eye(a.shape[0], dtype=bool)
+    rows, cols = np.nonzero(keep)
+    return rows, cols, a[rows, cols]
+
+
+def place_checked(dim: int, rows, cols, values, perm, labels) -> np.ndarray:
+    """The dense matrix a list of nonzeros gives, or InputError, decided on
+    one dim x dim array: each nonzero is written at (row, col), then all of
+    them at (col, row), so the last write to a place holds it; then, each
+    over the whole list and in this order, every nonzero must find its own
+    value at its place, the value at its image under perm (+0.0 where
+    nothing was written), and labels equal at its row and column. perm and
+    labels are an involution and block labels it maps onto blocks."""
+    i, j = np.asarray(rows), np.asarray(cols)
+    values = np.asarray(values, dtype=float)
+    perm, labels = np.asarray(perm), np.asarray(labels)
+    out = np.zeros((dim, dim))
+    out[i, j] = values
+    out[j, i] = values
+    if not np.array_equal(out[i, j], values):
+        raise InputError("matrix has two different values for one entry or its mirror")
+    if not np.array_equal(out[perm[i], perm[j]], values):
+        raise InputError("matrix does not commute with its declared symmetry")
+    if np.any(labels[i] != labels[j]):
+        raise InputError("matrix has a nonzero entry between two declared blocks")
+    return out
+
+
+def w_perturbative_dense(v: np.ndarray, partition, target: int, lam: float) -> float:
+    """W_pt summed from the dense V's target columns, each shell's rows
+    gathered by fancy indexing: (lam^2 / dim T_N) * sum of |V_alpha,i|^2
+    over the shell's rows, over (E_N - E_n)^2, per shell n != N, summed."""
+    tgt = partition.group(target)
+    t_idx = np.asarray(tgt.indices)
+    squares = v[:, t_idx] ** 2
+    terms = []
+    for g in partition.groups:
+        if g.label != target:
+            denom = tgt.energy - g.energy
+            leak = squares[np.asarray(g.indices)].sum()
+            terms.append(float(lam * lam * leak / (denom * denom) / t_idx.size))
+    return float(sum(terms))
+
+
+def scaled_plus_diagonal(a, c: float, d) -> np.ndarray:
+    """c * A + diag(d) as one dense array, for a SymmetricMatrix or a dense
+    A: c * A + 0.0, so an off-diagonal -0.0 turns +0.0, with
+    d + c * diag(A) on its diagonal."""
+    a = a.entries if isinstance(a, SymmetricMatrix) else np.asarray(a)
+    h = c * a
     h += 0.0
-    h[np.diag_indices(a.dim)] = np.asarray(d, dtype=float) + c * a.entries.diagonal()
+    h[np.diag_indices(a.shape[0])] = np.asarray(d, dtype=float) + c * a.diagonal()
     return h
 
 

@@ -53,38 +53,44 @@ class TestValidate:
         line = next(l for l in capsys.readouterr().out.splitlines() if "peak memory" in l)
         return float(line.split(": ")[1].split()[0])
 
-    # What a solve holds, in floats: H's sector pieces (A[fixed, fixed],
-    # A[reps, fixed], A[reps, reps] and A[reps, partners], the last left
-    # out where two blocks swap) and four arrays of its largest block.
-    # Kepler 30: 15 fixed states and 225 pairs, so an even block of 240.
-    KEPLER_30_SOLVE = 15 ** 2 + 225 * 15 + 2 * 225 ** 2 + 4 * 240 ** 2
+    # What a run holds, in floats: an operator's sector pieces (A[fixed,
+    # fixed], A[reps, fixed], A[reps, reps] and A[reps, partners], the last
+    # left out where two blocks swap), and per solve four arrays of its
+    # largest block. Kepler 30: 15 fixed states and 225 pairs, so an even
+    # block of 240.
+    KEPLER_30_PIECES = 15 ** 2 + 225 * 15 + 2 * 225 ** 2
+    KEPLER_30_SOLVE = 4 * 240 ** 2
     # HH 60: A1 + A2 hold 30 fixed states and 290 pairs, E 610 swapped pairs
-    HH_60_SOLVE = 30 ** 2 + 290 * 30 + 2 * 290 ** 2 + 610 ** 2 + 4 * 610 ** 2
+    HH_60_PIECES = 30 ** 2 + 290 * 30 + 2 * 290 ** 2 + 610 ** 2
+    HH_60_SOLVE = 4 * 610 ** 2
 
     def test_memory_estimate_scales_with_kepler_workers(self, capsys):
         argv = ["--system", "kepler", "--max-n", "30", "--threads"]
-        one, two, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "2", "4"))
+        one, two, eight = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "2", "8"))
         rho2 = 465 ** 2
-        for estimate, workers in ((one, 1), (two, 2), (four, 4)):
-            # rho^2's build peaks at 5 dense arrays, above 1 or 2 workers' solves
-            floats = max(5 * rho2, rho2 + workers * self.KEPLER_30_SOLVE)
+        for estimate, workers in ((one, 1), (two, 2), (eight, 8)):
+            # rho^2's build peaks at 5 dense arrays, above 1 or 2 workers'
+            # solves; its pieces are held once, whatever the workers
+            floats = max(5 * rho2, self.KEPLER_30_PIECES + workers * self.KEPLER_30_SOLVE)
             assert estimate == pytest.approx(floats * 8 / 1e6, abs=0.05)
-        assert one == two < four
+        assert one == two < eight
         # never more workers than points
         grid = ["--gamma-grid", "0.004,0.008"]
-        assert self.estimate_mb(capsys, argv + ["4"] + grid) == two
+        assert self.estimate_mb(capsys, argv + ["8"] + grid) == two
 
     def test_memory_estimate_of_henon_heiles_ignores_threads(self, capsys):
         argv = ["--system", "henon-heiles", "--shells", "60", "--threads"]
         one, four = (self.estimate_mb(capsys, argv + [t]) for t in ("1", "4"))
-        floats = 1830 ** 2 + self.HH_60_SOLVE  # V, then H's pieces and its solve
+        floats = self.HH_60_PIECES + self.HH_60_SOLVE  # H's pieces and its solve
         assert one == four == pytest.approx(floats * 8 / 1e6, abs=0.05)
 
-    def test_memory_estimate_of_henon_heiles_w_pt_holds_one_v(self, capsys):
+    def test_memory_estimate_of_henon_heiles_w_pt_holds_v_pieces_and_a_slab(self, capsys):
         argv = ["--system", "henon-heiles", "--shells", "60", "--metrics"]
         alone, with_exact = (self.estimate_mb(capsys, argv + [m]) for m in ("w-pt", "w-pt,kappa"))
-        assert alone == pytest.approx(1830 ** 2 * 8 / 1e6, abs=0.05)
-        assert with_exact == pytest.approx(alone + self.HH_60_SOLVE * 8 / 1e6, abs=0.1)
+        # V's pieces and its columns on shell 26, the largest scanned
+        assert alone == pytest.approx((self.HH_60_PIECES + 1830 * 27) * 8 / 1e6, abs=0.05)
+        assert with_exact == pytest.approx(
+            (self.HH_60_PIECES + self.HH_60_SOLVE) * 8 / 1e6, abs=0.1)
 
     def test_zero_shells_config_error(self, capsys):
         assert main(["validate", "--system", "henon-heiles", "--shells", "0"]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from specfrag import henon_heiles, kepler, linalg
+from specfrag import henon_heiles, kepler, linalg, metrics
 from specfrag.errors import ConvergenceError, InputError
 from specfrag.linalg import (
     ShellGroup,
@@ -371,6 +371,104 @@ class TestSectorForm:
         cfg = henon_heiles.HHConfig(num_shells=40)
         _, peak, d = self.traced(lambda: eigh(henon_heiles.build_h(cfg)))
         assert peak <= 1.6 * d.dim ** 2 * 8
+
+
+class TestHeldAsPieces:
+    """V and rho^2 keep only their sector pieces: each is bitwise what
+    writing its nonzero list into one dense array gives (oracles.
+    place_checked), in its entries, its columns, every block eigh solves
+    and every W_pt, and no build or metric holds a dense array."""
+
+    @staticmethod
+    def henon_heiles(shells, monkeypatch):
+        """(V, the list build_v hands to from_nonzeros, cfg)."""
+        cfg = henon_heiles.HHConfig(num_shells=shells)
+        seen = []
+        build = SymmetricMatrix.from_nonzeros.__func__
+
+        def spy(cls, dim, rows, cols, values, perm=None, blocks=None):
+            seen.append((dim, rows, cols, values, perm, blocks))
+            return build(cls, dim, rows, cols, values, perm, blocks)
+
+        monkeypatch.setattr(SymmetricMatrix, "from_nonzeros", classmethod(spy))
+        v = henon_heiles.build_v(cfg)
+        monkeypatch.undo()
+        return v, seen[0], cfg
+
+    def check(self, m, nonzeros, partition, solve, monkeypatch):
+        """m against the oracle's dense array of its nonzero list; solve
+        maps a matrix to the one whose blocks eigh is checked on."""
+        dim, rows, cols, values, perm, blocks = nonzeros
+        dense = oracles.place_checked(dim, rows, cols, values, perm, blocks)
+        assert m.entries.tobytes() == dense.tobytes()
+        for g in partition.groups:
+            idx = np.asarray(g.indices)
+            assert m.columns(idx).tobytes() == dense[:, idx].tobytes()
+            assert (metrics.w_perturbative(m, partition, g.label, 0.7).hex()
+                    == oracles.w_perturbative_dense(dense, partition, g.label, 0.7).hex())
+        h, dense_h = solve(m, dense)
+        blocks_seen = record_blocks(monkeypatch)
+        d = eigh(h)
+        expected = [oracles.sector_block(dense_h, part.sector)
+                    for part in d.sectors if not part.sector.twin]
+        assert [b.tobytes() for b in blocks_seen] == [b.tobytes() for b in expected]
+
+    @pytest.mark.parametrize("shells", [12, 30, 60])
+    def test_henon_heiles_v_is_its_dense_list(self, shells, monkeypatch):
+        v, nonzeros, cfg = self.henon_heiles(shells, monkeypatch)
+        quanta, partition = henon_heiles.enumerate_basis(cfg)
+        h0 = cfg.hbar * (quanta.sum(axis=1) + 1)
+
+        def solve(m, dense):
+            return (m.scaled_plus_diagonal(cfg.lam, h0),
+                    oracles.scaled_plus_diagonal(dense, cfg.lam, h0))
+
+        self.check(v, nonzeros, partition, solve, monkeypatch)
+
+    @pytest.mark.parametrize("max_n", [12, 20])
+    def test_kepler_rho2_is_its_dense_list(self, max_n, monkeypatch):
+        cfg = kepler.KeplerConfig(max_n=max_n)
+        rho2 = kepler.build_rho2(cfg)
+        quanta, partition = kepler.enumerate_parabolic_basis(cfg)
+        first = kepler._rho2_entries(cfg, max(max_n + 4, 12))
+        nonzeros = (rho2.dim, *oracles.lower_nonzeros(first),
+                    linalg.triangular_exchange(quanta), np.zeros(rho2.dim, dtype=int))
+        self.check(rho2, nonzeros, partition, lambda m, dense: (m, dense), monkeypatch)
+        energies = kepler.shell_energy(quanta.sum(axis=1) + 1)
+        for gamma in (0.0, cfg.gamma_grid[0], cfg.gamma_grid[-1]):
+            c = gamma * gamma / 8.0
+            self.check(rho2, nonzeros, partition, lambda m, dense: (
+                m.scaled_plus_diagonal(c, energies),
+                oracles.scaled_plus_diagonal(dense, c, energies)), monkeypatch)
+
+    def test_henon_heiles_build_v_peaks_under_0_35_dense_arrays(self):
+        # V kept as one dense array peaked at 1.05 of it
+        cfg = henon_heiles.HHConfig(num_shells=40)
+        _, peak, v = TestSectorForm.traced(lambda: henon_heiles.build_v(cfg))
+        assert peak < 0.35 * v.dim ** 2 * 8
+
+    def test_henon_heiles_w_pt_stage_peaks_under_0_35_dense_arrays(self):
+        # the run's w-pt stage: V, then W_pt on every scanned shell (1..26)
+        cfg = henon_heiles.HHConfig(num_shells=40)
+        _, partition = henon_heiles.enumerate_basis(cfg)
+
+        def stage():
+            v = henon_heiles.build_v(cfg)
+            return [metrics.w_perturbative(v, partition, n, cfg.lam) for n in range(1, 27)]
+
+        _, peak, _ = TestSectorForm.traced(stage)
+        assert peak < 0.35 * partition.dim ** 2 * 8
+
+    def test_kepler_build_h_allocates_under_0_05_dense_arrays_sharing_rho2s_pieces(self):
+        # each build_h gathered rho^2's pieces again, half a dense array
+        cfg = kepler.KeplerConfig(max_n=30)
+        rho2 = kepler.build_rho2(cfg)
+        retained, _, h = TestSectorForm.traced(
+            lambda: kepler.build_h(cfg, cfg.gamma_grid[-1], rho2))
+        assert retained < 0.05 * rho2.dim ** 2 * 8
+        for mine, theirs in zip(h._orbits, rho2._orbits, strict=True):
+            for name in ("ff", "rf", "rr", "rq"):
+                assert getattr(mine, name) is getattr(theirs, name)
 
 
 def hh30():

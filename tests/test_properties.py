@@ -1,6 +1,7 @@
 """Property tests of the sector-form decomposition, of the
 SymmetricMatrix constructor's structure checks, of its nonzero form
-SymmetricMatrix.from_nonzeros and of
+SymmetricMatrix.from_nonzeros, of both constructors' list check against
+the dense-array oracle with faults injected into the list, and of
 SymmetricMatrix.scaled_plus_diagonal, on random involutions, random
 matrices that commute with them (some split into blocks the involution
 swaps, some sparse, some broken on purpose) and random subsets of the
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import assembled_eigenvectors, brute_force_spreading_width, dense_structure_check
 from specfrag import henon_heiles, kepler
 from specfrag.errors import InputError
@@ -263,6 +265,115 @@ def test_nonzero_form_rejects_disagreeing_and_non_finite_entries(case, seed, fau
                                                         perm, blocks)):
         with pytest.raises(InputError, match="finite"):
             build()
+
+
+LIST_FAULTS = ("none", "duplicate", "mirror", "absent-image", "image-value", "between-blocks",
+               "explicit-zero", "signed-diagonal")
+
+
+def places(rows, cols, r, c):
+    """Where the list gives the place (r, c) or its mirror."""
+    return ((rows == r) & (cols == c)) | ((rows == c) & (cols == r))
+
+
+@st.composite
+def faulted_lists(draw):
+    """(perm, blocks, a, (rows, cols, values), fault): a declared
+    structure as drawn (flaws included), a list of its nonzeros, and one
+    fault injected into both, or into the list alone where a dense matrix
+    cannot hold it: a duplicate or a mirror that disagrees, a nonzero whose
+    image is left out, an image with another value, a nonzero between two
+    blocks (with its image or without), an explicit off-diagonal +-0.0 with
+    no image, or +0.0 and -0.0 on the diagonal of a swapped pair."""
+    (perm, blocks), a = draw(declared_structures())
+    fault = draw(st.sampled_from(LIST_FAULTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = a.copy()
+    dim = a.shape[0]
+    p = np.arange(dim) if perm is None else perm
+    labels = np.zeros(dim, dtype=int) if blocks is None else blocks
+    # the off-diagonal nonzeros whose image is another place
+    off = [(r, c) for r, c in np.argwhere(np.tril(a != 0.0, -1)).tolist()
+           if {p[r], p[c]} != {r, c}]
+    if fault in ("absent-image", "image-value") and off:
+        r, c = off[rng.integers(0, len(off))]
+        pr, pc = p[r], p[c]
+        a[pr, pc] = a[pc, pr] = 0.0 if fault == "absent-image" else a[r, c] + 1.0
+    elif fault == "between-blocks":
+        apart = np.argwhere(labels[:, None] != labels)
+        if apart.size:
+            r, c = apart[rng.integers(0, len(apart))]
+            a[r, c] = a[c, r] = 1e-300
+            if rng.random() < 0.5:
+                a[p[r], p[c]] = a[p[c], p[r]] = 1e-300
+    elif fault == "signed-diagonal":
+        pairs = np.flatnonzero(p > np.arange(dim))
+        if pairs.size:
+            r = pairs[rng.integers(0, pairs.size)]
+            a[r, r], a[p[r], p[r]] = (0.0, -0.0) if rng.random() < 0.5 else (-0.0, 0.0)
+    rows, cols, values = shuffled_nonzeros(a, rng)
+    k = rng.integers(0, rows.size)
+    if fault in ("duplicate", "mirror"):
+        r, c = (rows[k], cols[k]) if fault == "duplicate" else (cols[k], rows[k])
+        rows, cols, values = np.r_[rows, r], np.r_[cols, c], np.r_[values, values[k] + 1.0]
+    elif fault == "explicit-zero":
+        # an off-diagonal place that the list leaves out, and its image too
+        absent = [(r, c) for r in range(dim) for c in range(r)
+                  if not (places(rows, cols, r, c).any() or places(rows, cols, p[r], p[c]).any())]
+        if absent:
+            r, c = absent[rng.integers(0, len(absent))]
+            zero = -0.0 if rng.random() < 0.75 else 0.0
+            rows, cols, values = np.r_[rows, r], np.r_[cols, c], np.r_[values, zero]
+    return perm, blocks, a, (rows, cols, values), fault
+
+
+def decision(build):
+    """build()'s entries and the blocks eigh solves, as bytes, or the
+    message of its InputError."""
+    try:
+        m = build()
+    except InputError as exc:
+        return str(exc)
+    solved = []
+    solve = np.linalg.eigh
+
+    def recording(b):
+        solved.append(b.tobytes())
+        return solve(b)
+
+    with mock.patch.object(np.linalg, "eigh", recording):
+        d = eigh(m)
+    return m.entries.tobytes(), solved, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(faulted_lists())
+def test_list_check_decides_as_dense_oracle(case):
+    """Both constructors accept and refuse what writing the list into one
+    dense array and checking it there does, with the same message, and
+    hold what that array holds, with its signed zeros as documented: an
+    off-diagonal zero is +0.0, the diagonal is held as given."""
+    perm, blocks, a, listed, _ = case
+    dim = a.shape[0]
+    p = np.arange(dim) if perm is None else perm
+    labels = np.zeros(dim, dtype=int) if blocks is None else blocks
+    # the list check runs on an involution that maps blocks onto blocks
+    assume(len(set(zip(labels.tolist(), labels[p].tolist()))) == len(set(labels.tolist())))
+    for build, nonzeros in (
+        (lambda: SymmetricMatrix(a, perm, blocks), oracles.lower_nonzeros(a)),
+        (lambda: SymmetricMatrix.from_nonzeros(dim, *listed, perm, blocks), listed),
+    ):
+        got = decision(build)
+        try:
+            held = oracles.place_checked(dim, *nonzeros, p, labels)
+        except InputError as exc:
+            assert got == str(exc)
+            continue
+        held[~np.eye(dim, dtype=bool)] += 0.0
+        entries, solved, d = got
+        assert entries == held.tobytes()
+        assert solved == [oracles.sector_block(held, part.sector).tobytes()
+                          for part in d.sectors if not part.sector.twin]
 
 
 @st.composite
