@@ -18,7 +18,6 @@ from .errors import (
     SpecfragError,
 )
 from .linalg import (
-    SectorMatrix,
     ShellGroup,
     ShellPartition,
     SpectralDecomposition,
@@ -55,7 +54,6 @@ __all__ = [
     "NumericalError",
     "ConvergenceError",
     "SymmetricMatrix",
-    "SectorMatrix",
     "SpectralDecomposition",
     "ShellGroup",
     "ShellPartition",

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, is_real
-from .linalg import (
-    SectorMatrix,
-    ShellPartition,
-    SymmetricMatrix,
-    triangular_basis,
-    triangular_exchange,
-)
+from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 
 @dataclass(frozen=True)
@@ -125,14 +119,13 @@ def build_v(cfg: HHConfig) -> SymmetricMatrix:
     )
 
 
-def build_h(cfg: HHConfig) -> SectorMatrix:
-    """Full Hamiltonian H0 + lambda*V with V's C3v structure, in sector
-    form: the result shares V's pieces on the A1/A2 and E orbits (about a
-    sixth of a dense V at 60 shells), gathers nothing, and no dense V or H
-    is formed. Each block eigh forms from it is bitwise the block of the
-    dense sum diag(H0) + lambda*V. The diagonal H0 depends on the shell
-    alone, so it is mirror-invariant and needs only the O(dim) check of
-    SymmetricMatrix.scaled_plus_diagonal."""
+def build_h(cfg: HHConfig) -> SymmetricMatrix:
+    """Full Hamiltonian H0 + lambda*V with V's C3v structure, the
+    SymmetricMatrix V.scaled_plus_diagonal(lambda, H0): it shares V's
+    pieces (about a sixth of a dense V at 60 shells), so no dense V or H is
+    formed, and each block eigh forms from it is bitwise the block of the
+    dense sum. H0 depends on the shell alone, so it is mirror-invariant and
+    needs only the O(dim) check."""
     quanta, _ = enumerate_basis(cfg)
     return build_v(cfg).scaled_plus_diagonal(cfg.lam, cfg.hbar * (quanta.sum(axis=1) + 1))
 

@@ -45,13 +45,7 @@ import numpy as np
 from numpy.polynomial import laguerre
 
 from .errors import ConfigurationError, InputError, NumericalError, is_real
-from .linalg import (
-    SectorMatrix,
-    ShellPartition,
-    SymmetricMatrix,
-    triangular_basis,
-    triangular_exchange,
-)
+from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 QUADRATURE_AGREEMENT_RTOL = 1e-8
 # Both rule sizes integrate the polynomial integrands exactly, so any
@@ -206,20 +200,18 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     return SymmetricMatrix(first, perm=triangular_exchange(quanta))
 
 
-def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> SectorMatrix:
+def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> SymmetricMatrix:
     """H = diag(-1/(2n^2)) + (gamma^2/8) rho^2, from rho2 = build_rho2(cfg),
     built once for a whole gamma scan.
 
-    H is in sector form (SymmetricMatrix.scaled_plus_diagonal): it shares
-    rho2's pieces on the two sectors of its symmetry by reference, so a
-    scan gathers nothing and holds the pieces once, and no dense H is
-    formed. The symmetry is rho2's, carried over without a new check:
-    build_rho2 declares the exact one, the
-    n1 <-> n2 exchange (z-parity), so eigh solves its two sectors as
-    separate blocks, each bitwise the block of the dense sum. At gamma = 0
-    every off-diagonal 0.0 * rho2 + 0.0 is +0.0 and every diagonal entry is
-    E + 0.0 * rho2, so H is the bare Coulomb diagonal bitwise, and it
-    declares the exchange too.
+    H is the SymmetricMatrix rho2.scaled_plus_diagonal(gamma^2 / 8, E): it
+    shares rho2's pieces by reference, so a scan gathers nothing and holds
+    the pieces once, and no dense H is formed. It keeps the exact symmetry
+    build_rho2 declares, the n1 <-> n2 exchange (z-parity), without a new
+    check, so eigh solves its two sectors as separate blocks, each bitwise
+    the block of the dense sum. At gamma = 0 every off-diagonal
+    0.0 * rho2 + 0.0 is +0.0 and every diagonal entry is E + 0.0 * rho2, so
+    H is the bare Coulomb diagonal bitwise, still declaring the exchange.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")

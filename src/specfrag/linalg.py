@@ -1,53 +1,16 @@
 """Real-symmetric linear algebra underneath the fragmentation metrics.
 
-Every matrix in this package is small (a few hundred to a few thousand
-rows), and none is held dense: an operator a model builds once (V, rho^2)
-and a Hamiltonian built from it both keep only their sector pieces. A
-matrix may declare an exact Z2 symmetry, an involution of its basis, and a
-block label per basis state; a parity of the basis is declared as two
-blocks. Construction checks bitwise that the matrix commutes with the
-involution, that no entry joins two blocks and that the involution maps
-blocks onto blocks. The check works on a list of nonzeros (row, column,
-value) and never on a dim x dim array: sorted by their places, the
-nonzeros given at one place or at its mirror must agree, each one's image
-under the involution must hold the same value (an image nothing is given
-at holds 0.0), and no nonzero may join two blocks. That decides exactly as
-checking every pair of the dense matrix would: every entry is a nonzero or
-the mirror of one, and the involution is its own inverse, so a zero whose
-image is nonzero is found at that image, which fails its own check. The
-checked list is then scattered into the matrix's pieces: per orbit of
-blocks, fixed x fixed, representative x fixed, representative x
-representative and representative x partner (see _Orbit), with the
-diagonal kept as given. An operator built from its nonzeros
-(SymmetricMatrix.from_nonzeros) is never held dense; the dense
-constructor feeds the same check one list, its strict lower triangle's
-nonzeros and its whole diagonal. ``entries`` forms the dense matrix on
-each access, for tests and inspection, and ``columns`` forms a slab of it.
-Finiteness is read off the minimum and maximum, with no mask. eigh then
-solves the even and odd sectors of each orbit of blocks as separate
-blocks, and those of a pair of blocks the involution swaps only once,
-since both have the same block matrix. The structure is checked once per
-model: SymmetricMatrix.scaled_plus_diagonal takes H = c*A + diag(d) from
-an already checked A and checks only that d is invariant, so a scan over
-couplings never repeats the check. It returns a SectorMatrix, which shares
-A's pieces and never forms the dense H: eigh forms each sector block from
-the pieces with the arithmetic of the dense sum, so every block is bitwise
-the one gathered out of the dense H. A plain SymmetricMatrix is solved
-through the same sector form, unscaled. Decompositions are validated
-on the spot: orthogonality, residual and completeness checks run on every
-block right after its solve, and a violation, NaN or a block norm that
-overflows included, raises ConvergenceError instead of letting bad numbers
-propagate into the metrics.
-
-Decompositions stay in sector form, and that form is their whole
-contract: projection_onto_subset, and with it every metric, reads the
-block eigenvectors directly, and no full-basis eigenvector is formed.
+One class, SymmetricMatrix, holds every operator and Hamiltonian here: an
+operator a model builds once (V, rho^2), checked against the exact
+symmetry and blocks it declares, and each H = c * A + diag(d) made from
+it, which shares its pieces. No run holds a dense matrix. eigh solves the
+symmetry sectors as separate blocks and validates each on the spot; the
+decomposition it returns stays in sector form, which
+projection_onto_subset, and with it every metric, reads directly.
 
 numpy's solves release the GIL, so independent decompositions can run on
-several Python threads at once. single_threaded_blas pins numpy's bundled
-OpenBLAS to one thread around such a pool: each solve then runs entirely on
-its caller's thread, and its result no longer depends on the BLAS thread
-setting of the environment.
+several Python threads at once; single_threaded_blas pins numpy's bundled
+OpenBLAS to one thread around such a pool.
 """
 from __future__ import annotations
 
@@ -70,7 +33,8 @@ COMPLETENESS_TOL = 1e-10
 
 class SymmetricMatrix:
     """Real symmetric matrix with an optional exact Z2 symmetry and
-    optional exact blocks, held as its sector pieces.
+    optional exact blocks, held as its sector pieces; with a scale c, the
+    Hamiltonian H = c * A + diag(d) of such a matrix A.
 
     The lower triangle of the input is authoritative; construction mirrors
     it onto the upper triangle, so ``entries[i, j] == entries[j, i]`` holds
@@ -90,22 +54,26 @@ class SymmetricMatrix:
     the matrix commutes with, is declared as blocks: label 0 for the states
     of sign +1 and 1 for those of sign -1.
 
-    The checks run on the matrix's nonzeros only (see _check_nonzeros).
-    The dense constructor reads them off its input: the strict lower
-    triangle's nonzeros and the whole diagonal. from_nonzeros is handed
-    them. The matrix keeps no dim x dim array: it holds its diagonal as
-    given and, per orbit of blocks, the four pieces eigh forms its sector
-    blocks from (see _Orbit), with perm and blocks. Signed zeros: the
-    diagonal, and each piece's diagonal at the representative states, hold
-    the value given there, -0.0 included; every other zero is +0.0, so an
-    off-diagonal -0.0 turns +0.0. ``entries`` forms the dense matrix from
-    them on each access, and ``columns`` a slab of its columns.
+    The checks run on the matrix's nonzeros only (see _check_nonzeros),
+    which the dense constructor reads off its input: the strict lower
+    triangle's nonzeros and the whole diagonal. The matrix keeps no
+    dim x dim array: it holds its diagonal as given and, per orbit of
+    blocks, the four pieces eigh forms its sector blocks from (see _Orbit),
+    with perm and blocks. Signed zeros: the diagonal holds the value given
+    there, -0.0 included, and every other zero is +0.0 (see _scatter).
+    ``entries`` forms the dense matrix from them on each access, and
+    ``columns`` a slab of its columns.
+
+    scale is None for a matrix a constructor built, and c for an H that
+    scaled_plus_diagonal made from one; every entry of H that is read, in
+    entries, columns or a block eigh solves, is formed as c * A_ij + 0.0
+    off the diagonal, bitwise the dense sum.
 
     Everything held is frozen after construction and safe to share across
     threads.
     """
 
-    __slots__ = ("diagonal", "perm", "blocks", "_orbits", "_layout")
+    __slots__ = ("scale", "diagonal", "perm", "blocks", "_orbits", "_layout")
 
     def __init__(self, entries, perm=None, blocks=None) -> None:
         a = np.asarray(entries, dtype=float)
@@ -128,10 +96,9 @@ class SymmetricMatrix:
         Either triangle may be given, or both; a nonzero given twice, as
         itself or as its mirror, must carry the same value each time, else
         InputError. perm and blocks are declared and checked as for the
-        dense constructor, on the given entries, so the matrix is built and
-        checked without any dim x dim array. Given a dense matrix's strict
-        lower triangle nonzeros and its whole diagonal, it holds bitwise
-        what the dense constructor holds for that matrix.
+        dense constructor. Given a dense matrix's strict lower triangle
+        nonzeros and its whole diagonal, it holds bitwise what the dense
+        constructor holds for that matrix.
         """
         if not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise InputError(f"matrix dimension must be an integer of at least 1, got {dim!r}")
@@ -149,22 +116,25 @@ class SymmetricMatrix:
         m._build(dim, lambda: (i, j, x), perm, blocks)
         return m
 
-    def scaled_plus_diagonal(self, c: float, diagonal) -> SectorMatrix:
-        """H = c * A + diag(diagonal) in sector form, with A's symmetry and
-        no O(dim^2) check.
+    def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
+        """H = c * A + diag(diagonal), A being this unscaled matrix: H holds
+        c and its own diagonal, and shares A's perm, blocks, pieces and
+        layout by reference, so a scan over couplings neither repeats the
+        O(dim^2) check nor gathers anything.
 
-        The result keeps A's perm, blocks and pieces, by reference (see
-        SectorMatrix); the dense H is never formed. c * A commutes with P
-        bitwise because A does, and so does the sum once the diagonal is
-        invariant under the permutation, diagonal[perm[i]] == diagonal[i],
-        since the same operands then go through the same operations; an
-        entry between two blocks is c * 0.0 + 0.0 == 0.0. The O(dim)
-        condition is what is checked. Overflow is decided without forming
-        H: rounding is monotone, so fl(|c| * max|A|) is infinite exactly
-        when some c * A_ij overflows, and H's diagonal d + c * diag(A) is
-        checked on its own. InputError if the diagonal's shape, its
+        c * A commutes with P bitwise because A does, and so does the sum
+        once the diagonal is invariant under the permutation,
+        diagonal[perm[i]] == diagonal[i], since the same operands then go
+        through the same operations; an entry between two blocks is
+        c * 0.0 + 0.0 == 0.0. The O(dim) condition is what is checked.
+        Overflow is decided without forming H: rounding is monotone, so
+        fl(|c| * max|A|) is infinite exactly when some c * A_ij overflows,
+        and H's diagonal d + c * diag(A) is checked on its own. InputError
+        if this matrix is already scaled, or if the diagonal's shape, its
         finiteness or invariance, or H's finiteness fails.
         """
+        if self.scale is not None:
+            raise InputError("matrix is already scaled; scale the operator it was made from")
         c = float(c)
         d = np.asarray(diagonal, dtype=float)
         if d.shape != (self.dim,):
@@ -175,10 +145,11 @@ class SymmetricMatrix:
             raise InputError("diagonal is not invariant under the declared symmetry")
         with np.errstate(over="ignore"):  # an overflow is reported below
             h_diagonal = d + c * self.diagonal
-        h = SectorMatrix(self, c, h_diagonal)
-        if not (_finite(h_diagonal) and math.isfinite(abs(c) * h._abs_max())):
+        if not (_finite(h_diagonal) and math.isfinite(abs(c) * self._abs_max())):
             raise InputError("matrix entries must be finite")
-        return h
+        h_diagonal.flags.writeable = False
+        return object.__new__(type(self))._hold(
+            c, h_diagonal, self.perm, self.blocks, self._orbits, self._layout)
 
     def _build(self, dim: int, nonzeros: Callable[[], tuple], perm, blocks) -> None:
         """Check perm and blocks, then check the nonzeros, scatter them into
@@ -190,8 +161,12 @@ class SymmetricMatrix:
         diagonal, orbits, layout = _scatter(dim, i, j, x, p, labels)
         for arr in (diagonal, p, labels):
             arr.flags.writeable = False
-        for name, value in zip(self.__slots__, (diagonal, p, labels, orbits, layout)):
+        self._hold(None, diagonal, p, labels, orbits, layout)
+
+    def _hold(self, *values) -> SymmetricMatrix:
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricMatrix is immutable")
@@ -204,7 +179,21 @@ class SymmetricMatrix:
     def entries(self) -> np.ndarray:
         """The dense matrix, formed from the pieces on each access and
         read-only; for tests and inspection, no run reads it."""
-        return _dense(self._orbits, None, self.diagonal)
+        h = np.zeros((self.dim, self.dim))
+        for orbit in self._orbits:
+            even = orbit.sectors[0]
+            f, r, q = even.fixed, even.reps, even.partners
+            # A = PAP and A is symmetric: each piece also sits at its
+            # partners' place and at its mirror
+            for rows, cols, piece in ((f, f, orbit.ff), (r, f, orbit.rf), (q, f, orbit.rf),
+                                      (r, r, orbit.rr), (q, q, orbit.rr), (r, q, orbit.rq)):
+                if piece is not None:
+                    h[np.ix_(rows, cols)] = piece
+                    h[np.ix_(cols, rows)] = piece.T
+        self._scaled(h, h)
+        h[np.diag_indices(self.dim)] = self.diagonal
+        h.flags.writeable = False
+        return h
 
     def columns(self, idx) -> np.ndarray:
         """entries[:, idx], bitwise, formed from the pieces as a
@@ -212,7 +201,7 @@ class SymmetricMatrix:
 
         The slab is filled transposed, one row per column of idx and the
         states in piece order (see _layout), so that each piece fills whole
-        runs of a row; each is read as _dense writes it last, a partner's
+        runs of a row; each is read as entries writes it last, a partner's
         place holding its representative's piece."""
         idx = np.asarray(idx, dtype=np.intp)
         kind, pos, rows = self._layout
@@ -237,50 +226,11 @@ class SymmetricMatrix:
                 for part, piece, across in parts:
                     if piece is not None:
                         slab[ks, part] = piece[at] if across else piece[:, at].T
+        self._scaled(slab, slab)
         out = np.empty((self.dim, idx.size))
         out[rows] = slab.T
         out[idx, np.arange(idx.size)] = self.diagonal[idx]
         return out
-
-    def __repr__(self) -> str:
-        return f"SymmetricMatrix(dim={self.dim})"
-
-
-class SectorMatrix:
-    """H = c * A + diag(d) for a checked SymmetricMatrix A, held in sector
-    form: SymmetricMatrix.scaled_plus_diagonal returns it.
-
-    It holds the scale c, H's diagonal d + c * diag(A), and A's perm,
-    blocks and pieces by reference (see _Orbit), so building it gathers
-    nothing. eigh forms each sector block from the pieces with the
-    arithmetic of the dense sum, so every block is bitwise the gather of
-    the dense H. An unscaled form (c None, H = A) is eigh's path for a
-    plain SymmetricMatrix.
-
-    ``entries`` forms the dense H on each access, read-only and bitwise
-    c * A + 0.0 with H's diagonal on its diagonal. It is there for tests
-    and inspection; no run reads it. Everything held is frozen and safe to
-    share across threads.
-    """
-
-    __slots__ = ("scale", "diagonal", "perm", "blocks", "_orbits")
-
-    def __init__(self, a: SymmetricMatrix, scale: float | None, diagonal: np.ndarray) -> None:
-        # the checks are the caller's (scaled_plus_diagonal, or eigh for A itself)
-        diagonal.flags.writeable = False
-        for name, value in zip(self.__slots__, (scale, diagonal, a.perm, a.blocks, a._orbits)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SectorMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.diagonal.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        return _dense(self._orbits, self.scale, self.diagonal)
 
     def _abs_max(self) -> float:
         """max |A_ij|: every entry of A is in a piece, or is a zero."""
@@ -324,30 +274,7 @@ class SectorMatrix:
         return b
 
     def __repr__(self) -> str:
-        return f"SectorMatrix(dim={self.dim})"
-
-
-def _dense(orbits: tuple[_Orbit, ...], scale: float | None, diagonal: np.ndarray) -> np.ndarray:
-    """The dense matrix of the pieces, scaled by c * piece + 0.0 unless
-    scale is None, with diagonal on its diagonal; read-only."""
-    dim = diagonal.shape[0]
-    h = np.zeros((dim, dim))
-    for orbit in orbits:
-        even = orbit.sectors[0]
-        f, r, q = even.fixed, even.reps, even.partners
-        # A = PAP and A is symmetric: each piece also sits at its
-        # partners' place and at its mirror
-        for rows, cols, piece in ((f, f, orbit.ff), (r, f, orbit.rf), (q, f, orbit.rf),
-                                  (r, r, orbit.rr), (q, q, orbit.rr), (r, q, orbit.rq)):
-            if piece is not None:
-                h[np.ix_(rows, cols)] = piece
-                h[np.ix_(cols, rows)] = piece.T
-    if scale is not None:
-        h *= scale
-        h += 0.0
-    h[np.diag_indices(dim)] = diagonal
-    h.flags.writeable = False
-    return h
+        return f"SymmetricMatrix(dim={self.dim})"
 
 
 def _involution(dim: int, perm) -> np.ndarray:
@@ -428,10 +355,9 @@ def _check_nonzeros(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray,
     image is nonzero fails at that image. The decisions are those of
     checking every pair of the dense matrix, and comparisons are of values
     (-0.0 == 0.0). A failed check raises InputError. All checks run on
-    every matrix: an undeclared perm is the identity, which maps each
-    entry onto itself, and undeclared blocks give every state one label.
-    The passes after the sort run chunk by chunk (_chunks), so that the
-    check holds about one key per nonzero beside the list itself.
+    every matrix, undeclared structure included. The passes after the sort
+    run chunk by chunk (_chunks), so that the check holds about one key per
+    nonzero beside the list itself.
     """
     if not x.size:
         return
@@ -474,7 +400,8 @@ class SectorEigenpairs:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
     matrix, kept per symmetry sector: eigenstate i is the sector
-    eigenvector whose merged column is i (see projection_onto_subset)."""
+    eigenvector whose merged column is i. That form is the whole contract:
+    no full-basis eigenvector is formed (see projection_onto_subset)."""
 
     eigenvalues: np.ndarray
     sectors: tuple[SectorEigenpairs, ...]
@@ -568,37 +495,33 @@ def triangular_exchange(quanta: np.ndarray) -> np.ndarray:
     return np.arange(len(quanta)) - quanta[:, 0] + quanta[:, 1]
 
 
-def eigh(m: SymmetricMatrix | SectorMatrix) -> SpectralDecomposition:
+def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, validated.
 
     Each sector of the matrix's Z2 symmetry, per orbit of its blocks (one
     sector when nothing is declared), is formed into its own block from the
-    orbit's pieces (see SectorMatrix; a SymmetricMatrix is taken unscaled)
-    and solved with LAPACK's divide-and-conquer driver (numpy.linalg.eigh).
-    SymmetricMatrix checked bitwise that the symmetry commutes with the
-    matrix and that no entry joins two blocks, so no entry couples two
-    sectors and the blocks are exact. The two sectors of a pair of blocks
-    that the symmetry swaps have the same block matrix (see _orbit_states),
-    which is solved once and serves both. Every solved block is checked for
-    orthogonality, residual (against the block's own Frobenius norm) and
-    completeness at the module tolerances. The eigenvalues are merged into
-    one ascending order; a stable merge keeps equal eigenvalues in sector
-    order, so the result is deterministic. The block eigenvectors are kept
-    as they are, with the merged column each one takes.
+    orbit's pieces (SymmetricMatrix._block) and solved with LAPACK's
+    divide-and-conquer driver (numpy.linalg.eigh). The two sectors of a
+    pair of blocks that the symmetry swaps have the same block matrix (see
+    _orbit_states), which is solved once and serves both. Every solved
+    block is checked for orthogonality, residual (against the block's own
+    Frobenius norm) and completeness at the module tolerances. The
+    eigenvalues are merged into one ascending order; a stable merge keeps
+    equal eigenvalues in sector order, so the result is deterministic. The
+    block eigenvectors are kept as they are, with the merged column each
+    one takes.
 
-    The entries are finite: the constructor and scaled_plus_diagonal
-    refuse any other. Raises ConvergenceError (naming the full matrix
-    dimension) if a block solve fails, violates a tolerance or yields NaN,
-    or if a block's Frobenius norm, the residual gate's scale, overflows.
+    Raises ConvergenceError (naming the full matrix dimension) if a block
+    solve fails, violates a tolerance or yields NaN, or if a block's
+    Frobenius norm, the residual gate's scale, overflows.
     """
-    h = m if isinstance(m, SectorMatrix) else SectorMatrix(m, None, m.diagonal)
-    dim = h.dim
+    dim = m.dim
     sectors: list[_Sector] = []
     solved: list[tuple[np.ndarray, np.ndarray]] = []
-    for orbit in h._orbits:
+    for orbit in m._orbits:
         for sec in orbit.sectors:
             sectors.append(sec)
-            solved.append(solved[-1] if sec.twin else _solve_block(h._block(orbit, sec), dim))
+            solved.append(solved[-1] if sec.twin else _solve_block(m._block(orbit, sec), dim))
 
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")
@@ -650,12 +573,12 @@ class _Sector:
 class _Orbit:
     """One orbit of blocks under P, its nonempty sectors (even first) and
     A's entries on it in four read-only pieces, scattered once from A's
-    nonzeros and shared by those sectors and by every SectorMatrix built
-    from A: ff = A[fixed, fixed], rf = A[reps, fixed], rr = A[reps, reps]
-    and rq = A[reps, partners]. Every other entry of A in the orbit is one
-    of them or its mirror, since A = PAP; ff, rr and rq are bitwise
-    symmetric. rq is None where P swaps two blocks: no entry joins them, so
-    it is an exact zero."""
+    nonzeros and shared by those sectors and by every H scaled from A:
+    ff = A[fixed, fixed], rf = A[reps, fixed], rr = A[reps, reps] and
+    rq = A[reps, partners]. Every other entry of A in the orbit is one of
+    them or its mirror, since A = PAP; ff, rr and rq are bitwise symmetric.
+    rq is None where P swaps two blocks: no entry joins them, so it is an
+    exact zero."""
 
     sectors: tuple[_Sector, ...]
     ff: np.ndarray
@@ -903,8 +826,10 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 def single_threaded_blas() -> Iterator[bool]:
     """Run the body with numpy's bundled OpenBLAS on one thread.
 
-    Yields True once the thread count is pinned to 1, and on exit, also
-    when the body raises, restores the count it found. Yields False and
+    Yields True once the thread count is pinned to 1: each solve then runs
+    on its caller's thread, and its result no longer depends on the BLAS
+    thread setting of the environment. On exit, also when the body raises,
+    restores the count it found. Yields False and
     changes nothing when no such OpenBLAS is found (another BLAS): the
     caller should then keep to one thread of its own. The count is
     process-wide, so two of these contexts must not overlap on different

@@ -71,7 +71,6 @@ class CriticalResult:
     axis: str
     critical: float | None
     bracket: tuple[float, float] | None
-    samples: tuple[tuple[float, float], ...]
     threshold: float = 0.5
 
 
@@ -290,9 +289,10 @@ def critical_parameter(
     """First crossing of a sampled curve through a threshold.
 
     Grid scan plus linear interpolation between the bracketing samples; a
-    sample landing exactly on the threshold is itself the crossing. The
-    axis must be strictly monotone. No crossing gives critical=None with
-    the curve attached. Non-finite samples are rejected.
+    sample landing exactly on the threshold is itself the crossing, and two
+    neighbouring samples on opposite sides of it bracket one (compared, so
+    no underflow can hide it). The axis must be strictly monotone. No
+    crossing gives critical=None. Non-finite samples are rejected.
     """
     samples = tuple((float(x), float(w)) for x, w in curve)
     if len(samples) < 2:
@@ -307,10 +307,10 @@ def critical_parameter(
     for k in range(len(samples)):
         x, w = samples[k]
         if w == threshold:
-            return CriticalResult(axis, x, (x, x), samples, threshold)
+            return CriticalResult(axis, x, (x, x), threshold)
         if k + 1 < len(samples):
             x2, w2 = samples[k + 1]
-            if (w - threshold) * (w2 - threshold) < 0:
+            if w2 != threshold and (w < threshold) != (w2 < threshold):
                 t = (threshold - w) / (w2 - w)
-                return CriticalResult(axis, x + t * (x2 - x), (x, x2), samples, threshold)
-    return CriticalResult(axis, None, None, samples, threshold)
+                return CriticalResult(axis, x + t * (x2 - x), (x, x2), threshold)
+    return CriticalResult(axis, None, None, threshold)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import specfrag
 from specfrag import henon_heiles, kepler, linalg, metrics
 from specfrag.errors import ConvergenceError, InputError
 from specfrag.linalg import (
@@ -244,7 +245,9 @@ class TestScaledPlusDiagonal:
             m = a.scaled_plus_diagonal(c, d)
             expected = SymmetricMatrix(np.diag(d) + c * a.entries, self.PERM)
             assert m.entries.tobytes() == expected.entries.tobytes()
+            assert type(m) is SymmetricMatrix and m.scale == c and a.scale is None
             assert m.perm is a.perm and m.blocks is a.blocks
+            assert m._orbits is a._orbits and m._layout is a._layout
             with pytest.raises(ValueError):
                 m.entries[0, 0] = 1.0
 
@@ -270,6 +273,12 @@ class TestScaledPlusDiagonal:
             a.scaled_plus_diagonal(1.0, np.full(7, np.nan))
         with pytest.raises(InputError, match="finite"):
             a.scaled_plus_diagonal(1e308, np.zeros(7))
+        with pytest.raises(InputError, match="already scaled"):
+            a.scaled_plus_diagonal(2.0, np.zeros(7)).scaled_plus_diagonal(1.0, np.zeros(7))
+
+    def test_one_class_holds_operators_and_hamiltonians(self):
+        assert "SymmetricMatrix" in specfrag.__all__
+        assert not any(hasattr(mod, "SectorMatrix") for mod in (specfrag, linalg))
 
     def test_peak_memory_is_the_result(self):
         # a finiteness mask of the result added an eighth of it
@@ -300,7 +309,7 @@ def record_blocks(monkeypatch) -> list[np.ndarray]:
 class TestSectorForm:
     """H = c * A + diag(d) is held as A's sector pieces: every block eigh
     hands the solver is bitwise the block gathered out of the dense sum,
-    entries is that sum bitwise, and no dense H is held."""
+    entries and columns are that sum bitwise, and no dense H is held."""
 
     @staticmethod
     def check(m, dense, blocks):
@@ -310,10 +319,12 @@ class TestSectorForm:
                     for part in d.sectors if not part.sector.twin]
         assert [b.tobytes() for b in blocks] == [b.tobytes() for b in expected]
         assert m.entries.tobytes() == dense.tobytes()
+        for idx in (np.arange(m.dim), np.arange(m.dim)[::-3]):
+            assert m.columns(idx).tobytes() == m.entries[:, idx].tobytes()
         with pytest.raises(ValueError):
             m.entries[0, 0] = 1.0
 
-    @pytest.mark.parametrize("shells", [12, 30])
+    @pytest.mark.parametrize("shells", [8, 12, 30])
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_henon_heiles_blocks_bitwise_dense_gathers(self, shells, lam, monkeypatch):
         cfg = henon_heiles.HHConfig(num_shells=shells, lam=lam)
@@ -321,9 +332,9 @@ class TestSectorForm:
         dense = oracles.scaled_plus_diagonal(henon_heiles.build_v(cfg), lam, h0)
         self.check(henon_heiles.build_h(cfg), dense, record_blocks(monkeypatch))
 
-    @pytest.mark.parametrize("max_n", [12, 20])
+    @pytest.mark.parametrize("max_n", [6, 12, 20])
     def test_kepler_blocks_bitwise_dense_gathers(self, max_n, monkeypatch):
-        cfg = kepler.KeplerConfig(max_n=max_n)
+        cfg = kepler.KeplerConfig(max_n=max_n, target_shell=min(max_n, 10))
         rho2 = kepler.build_rho2(cfg)
         _, groups = oracles.triangular_basis_loop(max_n, 1, kepler.shell_energy)
         energies = [e for _, indices, e in groups for _ in indices]

@@ -326,18 +326,24 @@ class TestInvariance:
 
 class TestCriticalParameter:
     def test_linear_interpolation(self):
-        r = critical_parameter([(0.08, 0.45), (0.09, 0.55)], axis="energy")
+        curve = [(0.08, 0.45), (0.09, 0.55)]
+        r = critical_parameter(curve, axis="energy")
         assert r.critical == pytest.approx(0.085, rel=1e-12)
         assert r.bracket == (0.08, 0.09)
         lo, hi = r.bracket
-        vals = dict(r.samples)
+        vals = dict(curve)
         assert (vals[lo] - 0.5) * (vals[hi] - 0.5) <= 0.0
 
     def test_no_crossing(self):
         r = critical_parameter([(1.0, 0.3), (2.0, 0.3), (3.0, 0.3)], axis="x")
         assert r.critical is None
         assert r.bracket is None
-        assert len(r.samples) == 3
+
+    def test_crossing_whose_distance_product_underflows(self):
+        # (1e-200 - 0) * (-1e-200 - 0) is -0.0, not negative
+        r = critical_parameter([(0.0, 1e-200), (1.0, -1e-200)], threshold=0.0, axis="x")
+        assert r.bracket == (0.0, 1.0)
+        assert r.critical == 0.5
 
     def test_exact_threshold_sample(self):
         r = critical_parameter([(1.0, 0.2), (2.0, 0.5), (3.0, 0.9)], axis="x")
