@@ -26,7 +26,9 @@ setting say. Where no such OpenBLAS is found, the Kepler scan runs on one
 worker and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
-config echo and hash.
+config echo and hash. That hash, config-sha256, is the SHA-256 of the
+canonical JSON of the config, from CPython's built-in _sha2 (_sha256 before
+3.12), and from hashlib only where neither is built in.
 
 Exit codes: 0 success, 2 invalid configuration or an output that cannot
 be written, 3 numerical failure (the message names the stage: Kepler's
@@ -47,7 +49,6 @@ import argparse
 import dataclasses
 import datetime
 import functools
-import hashlib
 import json
 import math
 import os
@@ -57,6 +58,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
+
+# CPython's built-in SHA-256, as random.py finds it: importing hashlib would
+# map OpenSSL's libcrypto (~4 MB) to hash one small config per run
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # built without its own hashes
+        from hashlib import sha256
 
 from . import __version__, henon_heiles, kepler, metrics
 from .errors import ConfigurationError, InputError, NumericalError
@@ -556,7 +567,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     with single_threaded_blas() as pinned:
         rows, critical, workers = runner(config, pinned)
 
-    sha = hashlib.sha256(
+    sha = sha256(
         json.dumps(config.result_key(), sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     meta = {

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import laguerre
 
 from .errors import ConfigurationError, InputError, NumericalError, is_real
 from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
@@ -121,6 +120,9 @@ def enumerate_parabolic_basis(cfg: KeplerConfig) -> tuple[np.ndarray, ShellParti
 
 
 def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
+    # imported here, so that Henon-Heiles runs and every validate skip it
+    from numpy.polynomial import laguerre
+
     quanta, partition = enumerate_parabolic_basis(cfg)
     t, w = laguerre.laggauss(nodes)
     rho2 = np.zeros((len(quanta), len(quanta)))

@@ -172,6 +172,22 @@ class TestRun:
         assert ma["config_sha256"] == mb["config_sha256"]
         assert ma["critical"] == mb["critical"]
 
+    @pytest.mark.parametrize("args", [HH_SMALL, KEPLER_SMALL], ids=["henon-heiles", "kepler"])
+    def test_config_digest_is_sha256_of_result_key(self, tmp_path, args):
+        # whichever module computes it, the digest is SHA-256 of the
+        # canonical JSON of the result key, in the manifest and each header
+        import hashlib
+
+        argv = [*args, "-o", str(tmp_path)]
+        assert main(argv) == 0
+        key = cli._build_config(cli._merge(cli._parser().parse_args(argv))).result_key()
+        canonical = json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
+        digest = hashlib.sha256(canonical).hexdigest()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_sha256"] == digest
+        for name in manifest["files"]:
+            assert f"# config-sha256: {digest}" in read_csv(tmp_path / name)[0]
+
     def test_kepler_point_decomposition_released_before_next_solve(self, tmp_path, monkeypatch):
         _check_decompositions_alive(tmp_path, monkeypatch, threads=1)
 
@@ -659,14 +675,18 @@ class TestErrors:
 
     def test_rho2_nan_in_quadrature_rule_named(self, tmp_path, capsys, monkeypatch):
         # a NaN fails the self-check as a numerical fault, not as bad input
-        laggauss = kepler.laguerre.laggauss
+        # the build imports the Laguerre module when it runs, so the rule is
+        # patched where it is looked up: on the module itself
+        from numpy.polynomial import laguerre
+
+        laggauss = laguerre.laggauss
 
         def one_nan_weight(nodes):
             t, w = laggauss(nodes)
             w[-1] = np.nan
             return t, w
 
-        monkeypatch.setattr(kepler.laguerre, "laggauss", one_nan_weight)
+        monkeypatch.setattr(laguerre, "laggauss", one_nan_weight)
         out = tmp_path / "out"
         argv = ["run", "--system", "kepler", "--max-n", "4", "--target-shell", "2",
                 "--metrics", "w-pt", "-o", str(out)]
@@ -1017,3 +1037,42 @@ def test_runtime_is_scipy_free():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _last_line_of_child(script) == "[]"
+
+
+@pytest.mark.parametrize("system, size", [("henon-heiles", ["--shells", "8"]),
+                                          ("kepler", ["--max-n", "6", "--target-shell", "3"])],
+                         ids=["henon-heiles", "kepler"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_commands_load_only_what_they_compute_with(tmp_path, command, system, size):
+    """No command maps OpenSSL's libcrypto (~4 MB): the config digest comes
+    from CPython's built-in SHA-256, so _hashlib never loads. The Laguerre
+    module is imported inside the rho^2 build, so of the four commands only
+    a Kepler run loads numpy.polynomial. A fresh interpreter reads
+    sys.modules, since this process may have imported hashlib already."""
+    script = (
+        "import sys, specfrag.cli\n"
+        f"argv = [{command!r}, '--system', {system!r}, *{size!r}, '--metrics', {ALL_METRICS!r},\n"
+        f"        '-o', {str(tmp_path / 'out')!r}]\n"
+        "assert specfrag.cli.main(argv) == 0\n"
+        "print(sorted(m for m in ('_hashlib', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    loads_laguerre = command == "run" and system == "kepler"
+    assert _last_line_of_child(script) == str(["numpy.polynomial"] if loads_laguerre else [])
+
+
+def test_config_digest_falls_back_to_hashlib(tmp_path):
+    """A CPython built without its own hash modules has neither _sha2 nor
+    _sha256; the digest then comes from hashlib and is the same."""
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # their imports fail\n"
+        "import hashlib, specfrag.cli\n"
+        "assert specfrag.cli.sha256 is hashlib.sha256\n"
+        f"assert specfrag.cli.main([*{HH_SMALL!r}, '-o', {str(tmp_path / 'fallback')!r}]) == 0\n"
+        "print('ok')\n"
+    )
+    assert _last_line_of_child(script) == "ok"
+    assert main([*HH_SMALL, "-o", str(tmp_path / "built-in")]) == 0
+    digests = {json.loads((tmp_path / d / "manifest.json").read_text())["config_sha256"]
+               for d in ("fallback", "built-in")}
+    assert len(digests) == 1

@@ -8,7 +8,9 @@ within 1e-9 (absolute) of the pinned one, far inside every acceptance gate;
 a failure lists the largest |difference| per column, which says which
 digits moved. Where numpy and BLAS are the recorded ones, the data lines
 must also be byte-identical and the critical values bitwise equal; on any
-other platform that test is skipped and says why.
+other platform that test is skipped and says why. The header lines (tool,
+system and config-sha256) must match too, wherever the run echoes the
+pinned scan.
 
 The pinned files are the check's data: replace them only when the numbers
 moved for a stated numerical reason, by copying the two default runs'
@@ -55,6 +57,11 @@ def _data_lines(path: Path) -> list[str]:
     return [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
 
 
+def _header_lines(path: Path) -> list[str]:
+    """The header comments: tool, system and config-sha256."""
+    return [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
+
+
 def _critical(runs: dict) -> dict:
     found = {}
     for path in runs.values():
@@ -82,6 +89,19 @@ def test_curves_within_1e9_of_reference(runs, name):
                 delta = abs(float(got[c] or 0.0) - float(want[c] or 0.0))
             worst[column] = max(worst[column], math.inf if math.isnan(delta) else delta)
     assert all(d <= TOL for d in worst.values()), f"{name} max |delta| per column: {_worst(worst)}"
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_header_lines_match_reference(runs, name):
+    found, pinned = _header_lines(runs[name] / name), _header_lines(DATA / name)
+    assert found[:2] == pinned[:2], "tool or system line changed"
+    # the digest hashes the config echo, Kepler's derived gamma grid
+    # included, whose last bits follow numpy's SIMD dispatch
+    grids = [[l.split(",")[0] for l in _data_lines(path / name)] for path in (runs[name], DATA)]
+    if grids[0] != grids[1]:
+        pytest.skip("digest comparison skipped: this numpy derives a gamma grid "
+                    "that differs in its last bits from the pinned one")
+    assert found == pinned, "config-sha256 moved"
 
 
 def test_headline_critical_values_within_1e9_of_reference(runs):
