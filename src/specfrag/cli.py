@@ -14,16 +14,18 @@ SPECFRAG_OUTPUT_DIR environment variable when not given explicitly.
 
 A run holds numpy's bundled OpenBLAS to one thread from its first build to
 its last metric, so every BLAS call of every stage executes on the thread
-that makes it. Kepler's scan points, each with its own solve, then run on
---threads worker threads (default: the CPUs this process may use), each
-point's solve whole on its worker, and rows are collected in scan order.
+that makes it. Kepler's scan points, each with its own solve, are then
+measured by --threads threads (default: the CPUs this process may use),
+the calling thread among them, each point's solve whole on its thread, and
+rows are collected in scan order; one thread means the calling thread
+alone, with no pool.
 Henon-Heiles has one decomposition, which every shell of its scan shares:
 its shells are measured in order on the calling thread; its H is written in
 closed form in the circular basis, whose C3v blocks the decomposition
 solves separately. Identical config and seed therefore produce
 byte-identical CSVs on one platform whatever --threads and the BLAS thread
 setting say. Where no such OpenBLAS is found, the Kepler scan runs on one
-worker and the BLAS setting applies throughout.
+thread, the calling one, and the BLAS setting applies throughout.
 Floats are written with repr (shortest round-trip) and the timestamp lives
 only in the manifest. No step of a run is random, so --seed enters only the
 config echo and hash. That hash, config-sha256, is the SHA-256 of the
@@ -46,6 +48,7 @@ asked for.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import functools
@@ -146,8 +149,9 @@ OPTIONS = (
     Option("metrics", ("--metrics",), _items(str), "w-pt,w-exact,kappa",
            help="comma list from: " + ",".join(KNOWN_METRICS)),
     Option("threads", ("--threads",), _int, None, "kepler",
-           "Kepler: worker threads for the scan points, each with a one-thread "
-           "BLAS (default: the CPUs this process may use)"),
+           "Kepler: threads that measure the scan points, the calling thread "
+           "among them, each with a one-thread BLAS; 1 runs no pool (default: "
+           "the CPUs this process may use)"),
     Option("selection", ("--selection",), str, StateSelection.PROJECTION_WINDOW.value,
            choices=tuple(s.value for s in StateSelection),
            help="exact-curve eigenstate selection rule (default projection-window)"),
@@ -486,12 +490,14 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
 
 def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
     """Kepler's scan: every gamma has its own solve, so while BLAS is
-    pinned to one thread the points run on up to --threads workers, and on
-    one otherwise; pool.map hands the rows back in scan order. A point's
-    decomposition is released when its row is done, so each worker holds at
-    most one. Once a point fails, points not yet started are skipped, and
-    the failure is raised when its row is reached. Returns the rows, the
-    critical values and the worker count."""
+    pinned to one thread the points are measured by up to --threads
+    workers, and by one otherwise. The calling thread is one of them, and a
+    pool of the others shares its in-order source of points; one worker is
+    the calling thread alone, with no pool. Rows come back in scan order. A
+    point's decomposition is released when its row is done, so each worker
+    holds at most one. Once a point fails, no new point starts, and the
+    error of the earliest failed row in scan order is raised. Returns the
+    rows, the critical values and the worker count."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
@@ -512,35 +518,55 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dic
         else None
     )
     exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
-    failed = threading.Event()
+    grid = cfg.gamma_grid
+    rows: list = [None] * len(grid)  # each point's row, or the error it raised
+    points, take, stop = iter(enumerate(grid)), threading.Lock(), threading.Event()
 
-    def measure(gamma: float) -> dict | None:
-        if failed.is_set():
-            return None
+    def measure(gamma: float) -> dict:
         row: dict = {
             "gamma": gamma,
             "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma),
         }
-        try:
-            if w_pt_base is not None:
-                coupling = gamma * gamma / 8.0
-                row["w_pt"] = w_pt_base * coupling * coupling  # inf, not an error, on overflow
-                if not math.isfinite(row["w_pt"]):
-                    raise NumericalError(f"kepler-model w-pt at gamma={gamma!r}: "
-                                         f"W_pt is not finite ({row['w_pt']!r})")
-            if not exact:
-                return row
-            return _solve(f"kepler-model at scan point gamma={gamma!r}", lambda: _measure(
-                config, row, target, eigh(kepler.build_h(cfg, gamma, rho2)), d0,
-                functools.partial(kepler.scaled_energy, gamma=gamma),
-            ))
-        except BaseException:
-            failed.set()
-            raise
+        if w_pt_base is not None:
+            coupling = gamma * gamma / 8.0
+            row["w_pt"] = w_pt_base * coupling * coupling  # inf, not an error, on overflow
+            if not math.isfinite(row["w_pt"]):
+                raise NumericalError(f"kepler-model w-pt at gamma={gamma!r}: "
+                                     f"W_pt is not finite ({row['w_pt']!r})")
+        if not exact:
+            return row
+        return _solve(f"kepler-model at scan point gamma={gamma!r}", lambda: _measure(
+            config, row, target, eigh(kepler.build_h(cfg, gamma, rho2)), d0,
+            functools.partial(kepler.scaled_energy, gamma=gamma),
+        ))
 
-    workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
-    with ThreadPoolExecutor(workers) as pool:
-        rows = list(pool.map(measure, cfg.gamma_grid))
+    def measure_points() -> None:
+        # points are taken in scan order, so every point before a failed
+        # one has been taken too
+        while not stop.is_set():
+            with take:
+                i, gamma = next(points, (None, None))
+            if i is None:
+                return
+            try:
+                rows[i] = measure(gamma)
+            except Exception as exc:  # raised below, in scan order
+                rows[i] = exc
+                stop.set()
+
+    workers = min(config.options["threads"], len(grid)) if pinned else 1
+    # the calling thread is one of the workers; a lone worker builds no pool
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+        helpers = [pool.submit(measure_points) for _ in range(workers - 1)]
+        try:
+            measure_points()
+        finally:  # the caller is done or interrupted: the pool starts no new point
+            stop.set()
+    for helper in helpers:
+        helper.result()
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
     critical = _solve("kepler-model critical values", lambda: _critical(config, rows))
     if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;
@@ -629,18 +655,19 @@ def validate(config: ExperimentConfig) -> list[str]:
     dim = shells * (shells + 1) // 2
     # floats held at once, sized from the basis alone. No operator is held
     # dense: V and rho^2 keep their sector pieces, and H shares them. A solve
-    # holds its largest block four times over: the block, its eigenvectors
-    # and two scratch arrays. HH's w-pt holds V's pieces and a slab of V's
-    # columns on the largest scanned shell; an exact metric, V's pieces
-    # again and a solve. Kepler holds rho^2's pieces once, shared by every
-    # worker's H, and a solve per worker, unless building rho^2 peaks higher.
+    # holds its largest block five times over: the block, LAPACK's copy of
+    # it, dsyevd's workspace of about two blocks, and the eigenvectors. HH's
+    # w-pt holds V's pieces and a slab of V's columns on the largest scanned
+    # shell; an exact metric, V's pieces again and a solve. Kepler holds
+    # rho^2's pieces once, shared by every worker's H, and a solve per
+    # worker, unless building rho^2 peaks higher.
     if opts["system"] == "kepler":
         quanta, _ = kepler.enumerate_parabolic_basis(config.model)
         pieces, block = sector_form_size(triangular_exchange(quanta))
     else:
         quanta, _ = henon_heiles.enumerate_basis(config.model)
         pieces, block = sector_form_size(*henon_heiles.symmetry(quanta))
-    solve = 4 * block * block if set(opts["metrics"]) & EXACT_METRICS else 0
+    solve = 5 * block * block if set(opts["metrics"]) & EXACT_METRICS else 0
     if opts["system"] == "kepler":
         workers = min(opts["threads"], points) if solve else 0
         floats = max(_RHO2_BUILD_ARRAYS * dim * dim, pieces + workers * solve)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -55,14 +56,15 @@ class TestValidate:
 
     # What a run holds, in floats: an operator's sector pieces (A[fixed,
     # fixed], A[reps, fixed], A[reps, reps] and A[reps, partners], the last
-    # left out where two blocks swap), and per solve four arrays of its
-    # largest block. Kepler 30: 15 fixed states and 225 pairs, so an even
-    # block of 240.
+    # left out where two blocks swap), and per solve five arrays of its
+    # largest block: the block, LAPACK's copy, dsyevd's two-block workspace
+    # and the eigenvectors. Kepler 30: 15 fixed states and 225 pairs, so an
+    # even block of 240.
     KEPLER_30_PIECES = 15 ** 2 + 225 * 15 + 2 * 225 ** 2
-    KEPLER_30_SOLVE = 4 * 240 ** 2
+    KEPLER_30_SOLVE = 5 * 240 ** 2
     # HH 60: A1 + A2 hold 30 fixed states and 290 pairs, E 610 swapped pairs
     HH_60_PIECES = 30 ** 2 + 290 * 30 + 2 * 290 ** 2 + 610 ** 2
-    HH_60_SOLVE = 4 * 610 ** 2
+    HH_60_SOLVE = 5 * 610 ** 2
 
     def test_memory_estimate_scales_with_kepler_workers(self, capsys):
         argv = ["--system", "kepler", "--max-n", "30", "--threads"]
@@ -194,6 +196,11 @@ class TestRun:
     def test_kepler_point_decompositions_one_per_worker(self, tmp_path, monkeypatch):
         _check_decompositions_alive(tmp_path, monkeypatch, threads=2)
 
+    def test_kepler_point_decompositions_one_per_worker_three_workers(
+        self, tmp_path, monkeypatch
+    ):
+        _check_decompositions_alive(tmp_path, monkeypatch, threads=3)
+
     def test_kepler_csv_independent_of_blas_and_worker_threads(self, tmp_path):
         # at max_n 24 these points' CSV moves with OPENBLAS_NUM_THREADS
         # when the solves use BLAS's own threads
@@ -323,8 +330,65 @@ class TestRun:
         assert manifest["scan"] == {"workers": 1, "blas_pinned": linalg._openblas() is not None}
         assert "threads" not in manifest["config"]
 
+    def test_kepler_one_worker_runs_no_pool(self, tmp_path, monkeypatch):
+        # one worker is the calling thread alone
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker Kepler scan built a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        assert main([*KEPLER_SMALL, "--metrics", ALL_METRICS, "--threads", "1",
+                     "-o", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scan"]["workers"] == 1
+
+    def test_kepler_calling_thread_measures_points(self, tmp_path, monkeypatch):
+        # two workers are the calling thread and one pool thread; each
+        # waits at its first solve until the other reaches its own
+        if linalg._openblas() is None:
+            pytest.skip("numpy's BLAS exposes no thread count")
+        real, seen, both = cli.eigh, set(), threading.Barrier(2, timeout=60)
+
+        def recorded(m):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                both.wait()
+            return real(m)
+
+        monkeypatch.setattr(cli, "eigh", recorded)
+        assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(tmp_path)]) == 0
+        assert len(seen) == 2
+        assert threading.get_ident() in seen
+
+    def test_kepler_points_each_measured_once_under_contention(self, tmp_path, monkeypatch):
+        # more workers than cores, switching threads as often as it can: a
+        # point taken twice or lost shows in the solve count or the CSV
+        grid = ",".join(repr(0.002 * k) for k in range(1, 25))
+        real, solved = cli.eigh, []
+
+        def counted(m):
+            solved.append(m)
+            return real(m)
+
+        monkeypatch.setattr(cli, "eigh", counted)
+        codes, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "8"):
+                argv = [*KEPLER_SMALL[:-1], grid, "--threads", threads,
+                        "-o", str(tmp_path / threads)]
+                runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+                runner.start()
+                runner.join(timeout=120)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [0, 0]
+        assert len(solved) == 2 * 24
+        assert (read_csv(tmp_path / "1" / "kepler_curves.csv")
+                == read_csv(tmp_path / "8" / "kepler_curves.csv"))
+
     def test_kepler_w_pt_alone_solves_nothing(self, tmp_path, monkeypatch):
-        # the points still pass through the pool, each without a solve
+        # the points still pass through the workers, each without a solve
         monkeypatch.setattr(cli, "eigh", _fail)
         assert main([*KEPLER_SMALL, "--metrics", "w-pt", "-o", str(tmp_path)]) == 0
         _, header, rows = read_csv(tmp_path / "kepler_curves.csv")
@@ -501,6 +565,11 @@ class TestErrors:
     ):
         # the other worker may already be solving the third point
         assert _solves_until_failure(tmp_path, capsys, monkeypatch, threads=2) in (2, 3)
+
+    def test_kepler_solve_failure_names_scan_point_three_workers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert _solves_until_failure(tmp_path, capsys, monkeypatch, threads=3) in (2, 3)
 
     def test_henon_heiles_solve_failure_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "eigh", _fail)
