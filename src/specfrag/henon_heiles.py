@@ -7,10 +7,8 @@ a_+- = (a1 -+ i a2) / sqrt(2), shell N = n_+ + n_- and angular momentum
 l = n_+ - n_-. enumerate_basis gives each state's quanta (n_+, n_-) in the
 layout of linalg.triangular_basis: shell N holds n_+ = 0 .. N from index
 N(N+1)/2. There z = sqrt(hbar) (a_- + a_+^dagger), the phases i^l make
-the coupling the real (z^3 + z^3^T) / 6, and V is written in closed form:
-each term C(3, k) a_-^k a_+^dagger^(3-k) of z^3 gives elements
-hbar^(3/2) / 6 * C(3, k) * sqrt(integer), the integer formed exactly, so
-the build has no truncation or rotation error of its own. The only
+the coupling the real (z^3 + z^3^T) / 6, which build_v writes in closed
+form, so the build has no truncation or rotation error of its own. The only
 truncation is the basis cut itself, which contaminates the top three shells
 of H; analyses therefore stay below that edge.
 
@@ -18,9 +16,9 @@ In this basis the potential's C3v symmetry is exact block structure: z^3
 raises l by 3, so V links l only to l +- 3 and the classes l mod 3 are
 blocks. An element between two classes is never written, so it is an exact
 zero. The mirror q1 -> -q1 maps l to -l, swapping n_+ and n_-, and a mirror
-pair of elements comes from the terms k and 3 - k with the same C(3, k) and
-the same integer under the root, so the two are equal bitwise. eigh then
-solves H as three blocks (A1, A2 and one E, which serves both E partners).
+pair of elements comes from the terms k and 3 - k of build_v, which give
+the same value, so the two are equal bitwise. eigh then solves H as three
+blocks (A1, A2 and one E, which serves both E partners).
 """
 from __future__ import annotations
 

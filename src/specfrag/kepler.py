@@ -21,16 +21,8 @@ and  <n1 n2|rho^2|n1' n2'> = (C_n C_n'/4) * (J_2(n1,n1') J_1(n2,n2')
 
 The basis is linalg.triangular_basis with quanta (n1, n2): shell n holds
 |n1, n - 1 - n1> in ascending n1 from index n(n-1)/2, and the n1 <-> n2
-exchange (z-parity) is the symmetry every matrix declares.
-
-Each integrand is e^-t times a polynomial of degree at most 2 max_n, so
-one N-node Gauss-Laguerre rule (numpy's laggauss) with t^k folded into its
-weights gives J_1 and J_2 exactly, since N >= max_n + 4. Both k share one
-pair of Laguerre tables (lagvander), built one shell n at a time for its
-pairs (n, n' >= n), so the tables never outgrow about max_n^2 N floats and
-the build's peak stays a few times the matrix it returns. The build still
-re-evaluates everything at twice the node count and rejects the matrix if
-any element moves.
+exchange (z-parity) is the symmetry every matrix declares. build_rho2
+says how the J_k are evaluated and checked.
 
 The bound basis is incomplete (no continuum), so results depend on the
 truncation at max_n shells (default 20); that cut is part of the model
@@ -161,15 +153,19 @@ def _rho2_entries(cfg: KeplerConfig, nodes: int) -> np.ndarray:
 def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
     """rho^2 operator matrix with a built-in quadrature self-check.
 
-    The element integrands are polynomials against the Laguerre weight, so
-    the base rule is already exact; a second evaluation at twice the node
-    count must agree to QUADRATURE_AGREEMENT_RTOL relative, else the
-    offending element is named in a NumericalError.
+    Each integrand of J_k is e^-t times a polynomial of degree at most
+    2 max_n, so one N-node Gauss-Laguerre rule (numpy's laggauss) with t^k
+    folded into its weights is already exact, since N >= max_n + 4; a
+    second evaluation at twice the node count must agree to
+    QUADRATURE_AGREEMENT_RTOL relative, else the offending element is
+    named in a NumericalError.
 
-    Each rule builds its Laguerre tables one shell at a time, and the check
-    holds at most two comparison arrays beside the two evaluations, so the
-    build's peak stays a few times a dense rho^2; the matrix it returns
-    keeps only its sector pieces, about half of one.
+    Both k share one pair of Laguerre tables (lagvander), built one shell n
+    at a time for its pairs (n, n' >= n), so the tables never outgrow about
+    max_n^2 N floats; the check holds at most two comparison arrays beside
+    the two evaluations, so the build's peak stays a few times a dense
+    rho^2. The matrix it returns keeps only its sector pieces, about half
+    of one.
 
     The matrix declares its exact Z2 symmetry, the n1 <-> n2 exchange, and
     that is checked here, once; build_h carries it to every H(gamma).

@@ -3,10 +3,13 @@
 One class, SymmetricMatrix, holds every operator and Hamiltonian here: an
 operator a model builds once (V, rho^2), checked against the exact
 symmetry and blocks it declares, and each H = c * A + diag(d) made from
-it, which shares its pieces. No run holds a dense matrix. eigh solves the
-symmetry sectors as separate blocks and validates each on the spot; the
-decomposition it returns stays in sector form, which
-projection_onto_subset, and with it every metric, reads directly.
+it, which shares its pieces. No run holds a dense matrix: an operator's
+entries live once, in one buffer, and one slot table says where each
+lives (see _scatter); the scatter writes by it, and columns and entries
+read by it. eigh solves the symmetry sectors as separate blocks and
+validates each on the spot; the decomposition it returns stays in sector
+form, which projection_onto_subset, and with it every metric, reads
+directly.
 
 numpy's solves release the GIL, so independent decompositions can run on
 several Python threads at once; single_threaded_blas pins numpy's bundled
@@ -57,12 +60,13 @@ class SymmetricMatrix:
     The checks run on the matrix's nonzeros only (see _check_nonzeros),
     which the dense constructor reads off its input: the strict lower
     triangle's nonzeros and the whole diagonal. The matrix keeps no
-    dim x dim array: it holds its diagonal as given and, per orbit of
-    blocks, the four pieces eigh forms its sector blocks from (see _Orbit),
-    with perm and blocks. Signed zeros: the diagonal holds the value given
-    there, -0.0 included, and every other zero is +0.0 (see _scatter).
-    ``entries`` forms the dense matrix from them on each access, and
-    ``columns`` a slab of its columns.
+    dim x dim array: it holds its diagonal as given, perm, blocks, and
+    one buffer with the slot table that says where each entry lives (see
+    _scatter). Per orbit of blocks, the four pieces eigh forms its sector
+    blocks from (see _Orbit) are views of that buffer. Signed zeros: the
+    diagonal holds the value given there, -0.0 included, and every other
+    zero is +0.0. ``columns`` reads any columns through the slot table, and
+    ``entries`` is all of them.
 
     scale is None for a matrix a constructor built, and c for an H that
     scaled_plus_diagonal made from one; every entry of H that is read, in
@@ -76,7 +80,7 @@ class SymmetricMatrix:
     __slots__ = ("scale", "diagonal", "perm", "blocks", "_orbits", "_layout")
 
     def __init__(self, entries, perm=None, blocks=None) -> None:
-        a = np.asarray(entries, dtype=float)
+        a = _array(entries, float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
         dim = a.shape[0]
@@ -100,16 +104,12 @@ class SymmetricMatrix:
         nonzeros and its whole diagonal, it holds bitwise what the dense
         constructor holds for that matrix.
         """
-        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise InputError(f"matrix dimension must be an integer of at least 1, got {dim!r}")
-        i, j = np.asarray(rows), np.asarray(cols)
-        x = np.asarray(values, dtype=float)
-        if not (i.ndim == 1 and i.shape == j.shape == x.shape):
+        i, j = _basis_indices(rows, dim, "rows"), _basis_indices(cols, dim, "cols")
+        x = _array(values, float)
+        if not i.shape == j.shape == x.shape:
             raise InputError("rows, cols and values must be 1-D and of one length")
-        if not (np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)):
-            raise InputError("rows and cols must hold integer indices")
-        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= dim):
-            raise InputError(f"rows and cols must hold basis indices in [0, {dim - 1}]")
         if not _finite(x):
             raise InputError("matrix entries must be finite")
         m = object.__new__(cls)
@@ -119,7 +119,7 @@ class SymmetricMatrix:
     def scaled_plus_diagonal(self, c: float, diagonal) -> SymmetricMatrix:
         """H = c * A + diag(diagonal), A being this unscaled matrix: H holds
         c and its own diagonal, and shares A's perm, blocks, pieces and
-        layout by reference, so a scan over couplings neither repeats the
+        slot table by reference, so a scan over couplings neither repeats the
         O(dim^2) check nor gathers anything.
 
         c * A commutes with P bitwise because A does, and so does the sum
@@ -177,67 +177,32 @@ class SymmetricMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix, formed from the pieces on each access and
-        read-only; for tests and inspection, no run reads it."""
-        h = np.zeros((self.dim, self.dim))
-        for orbit in self._orbits:
-            even = orbit.sectors[0]
-            f, r, q = even.fixed, even.reps, even.partners
-            # A = PAP and A is symmetric: each piece also sits at its
-            # partners' place and at its mirror
-            for rows, cols, piece in ((f, f, orbit.ff), (r, f, orbit.rf), (q, f, orbit.rf),
-                                      (r, r, orbit.rr), (q, q, orbit.rr), (r, q, orbit.rq)):
-                if piece is not None:
-                    h[np.ix_(rows, cols)] = piece
-                    h[np.ix_(cols, rows)] = piece.T
-        self._scaled(h, h)
-        h[np.diag_indices(self.dim)] = self.diagonal
+        """columns(range(dim)), read-only: the dense matrix, for tests and
+        inspection; no run reads it."""
+        h = self.columns(np.arange(self.dim))
         h.flags.writeable = False
         return h
 
     def columns(self, idx) -> np.ndarray:
-        """entries[:, idx], bitwise, formed from the pieces as a
-        dim x len(idx) array with no dim x dim one.
-
-        The slab is filled transposed, one row per column of idx and the
-        states in piece order (see _layout), so that each piece fills whole
-        runs of a row; each is read as entries writes it last, a partner's
-        place holding its representative's piece."""
-        idx = np.asarray(idx, dtype=np.intp)
-        kind, pos, rows = self._layout
-        kinds = kind[idx]
-        slab = np.zeros((idx.size, self.dim))
-        top = 0
-        for o, orbit in enumerate(self._orbits):
-            even = orbit.sectors[0]
-            nf, nr = even.fixed.size, even.reps.size
-            f, r, q = (slice(top, top + nf), slice(top + nf, top + nf + nr),
-                       slice(top + nf + nr, top + nf + 2 * nr))
-            top += nf + 2 * nr
-            for role, parts in enumerate((
-                ((f, orbit.ff, True), (r, orbit.rf, False), (q, orbit.rf, False)),
-                ((f, orbit.rf, True), (r, orbit.rr, True), (q, orbit.rq, True)),
-                ((f, orbit.rf, True), (r, orbit.rq, False), (q, orbit.rr, True)),
-            )):
-                ks = np.flatnonzero(kinds == _ROLES * o + role)
-                if not ks.size:
-                    continue
-                at = pos[idx[ks]]
-                for part, piece, across in parts:
-                    if piece is not None:
-                        slab[ks, part] = piece[at] if across else piece[:, at].T
-        self._scaled(slab, slab)
-        out = np.empty((self.dim, idx.size))
-        out[rows] = slab.T
+        """entries[:, idx], bitwise, as a dim x len(idx) array formed with
+        no dim x dim one: each A[a, b] is read at its slot (see _scatter),
+        and one that joins two blocks, which no slot holds, is +0.0. idx
+        holds basis indices, in any order and with repeats, else
+        InputError."""
+        idx = _basis_indices(idx, self.dim, "idx")
+        buf = self._layout[0]
+        # the slot of a place that joins two blocks may fall past the
+        # buffer: clip it, then zero the place
+        out = buf.take(_slots(self._layout, None, idx), mode="clip")
+        np.putmask(out, self.blocks[:, None] != self.blocks[idx], 0.0)
+        self._scaled(out, out)
         out[idx, np.arange(idx.size)] = self.diagonal[idx]
         return out
 
     def _abs_max(self) -> float:
-        """max |A_ij|: every entry of A is in a piece, or is a zero."""
-        return max(max(-float(p.min()), float(p.max()))
-                   for orbit in self._orbits
-                   for p in (orbit.ff, orbit.rf, orbit.rr, orbit.rq)
-                   if p is not None and p.size)
+        """max |A_ij|: every entry of A is in the buffer, or is a zero."""
+        buf = self._layout[0]
+        return max(-float(buf.min()), float(buf.max()))
 
     def _scaled(self, piece: np.ndarray, out: np.ndarray, states: np.ndarray | None = None):
         """c * piece + 0.0 written into out, with H's diagonal at states on
@@ -278,7 +243,7 @@ class SymmetricMatrix:
 
 
 def _involution(dim: int, perm) -> np.ndarray:
-    p = np.arange(dim) if perm is None else np.array(perm)
+    p = np.arange(dim) if perm is None else _array(perm).copy()
     if p.shape != (dim,):
         raise InputError(f"symmetry perm must hold {dim} entries")
     if not np.issubdtype(p.dtype, np.integer) or p.min() < 0 or p.max() >= dim:
@@ -293,7 +258,7 @@ def _blocks(dim: int, perm: np.ndarray, blocks) -> np.ndarray:
     entries between blocks are checked by the caller."""
     if blocks is None:
         return np.zeros(dim, dtype=int)
-    labels = np.array(blocks)
+    labels = _array(blocks).copy()
     if labels.shape != (dim,) or not np.issubdtype(labels.dtype, np.integer):
         raise InputError(f"blocks must hold {dim} integer labels")
     # one image block per block: no label pairs with two image labels
@@ -301,6 +266,28 @@ def _blocks(dim: int, perm: np.ndarray, blocks) -> np.ndarray:
     if len({label for label, _ in pairs}) != len(pairs):
         raise InputError("symmetry perm does not map blocks onto blocks")
     return labels
+
+
+def _array(values, dtype=None) -> np.ndarray:
+    """np.asarray(values, dtype), or InputError where numpy cannot form it
+    (ragged lists, strings where numbers belong)."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected an array of numbers: {exc}") from None
+
+
+def _basis_indices(values, dim: int, what: str) -> np.ndarray:
+    """values as a 1-D intp array of basis indices in [0, dim - 1], else
+    InputError: floats and booleans are refused, not read as indices."""
+    idx = _array(values)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise InputError(f"{what} must be a 1-D array of integer basis indices, "
+                         f"got dtype {idx.dtype} and shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= dim):
+        raise InputError(f"basis index out of range: {what} spans "
+                         f"[{idx.min()}, {idx.max()}] but dim = {dim}")
+    return idx.astype(np.intp, copy=False)
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -617,107 +604,98 @@ def _orbit_states(perm: np.ndarray, blocks: np.ndarray) -> Iterator[tuple]:
 _ROLES = 3  # of a basis state in its orbit: fixed, representative, partner
 
 
-def _layout(evens: Iterable[_Sector], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From each orbit's even sector: per basis state, its kind,
-    _ROLES * orbit + role (0 fixed, 1 representative, 2 partner), and its
-    position among the states of its kind, a partner taking its
-    representative's; and the basis states in piece order, each orbit's
-    fixed states, representatives and partners in turn. All read-only."""
-    kind = np.empty(dim, dtype=np.intp)
-    pos = np.empty(dim, dtype=np.intp)
-    rows = []
-    for o, even in enumerate(evens):
-        for role, members in enumerate((even.fixed, even.reps, even.partners)):
-            kind[members] = _ROLES * o + role
-            pos[members] = np.arange(members.size)
-            rows.append(members)
-    rows = np.concatenate(rows)
-    for arr in (kind, pos, rows):
-        arr.flags.writeable = False
-    return kind, pos, rows
+def _piece_shapes(nf: int, nr: int, swapped: bool) -> tuple:
+    """The shapes of the pieces of an orbit with nf fixed states and nr
+    pairs, in their order in the buffer: ff, rf, rr, rq (None where two
+    blocks swap) and fr, rf's transpose."""
+    return (nf, nf), (nr, nf), (nr, nr), None if swapped else (nr, nr), (nf, nr)
+
+
+def _slots(layout: tuple, a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """Where the buffer holds A[a, b] when a and b are in one block (see
+    _scatter): elementwise for a and b of one length, or, with a None, a
+    dim x len(b) array of every row against b."""
+    _, base, role, pos = layout
+    slot = np.take(base, role[b], axis=1) if a is None else base[a, role[b]]
+    slot += pos[b]
+    return slot
 
 
 def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.ndarray,
              labels: np.ndarray) -> tuple[np.ndarray, tuple[_Orbit, ...], tuple]:
-    """The diagonal, the orbits with their pieces and the _layout of the
+    """The diagonal, the orbits with their pieces and the slot table of the
     matrix a checked list of nonzeros gives.
 
+    Every piece of every orbit lies in one buffer, in _piece_shapes' order.
+    The slot table (buf, base, role, pos) says where A[a, b] lives for a
+    and b in one block: at buf[base[a, role[b]] + pos[b]]. role is 0 for a
+    fixed state, 1 for a representative and 2 for a partner; pos is a
+    state's position among its orbit's states of that role, a partner
+    taking its representative's; and base[a, role] is where a's row starts
+    in the piece that holds a's places with states of that role: a fixed
+    row in ff, fr, fr, a representative's in rf, rr, rq and a partner's in
+    rf, rq, rr. A partner's row and column are its representative's
+    (A = PAP), so a place, its mirror and their images under P share one
+    slot, and the check made their values agree. No slot holds a place
+    that joins two blocks, which is an exact zero.
+
     The diagonal holds the value given at each diagonal place (+0.0 where
-    none is). Each nonzero (a, b) is written at its slot and at its
-    mirror's: the slot of (a, b) is row a of the piece that holds a's
-    places with states of b's role, at b's position. A partner's row and
-    column are its representative's (A = PAP), so a place, its mirror and
-    their images under P land on one slot, and the check made their values
-    agree. The buffer also holds fr, rf's transpose, where the mirrors of
-    rf's places land. An off-diagonal value is written plus 0.0, so a -0.0
-    turns +0.0; the pieces' diagonals, at the fixed states and
-    representatives, are then the given diagonal there. Every piece is a
-    read-only view of the one buffer.
+    none is). Each nonzero is written at its slot and its mirror's plus
+    0.0, so a -0.0 turns +0.0; the diagonal's own slots, at the fixed
+    states and representatives, then hold the given diagonal. The buffer
+    and every piece, a view of it, are read-only.
     """
     diagonal = np.zeros(dim)
     on = i == j
     diagonal[i[on]] = x[on]
     del on
-    orbits, pieces = [], []
+    role, pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    base = np.empty((dim, _ROLES), dtype=np.intp)
+    orbits, total = [], 0
     for fixed, reps, swapped in _orbit_states(perm, labels):
         partners = perm[reps]
         sectors = (_Sector(fixed, reps, partners, 1.0),
                    _Sector(fixed[:0], reps, partners, -1.0, twin=swapped))
-        orbits.append(tuple(sec for sec in sectors if sec.size))
-        nf, nr = fixed.size, reps.size
-        # ff, rf, rr, rq (left out where two blocks swap) and fr
-        pieces.append(((nf, nf), (nr, nf), (nr, nr), None if swapped else (nr, nr), (nf, nr)))
-    layout = _layout([sectors[0] for sectors in orbits], dim)
-    kind, pos, _ = layout
-    role = kind % _ROLES
-    # per state and role of the other state: where the state's row starts
-    # in the piece that holds their place; a fixed row is in ff, fr, fr, a
-    # representative's in rf, rr, rq and a partner's in rf, rq, rr
-    base = np.zeros((dim, _ROLES), dtype=np.intp)
-    starts, total = [], 0
-    for sectors, shapes in zip(orbits, pieces):
+        shapes = _piece_shapes(fixed.size, reps.size, swapped)
         at = []
         for shape in shapes:
             at.append(total)
-            total += 0 if shape is None else shape[0] * shape[1]
-        starts.append(at)
+            total += math.prod(shape) if shape else 0
         ff, rf, rr, rq, fr = at
-        even = sectors[0]
-        width = np.array([even.fixed.size, even.reps.size, even.reps.size])
-        for members, first in ((even.fixed, (ff, fr, fr)), (even.reps, (rf, rr, rq)),
-                               (even.partners, (rf, rq, rr))):
-            base[members] = np.array(first) + np.arange(members.size)[:, None] * width
-    base = base.ravel()
+        width = np.array([fixed.size, reps.size, reps.size])
+        for r, (members, first) in enumerate(((fixed, (ff, fr, fr)), (reps, (rf, rr, rq)),
+                                              (partners, (rf, rq, rr)))):
+            role[members] = r
+            pos[members] = np.arange(members.size)
+            base[members] = np.array(first) + pos[members, None] * width
+        orbits.append((tuple(sec for sec in sectors if sec.size), shapes, at))
     buf = np.zeros(total)
+    layout = (buf, base, role, pos)
     for s in _chunks(x.size):
-        a, b = i[s].astype(np.intp, copy=False), j[s].astype(np.intp, copy=False)
         value = x[s] + 0.0
-        buf[base[_ROLES * a + role[b]] + pos[b]] = value
-        buf[base[_ROLES * b + role[a]] + pos[a]] = value
+        buf[_slots(layout, i[s], j[s])] = value
+        buf[_slots(layout, j[s], i[s])] = value
+    own = np.flatnonzero(role < 2)
+    buf[_slots(layout, own, own)] = diagonal[own]
+    for arr in layout:
+        arr.flags.writeable = False
     held = []
-    for sectors, shapes, at in zip(orbits, pieces, starts):
-        views = [None if shape is None else buf[o:o + shape[0] * shape[1]].reshape(shape)
+    for sectors, shapes, at in orbits:
+        views = [buf[o:o + math.prod(shape)].reshape(shape) if shape else None
                  for o, shape in zip(at, shapes[:4])]
-        even = sectors[0]
-        views[0][np.diag_indices(even.fixed.size)] = diagonal[even.fixed]
-        views[2][np.diag_indices(even.reps.size)] = diagonal[even.reps]
-        for piece in views:
-            if piece is not None:
-                piece.flags.writeable = False
         held.append(_Orbit(sectors, *views))
     return diagonal, tuple(held), layout
 
 
 def sector_form_size(perm, blocks=None) -> tuple[int, int]:
     """For a matrix that declares this perm and these blocks: the number of
-    floats its sector form's pieces hold (see _Orbit) and the size of the
-    largest block eigh solves. Reads the structure alone, no matrix."""
+    floats its sector form's buffer holds (see _scatter) and the size of
+    the largest block eigh solves. Reads the structure alone, no matrix."""
     p = _involution(len(perm), perm)
     floats, largest = 0, 0
     for fixed, reps, swapped in _orbit_states(p, _blocks(p.size, p, blocks)):
-        nf, nr = fixed.size, reps.size
-        floats += nf * nf + nr * nf + nr * nr * (1 if swapped else 2)
-        largest = max(largest, nf + nr)
+        floats += sum(math.prod(s) for s in _piece_shapes(fixed.size, reps.size, swapped) if s)
+        largest = max(largest, fixed.size + reps.size)
     return floats, largest
 
 
@@ -778,18 +756,11 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
     w_i sums y_r^2 over the sector rows r, weighted by each row's share of
     states inside the subset (_Sector.share). Rows are summed in order.
     """
-    idx = np.asarray(list(subset))
+    idx = _basis_indices(list(subset), d.dim, "subset")
     if idx.size == 0:
         raise InputError("subset must be nonempty")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise InputError(f"subset must hold integer basis indices, got dtype {idx.dtype}")
     if len(set(idx.tolist())) != idx.size:
         raise InputError("subset contains duplicate basis indices")
-    if idx.min() < 0 or idx.max() >= d.dim:
-        raise InputError(
-            f"basis index out of range: subset spans [{idx.min()}, {idx.max()}] "
-            f"but dim = {d.dim}"
-        )
     inside = np.zeros(d.dim)
     inside[idx] = 1.0
     w = np.empty(d.dim)

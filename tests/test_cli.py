@@ -56,14 +56,15 @@ class TestValidate:
 
     # What a run holds, in floats: an operator's sector pieces (A[fixed,
     # fixed], A[reps, fixed], A[reps, reps] and A[reps, partners], the last
-    # left out where two blocks swap), and per solve five arrays of its
-    # largest block: the block, LAPACK's copy, dsyevd's two-block workspace
-    # and the eigenvectors. Kepler 30: 15 fixed states and 225 pairs, so an
-    # even block of 240.
-    KEPLER_30_PIECES = 15 ** 2 + 225 * 15 + 2 * 225 ** 2
+    # left out where two blocks swap, and A[fixed, reps], which the buffer
+    # holds beside them), and per solve five arrays of its largest block:
+    # the block, LAPACK's copy, dsyevd's two-block workspace and the
+    # eigenvectors. Kepler 30: 15 fixed states and 225 pairs, so an even
+    # block of 240.
+    KEPLER_30_PIECES = 15 ** 2 + 225 * 15 + 2 * 225 ** 2 + 15 * 225
     KEPLER_30_SOLVE = 5 * 240 ** 2
     # HH 60: A1 + A2 hold 30 fixed states and 290 pairs, E 610 swapped pairs
-    HH_60_PIECES = 30 ** 2 + 290 * 30 + 2 * 290 ** 2 + 610 ** 2
+    HH_60_PIECES = 30 ** 2 + 290 * 30 + 2 * 290 ** 2 + 610 ** 2 + 30 * 290
     HH_60_SOLVE = 5 * 610 ** 2
 
     def test_memory_estimate_scales_with_kepler_workers(self, capsys):

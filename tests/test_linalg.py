@@ -52,6 +52,33 @@ class TestSymmetricMatrix:
         with pytest.raises(InputError):
             SymmetricMatrix(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("idx", [[0.5], [-1], [3], [True], [[0]]],
+                             ids=["fraction", "negative", "past-the-end", "bool", "2-d"])
+    def test_columns_refuses_what_is_not_basis_indices(self, idx):
+        # [0.5] read column 0, [-1] the last one and [True] column 1
+        m = SymmetricMatrix(np.arange(9.0).reshape(3, 3))
+        with pytest.raises(InputError, match="basis ind"):
+            m.columns(idx)
+
+    def test_columns_reads_repeats_in_any_order(self):
+        m = SymmetricMatrix(np.arange(9.0).reshape(3, 3))
+        assert m.columns([2, 0, 2]).tobytes() == m.entries[:, [2, 0, 2]].tobytes()
+        assert m.columns([]).shape == (3, 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SymmetricMatrix.from_nonzeros(True, [0], [0], [2.0]),
+        lambda: SymmetricMatrix([["a"]]),
+        lambda: SymmetricMatrix.from_nonzeros(1, [0], [0], ["a"]),
+        lambda: SymmetricMatrix.from_nonzeros(2, [[0], [0, 1]], [0, 1], [1.0, 1.0]),
+        lambda: SymmetricMatrix(np.eye(2), perm=[[0], [0, 1]]),
+        lambda: SymmetricMatrix(np.eye(2), blocks=[[0], [0, 1]]),
+    ], ids=["bool-dim", "string-entries", "string-values", "ragged-rows", "ragged-perm",
+            "ragged-blocks"])
+    def test_constructors_refuse_bad_input_with_input_error(self, build):
+        # numpy's TypeError or ValueError escaped each of these
+        with pytest.raises(InputError):
+            build()
+
     def test_immutable(self):
         m = SymmetricMatrix(np.eye(2))
         with pytest.raises(AttributeError):
@@ -523,6 +550,14 @@ class TestBlocks:
         blocks = np.array(self.BLOCKS)
         h[blocks[:, None] != blocks] = 0.0
         return h
+
+    def test_sector_form_size_counts_the_buffer(self):
+        m = SymmetricMatrix(self.matrix(seed=3), self.PERM, self.BLOCKS)
+        # the even block of block 2: its fixed state and its pair
+        assert linalg.sector_form_size(self.PERM, self.BLOCKS) == (m._layout[0].size, 2)
+        for a in (henon_heiles.build_v(henon_heiles.HHConfig(num_shells=12)),
+                  kepler.build_rho2(kepler.KeplerConfig(max_n=8, target_shell=4))):
+            assert linalg.sector_form_size(a.perm, a.blocks)[0] == a._layout[0].size
 
     def test_undeclared_is_one_block(self):
         np.testing.assert_array_equal(SymmetricMatrix(np.eye(3)).blocks, [0, 0, 0])

@@ -99,14 +99,28 @@ def test_assembled_eigenvectors_pass_criterion_9(case):
 
 
 @PROPERTY
-@given(commuting(), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1))
-def test_scaled_plus_diagonal_passes_public_check(case, c, seed):
+@given(commuting(), st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+       st.integers(0, 2**32 - 1), st.data())
+def test_scaled_plus_diagonal_passes_public_check(case, c, seed, data):
     h, perm = case
-    e = np.random.default_rng(seed).standard_normal(perm.size)
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(perm.size)
     diagonal = e + e[perm]  # invariant under perm
-    m = SymmetricMatrix(h, perm).scaled_plus_diagonal(c, diagonal)
+    # blocks that perm maps onto themselves or swaps, as in
+    # declared_structures, with -0.0 between them: the places no piece
+    # holds, which must read +0.0 at every scale
+    fixed = perm == np.arange(perm.size)
+    labels = np.where(fixed, 3 * rng.integers(0, 2, perm.size), rng.integers(0, 4, perm.size))
+    labels = np.where(np.arange(perm.size) <= perm, labels, np.array(LABEL_IMAGE)[labels[perm]])
+    h = np.where(labels[:, None] == labels, h, -0.0)
+    m = SymmetricMatrix(h, perm, labels).scaled_plus_diagonal(c, diagonal)
     rechecked = SymmetricMatrix(m.entries, m.perm)
     assert rechecked.entries.tobytes() == m.entries.tobytes()
+    dense = oracles.scaled_plus_diagonal(h, c, diagonal)
+    assert m.entries.tobytes() == dense.tobytes()
+    idx = np.array(data.draw(st.lists(st.integers(0, perm.size - 1), min_size=1,
+                                      max_size=2 * perm.size)))
+    assert m.columns(idx).tobytes() == dense[:, idx].tobytes()
 
 
 @PROPERTY
