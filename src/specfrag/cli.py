@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import datetime
 import functools
 import json
@@ -185,18 +184,6 @@ class ExperimentConfig:
         # everything that determines the numbers; output dir and worker
         # count are excluded so identical scans hash identically
         return {k: v for k, v in self.options.items() if k not in ("output", "threads")}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    version: str
-    timestamp: str
-    config: dict
-    config_sha256: str
-    files: tuple[str, ...]
-    metric_files: dict
-    critical: dict
-    scan: dict  # how the scan ran: worker count and whether BLAS was pinned
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -585,7 +572,8 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dic
     return rows, critical, workers
 
 
-def run(config: ExperimentConfig) -> RunManifest:
+def run(config: ExperimentConfig) -> dict:
+    """Run the scan and write its CSVs and manifest.json; returns the manifest."""
     system = _SYSTEMS[config.options["system"]]
     runner = _run_henon_heiles if config.options["system"] == "henon-heiles" else _run_kepler
     # every BLAS call of the run, in any stage or worker, runs on one
@@ -613,16 +601,16 @@ def run(config: ExperimentConfig) -> RunManifest:
         csvs.append(("strength_function.csv", (axis_col, "eigen_energy", "weight"),
                      _strength_lines(axis_col, rows)))
         metric_files["strength-function"] = "strength_function.csv"
-    manifest = RunManifest(
-        version=__version__,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        config=config.options,
-        config_sha256=sha,
-        files=tuple(name for name, _, _ in csvs),
-        metric_files=metric_files,
-        critical=critical,
-        scan={"workers": workers, "blas_pinned": pinned},
-    )
+    manifest = {
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "config": config.options,
+        "config_sha256": sha,
+        "files": [name for name, _, _ in csvs],
+        "metric_files": metric_files,
+        "critical": critical,
+        "scan": {"workers": workers, "blas_pinned": pinned},  # how the scan ran
+    }
 
     # _build_config refused an output path that cannot be a directory; any
     # other failure to write is reported as bad output configuration
@@ -632,7 +620,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         for name, columns, lines in csvs:
             _write_csv(out / name, columns, lines, meta)
         with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write output to {out}: {exc}") from exc
@@ -646,34 +634,30 @@ _RHO2_BUILD_ARRAYS = 5
 
 def validate(config: ExperimentConfig) -> list[str]:
     opts = config.options
-    if opts["system"] == "henon-heiles":
-        shells, points = opts["num_shells"], opts["shell_max"] - opts["shell_min"] + 1
-        span = f"shells {opts['shell_min']}..{opts['shell_max']}"
-    else:
-        shells, grid = opts["max_n"], opts["gamma_grid"]
-        points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
-    dim = shells * (shells + 1) // 2
     # floats held at once, sized from the basis alone. No operator is held
     # dense: V and rho^2 keep their sector pieces, and H shares them. A solve
     # holds its largest block five times over: the block, LAPACK's copy of
     # it, dsyevd's workspace of about two blocks, and the eigenvectors. HH's
     # w-pt holds V's pieces and a slab of V's columns on the largest scanned
-    # shell; an exact metric, V's pieces again and a solve. Kepler holds
+    # shell; an exact metric, V's pieces again and one solve. Kepler holds
     # rho^2's pieces once, shared by every worker's H, and a solve per
     # worker, unless building rho^2 peaks higher.
-    if opts["system"] == "kepler":
-        quanta, _ = kepler.enumerate_parabolic_basis(config.model)
-        pieces, block = sector_form_size(triangular_exchange(quanta))
-    else:
+    if opts["system"] == "henon-heiles":
         quanta, _ = henon_heiles.enumerate_basis(config.model)
         pieces, block = sector_form_size(*henon_heiles.symmetry(quanta))
-    solve = 5 * block * block if set(opts["metrics"]) & EXACT_METRICS else 0
-    if opts["system"] == "kepler":
-        workers = min(opts["threads"], points) if solve else 0
-        floats = max(_RHO2_BUILD_ARRAYS * dim * dim, pieces + workers * solve)
+        shells, points = opts["num_shells"], opts["shell_max"] - opts["shell_min"] + 1
+        span = f"shells {opts['shell_min']}..{opts['shell_max']}"
+        build, workers = 0, 1
+        slab = opts["shell_max"] + 1 if "w-pt" in opts["metrics"] else 0
     else:
-        slab = dim * (opts["shell_max"] + 1) if "w-pt" in opts["metrics"] else 0
-        floats = pieces + max(slab, solve)
+        quanta, _ = kepler.enumerate_parabolic_basis(config.model)
+        pieces, block = sector_form_size(triangular_exchange(quanta))
+        shells, grid = opts["max_n"], opts["gamma_grid"]
+        points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
+        build, workers, slab = _RHO2_BUILD_ARRAYS, min(opts["threads"], points), 0
+    dim = len(quanta)
+    solve = 5 * block * block if set(opts["metrics"]) & EXACT_METRICS else 0
+    floats = max(build * dim * dim, pieces + max(slab * dim, workers * solve))
     return [
         f"system: {opts['system']}",
         f"{dim} states, {shells} shells",
@@ -693,8 +677,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             return 0
         manifest = run(config)
-        print(f"wrote {', '.join(manifest.files)} and manifest.json to {config.options['output']}")
-        for key, value in sorted(manifest.critical.items()):
+        print(f"wrote {', '.join(manifest['files'])} and manifest.json to {config.options['output']}")
+        for key, value in sorted(manifest["critical"].items()):
             if not key.endswith("_bracket"):
                 print(f"{key}: {value}")
         return 0

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all specfrag modules, and the number
-check the model configs share."""
+checks the model configs share."""
+import math
 import numbers
 
 
@@ -27,3 +28,9 @@ def is_real(value) -> bool:
     """True for an int or a float, numpy's included; False for a boolean,
     which Python would read as 0 or 1, and for anything else."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_whole(value) -> bool:
+    """True for a real number (is_real) that is finite and has no fraction,
+    such as 30 or 30.0; False for 30.5, infinities, NaN and booleans."""
+    return is_real(value) and math.isfinite(value) and int(value) == value

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, is_real
+from .errors import ConfigurationError, InputError, is_real, is_whole
 from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 
@@ -47,20 +47,14 @@ class HHConfig:
     num_shells: int = 30
 
     def __post_init__(self):
-        # a boolean or a string is refused, not read as a number; finiteness
-        # before int(), which raises its own errors on NaN and infinities
+        # a boolean or a string is refused, not read as a number
         if not (is_real(self.hbar) and math.isfinite(self.hbar) and self.hbar > 0):
             raise ConfigurationError(f"hbar must be positive, got {self.hbar!r}")
         if not (is_real(self.lam) and math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigurationError(f"lambda must be non-negative, got {self.lam!r}")
-        if not (
-            is_real(self.num_shells)
-            and math.isfinite(self.num_shells)
-            and int(self.num_shells) == self.num_shells
-            and self.num_shells >= 1
-        ):
+        if not (is_whole(self.num_shells) and self.num_shells >= 1):
             raise ConfigurationError(
-                f"num_shells must be a positive integer, got {self.num_shells}"
+                f"num_shells must be a positive integer, got {self.num_shells!r}"
             )
         # an integral float is kept as the int it equals, which the basis needs
         object.__setattr__(self, "num_shells", int(self.num_shells))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, NumericalError, is_real
+from .errors import ConfigurationError, InputError, NumericalError, is_real, is_whole
 from .linalg import ShellPartition, SymmetricMatrix, triangular_basis, triangular_exchange
 
 QUADRATURE_AGREEMENT_RTOL = 1e-8
@@ -74,21 +74,12 @@ class KeplerConfig:
     gamma_grid: tuple[float, ...] | None = None  # None: default_gamma_grid(target_shell)
 
     def __post_init__(self):
-        # a boolean or a string is refused, not read as a number; finiteness
-        # before int(), which raises its own errors on NaN and infinities
-        if not (
-            is_real(self.max_n) and math.isfinite(self.max_n)
-            and int(self.max_n) == self.max_n and self.max_n >= 1
-        ):
-            raise ConfigurationError(f"max_n must be a positive integer, got {self.max_n}")
-        if not (
-            is_real(self.target_shell)
-            and math.isfinite(self.target_shell)
-            and int(self.target_shell) == self.target_shell
-            and 1 <= self.target_shell <= self.max_n
-        ):
+        # a boolean or a string is refused, not read as a number
+        if not (is_whole(self.max_n) and self.max_n >= 1):
+            raise ConfigurationError(f"max_n must be a positive integer, got {self.max_n!r}")
+        if not (is_whole(self.target_shell) and 1 <= self.target_shell <= self.max_n):
             raise ConfigurationError(
-                f"target_shell must lie in [1, max_n={self.max_n}], got {self.target_shell}"
+                f"target_shell must lie in [1, max_n={self.max_n}], got {self.target_shell!r}"
             )
         # integral floats are kept as the ints they equal, which the basis needs
         object.__setattr__(self, "max_n", int(self.max_n))

@@ -106,6 +106,8 @@ class SymmetricMatrix:
         """
         if isinstance(dim, bool) or not (isinstance(dim, (int, np.integer)) and dim >= 1):
             raise InputError(f"matrix dimension must be an integer of at least 1, got {dim!r}")
+        if int(dim) > np.iinfo(np.intp).max // np.dtype(np.intp).itemsize:
+            raise InputError(f"matrix dimension {dim!r} is past numpy's index range")
         i, j = _basis_indices(rows, dim, "rows"), _basis_indices(cols, dim, "cols")
         x = _array(values, float)
         if not i.shape == j.shape == x.shape:

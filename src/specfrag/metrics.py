@@ -31,7 +31,6 @@ perturbed levels after they drift away from the unperturbed shell energy.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .linalg import ShellPartition, SpectralDecomposition, SymmetricMatrix, projection_onto_subset
+from .linalg import (ShellPartition, SpectralDecomposition, SymmetricMatrix,
+                     projection_onto_subset, random_block_unitary)
 
 WEIGHT_SUM_TOL = 1e-6
 
@@ -219,21 +219,16 @@ def w_perturbative_terms(
     # an overflow shows as a term that is not finite, which the check
     # below reports; numpy's warning would only repeat it
     with np.errstate(all="ignore"):
-        # V's target columns, a dim x dim_t slab formed from its pieces, with
-        # their rows shell after shell: each shell's run of rows of these
-        # squares is the squares of its block of V, in the same shape and
-        # order, so the sums are those of the block's
-        rows = np.fromiter(itertools.chain.from_iterable(g.indices for g in partition.groups),
-                           dtype=np.intp, count=partition.dim)
-        squares = v.columns(t_idx)[rows] ** 2
-        stop = 0
+        # V's target columns, a dim x dim_t slab formed from its pieces and
+        # squared in place; each shell sums its own rows of it
+        squares = v.columns(t_idx)
+        squares *= squares
         for g in partition.groups:
-            start, stop = stop, stop + len(g.indices)
             if g.label == target:
                 continue
             # ShellPartition's strictly increasing energies keep denom nonzero
             denom = tgt.energy - g.energy
-            leak = squares[start:stop].sum()
+            leak = squares[np.asarray(g.indices)].sum()
             term = float(lam * lam * leak / (denom * denom) / dim_t)
             if not math.isfinite(term):
                 raise NumericalError(f"the W_pt term of shell {g.label} is not finite ({term!r})")
@@ -271,8 +266,6 @@ def invariance_gap(
     The theorem says this vanishes; the function exists so the claim stays
     executable rather than rhetorical.
     """
-    from .linalg import random_block_unitary
-
     u = random_block_unitary(partition, seed)
     rotated = SymmetricMatrix(u.T @ v.entries @ u)
     return abs(

@@ -444,10 +444,11 @@ def place_checked(dim: int, rows, cols, values, perm, labels) -> np.ndarray:
     return out
 
 
-def w_perturbative_dense(v: np.ndarray, partition, target: int, lam: float) -> float:
-    """W_pt summed from the dense V's target columns, each shell's rows
+def w_perturbative_dense_terms(v: np.ndarray, partition, target: int,
+                               lam: float) -> list[tuple[int, float]]:
+    """W_pt's terms from the dense V's target columns, each shell's rows
     gathered by fancy indexing: (lam^2 / dim T_N) * sum of |V_alpha,i|^2
-    over the shell's rows, over (E_N - E_n)^2, per shell n != N, summed."""
+    over the shell's rows, over (E_N - E_n)^2, per shell n != N."""
     tgt = partition.group(target)
     t_idx = np.asarray(tgt.indices)
     squares = v[:, t_idx] ** 2
@@ -456,8 +457,13 @@ def w_perturbative_dense(v: np.ndarray, partition, target: int, lam: float) -> f
         if g.label != target:
             denom = tgt.energy - g.energy
             leak = squares[np.asarray(g.indices)].sum()
-            terms.append(float(lam * lam * leak / (denom * denom) / t_idx.size))
-    return float(sum(terms))
+            terms.append((g.label, float(lam * lam * leak / (denom * denom) / t_idx.size)))
+    return terms
+
+
+def w_perturbative_dense(v: np.ndarray, partition, target: int, lam: float) -> float:
+    """W_pt: w_perturbative_dense_terms summed."""
+    return float(sum(term for _, term in w_perturbative_dense_terms(v, partition, target, lam)))
 
 
 def scaled_plus_diagonal(a, c: float, d) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import oracles
 import specfrag.kepler as kepler_mod
 from specfrag.errors import ConfigurationError, InputError, NumericalError
+from specfrag.henon_heiles import HHConfig
 from specfrag.kepler import (
     KeplerConfig,
     _rho2_entries,
@@ -86,6 +88,18 @@ def test_config_rejects_boolean_sizes(field):
     # True would otherwise read as 1, which either field accepts here
     with pytest.raises(ConfigurationError, match=field):
         KeplerConfig(**{"max_n": 1, "target_shell": 1, field: True})
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (HHConfig, "num_shells", 30.5), (HHConfig, "num_shells", "30"),
+    (KeplerConfig, "max_n", 30.5), (KeplerConfig, "max_n", "30"),
+    (KeplerConfig, "target_shell", 2.5), (KeplerConfig, "target_shell", "2"),
+])
+def test_config_rejects_fractional_and_string_sizes(make, field, value):
+    # neither truncated nor parsed; the message names the field and shows
+    # the value as given, a string in its quotes
+    with pytest.raises(ConfigurationError, match=rf"^{field} .* got {re.escape(repr(value))}$"):
+        make(**{field: value})
 
 
 @pytest.mark.parametrize("grid", [(True,), (0.01, "0.02"), 0.01, "0.01"],

@@ -704,6 +704,16 @@ class TestFromNonzeros:
         with pytest.raises(InputError, match="involution"):
             SymmetricMatrix.from_nonzeros(3, [0], [0], [1.0], perm=[1, 2, 0])
 
+    @pytest.mark.parametrize("dim", [10**30, 2**62])
+    def test_rejects_a_dim_past_the_index_range(self, dim, monkeypatch):
+        # refused before the identity perm np.arange(dim) is formed
+        def unreached(*args):
+            raise AssertionError("_involution ran")
+
+        monkeypatch.setattr(linalg, "_involution", unreached)
+        with pytest.raises(InputError, match="past numpy's index range"):
+            SymmetricMatrix.from_nonzeros(dim, [0], [0], [1.0])
+
 
 class TestProjection:
     def test_full_subset_is_ones(self):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import assembled_eigenvectors, brute_force_spreading_width
+from oracles import (
+    assembled_eigenvectors,
+    brute_force_spreading_width,
+    w_perturbative_dense,
+    w_perturbative_dense_terms,
+)
 from specfrag.errors import ConfigurationError, InputError, NumericalError
 from specfrag.henon_heiles import HHConfig, build_h, build_v, enumerate_basis
 from specfrag.linalg import ShellGroup, ShellPartition, SymmetricMatrix, eigh, random_block_unitary
@@ -291,6 +296,26 @@ class TestWPerturbative:
         assert [t for _, t in w_perturbative_terms(v, part, 1, 1.0)] == [1e308, 1e308]
         with pytest.raises(NumericalError, match="W_pt is not finite"):
             w_perturbative(v, part, 1, 1.0)
+
+    @pytest.mark.parametrize("order", ["interleaved", "shuffled"])
+    def test_shells_out_of_index_order_sum_as_dense_oracle(self, order):
+        # no shell's states are one run of indices, so no shell's rows of
+        # V's slab are one run of rows
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((10, 10))
+        v = SymmetricMatrix(a + a.T)
+        if order == "interleaved":  # state i in shell i % 4
+            shells = [list(range(n, 10, 4)) for n in range(4)]
+        else:  # shells of 1, 2, 3 and 4 states drawn at random
+            shells = np.split(rng.permutation(10), [1, 3, 6])
+        part = ShellPartition(tuple(ShellGroup(n, tuple(int(i) for i in s), 0.5 * n)
+                                    for n, s in enumerate(shells)))
+        for target in part.labels():
+            want = w_perturbative_dense_terms(v.entries, part, target, 0.7)
+            got = w_perturbative_terms(v, part, target, 0.7)
+            assert [(n, t.hex()) for n, t in got] == [(n, t.hex()) for n, t in want]
+            assert (w_perturbative(v, part, target, 0.7).hex()
+                    == w_perturbative_dense(v.entries, part, target, 0.7).hex())
 
 
 class TestInvariance:

@@ -12,10 +12,16 @@ other platform that test is skipped and says why. The header lines (tool,
 system and config-sha256) must match too, wherever the run echoes the
 pinned scan.
 
+Four larger runs (Henon-Heiles at 60 shells with every metric and at 80
+shells with hbar 0.0025, Kepler at max_n 30 and 40) are pinned by the
+sha256 of their CSVs' data lines alone, checked where numpy and BLAS are
+the recorded ones.
+
 The pinned files are the check's data: replace them only when the numbers
 moved for a stated numerical reason, by copying the two default runs'
 curve files and critical values.
 """
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -24,11 +30,31 @@ import numpy as np
 import pytest
 
 from specfrag.cli import main
+from specfrag.kepler import default_gamma_grid
 
 DATA = Path(__file__).parent / "data"
 REFERENCE = json.loads((DATA / "reference.json").read_text(encoding="utf-8"))
 TOL = 1e-9
 RUNS = {"hh_curves.csv": "henon-heiles", "kepler_curves.csv": "kepler"}
+# each larger run's flags, and the sha256 of each of its CSVs' data lines,
+# "\n"-joined, as the recorded numpy and BLAS write them
+LARGER_RUNS = {
+    "hh60-every-metric": (
+        ["--system", "henon-heiles", "--shells", "60",
+         "--metrics", "w-pt,w-exact,kappa,strength-function"],
+        {"hh_curves.csv": "cb590ca7ea2c7d10aa8bc9e9ff5e3eaa05c26738ccec61cbf6981e9a79a578a9",
+         "strength_function.csv":
+             "12ea82b11f649671d95d5468ad05588f30c0d135d369c8a030d1d1968b1624c0"}),
+    "hh80-hbar0.0025": (
+        ["--system", "henon-heiles", "--shells", "80", "--hbar", "0.0025"],
+        {"hh_curves.csv": "3054aa936d0cf30c1a3eb05619527317b1993bc214901dd59fe0f66d840586ae"}),
+    "kepler30": (
+        ["--system", "kepler", "--max-n", "30"],
+        {"kepler_curves.csv": "10b25beab38dacd21d7ce53aca9bbde7edabec76873dd409912a56cd3369abad"}),
+    "kepler40": (
+        ["--system", "kepler", "--max-n", "40"],
+        {"kepler_curves.csv": "5db616989dc59f0300b0c2fca9121e2e8af0d2e2973708d65cd283476736af0c"}),
+}
 
 
 def _platform() -> dict:
@@ -121,3 +147,22 @@ def test_bytes_match_reference_on_recorded_platform(runs):
     for name, path in runs.items():
         assert _data_lines(path / name) == _data_lines(DATA / name), f"{name} bytes moved"
     assert _critical(runs) == REFERENCE["critical"]
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_RUNS))
+def test_larger_runs_keep_their_bytes_on_recorded_platform(name, tmp_path):
+    args, digests = LARGER_RUNS[name]
+    here = _platform()
+    if here != REFERENCE["platform"]:
+        pytest.skip(f"byte comparison skipped: the digests were made with "
+                    f"{REFERENCE['platform']}, this is {here}")
+    # the default Kepler scan is the pinned default run's gamma column, whose
+    # last bits follow numpy's SIMD dispatch
+    pinned = [float(line.split(",")[0]) for line in _data_lines(DATA / "kepler_curves.csv")[1:]]
+    if args[1] == "kepler" and list(default_gamma_grid(10)) != pinned:
+        pytest.skip("byte comparison skipped: this numpy derives a default gamma "
+                    "grid that differs in its last bits from the pinned one")
+    assert main(["run", *args, "-o", str(tmp_path)]) == 0
+    found = {file: hashlib.sha256("\n".join(_data_lines(tmp_path / file)).encode()).hexdigest()
+             for file in digests}
+    assert found == digests, f"{name} bytes moved"
