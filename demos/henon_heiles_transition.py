@@ -53,7 +53,7 @@ def main() -> None:
         wp = w_perturbative(v, part, n, cfg.lam)
         we = w_exact(decomp, g.indices, shell_energy=g.energy)
         sf = strength_function(decomp, g.indices)
-        kappa = chaoticity(spreading_width(sf), cfg.hbar).kappa
+        kappa = chaoticity(spreading_width(sf), cfg.hbar)
         pt_curve.append((e_n, wp))
         exact_curve.append((e_n, we))
         kappa_curve.append((e_n, kappa))
@@ -65,12 +65,12 @@ def main() -> None:
         ("W_ex  = 0.5", exact_curve, 0.5),
         ("kappa = 1.0", kappa_curve, 1.0),
     ):
-        r = critical_parameter(curve, threshold=thr, axis="energy")
-        if r.critical is None:
+        critical, bracket = critical_parameter(curve, threshold=thr)
+        if critical is None:
             print(f"{name}: no crossing in the scanned window")
         else:
-            lo, hi = r.bracket
-            print(f"{name}: E_c = {r.critical:.4f}  (bracket {lo:.3f}..{hi:.3f})")
+            lo, hi = bracket
+            print(f"{name}: E_c = {critical:.4f}  (bracket {lo:.3f}..{hi:.3f})")
 
 
 if __name__ == "__main__":

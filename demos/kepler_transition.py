@@ -46,11 +46,11 @@ def main() -> None:
 
     print()
     for name, curve in (("W_pt", pt_curve), ("W_exact", exact_curve)):
-        r = critical_parameter(curve, axis="scaled-energy")
-        if r.critical is None:
+        critical, _ = critical_parameter(curve)
+        if critical is None:
             print(f"{name} = 0.5: no crossing on this grid")
         else:
-            print(f"{name} = 0.5 at eps = {r.critical:.4f}")
+            print(f"{name} = 0.5 at eps = {critical:.4f}")
 
 
 if __name__ == "__main__":

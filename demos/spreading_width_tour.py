@@ -25,7 +25,7 @@ def main() -> None:
         g = part.group(n)
         sf = strength_function(decomp, g.indices)
         width, (a, b) = spreading_width(sf, return_window=True)
-        kappa = chaoticity(width, cfg.hbar).kappa
+        kappa = chaoticity(width, cfg.hbar)
         big = int((sf.weights >= 0.05).sum())
         e_a, e_b = sf.eigen_energies[a], sf.eigen_energies[b]
         print(

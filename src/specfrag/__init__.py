@@ -27,8 +27,6 @@ from .linalg import (
     random_block_unitary,
 )
 from .metrics import (
-    ChaosReport,
-    CriticalResult,
     StateSelection,
     StrengthFunction,
     chaoticity,
@@ -61,8 +59,6 @@ __all__ = [
     "projection_onto_subset",
     "random_block_unitary",
     "StrengthFunction",
-    "ChaosReport",
-    "CriticalResult",
     "StateSelection",
     "strength_function",
     "spreading_width",

@@ -359,12 +359,6 @@ def _strength_lines(axis_col: str, rows: list[dict]) -> Iterator[str]:
         )
 
 
-def _crossing_entry(curve, threshold: float, axis: str) -> tuple:
-    res = critical_parameter(curve, threshold=threshold, axis=axis)
-    bracket = list(res.bracket) if res.bracket is not None else None
-    return res.critical, bracket
-
-
 @dataclass(frozen=True)
 class _System:
     """What the runners' shared code needs to know about one worked
@@ -380,7 +374,7 @@ class _System:
 _SYSTEMS = {
     "henon-heiles": _System(HH_COLUMNS, "hh_curves.csv", "energy", "energy", "energy_exact_mean"),
     # headline axis: zeroth-order scaled energy of the target shell
-    "kepler": _System(KEPLER_COLUMNS, "kepler_curves.csv", "scaled-energy", "scaled_energy_pt",
+    "kepler": _System(KEPLER_COLUMNS, "kepler_curves.csv", "scaled_energy", "scaled_energy_pt",
                       "scaled_energy_exact"),
 }
 
@@ -413,11 +407,8 @@ def _measure(config: ExperimentConfig, row: dict, group: ShellGroup, decomp, d0:
         mean = float(decomp.eigenvalues[picked].mean())
         row[_SYSTEMS[config.options["system"]].exact_column] = exact_energy(mean)
     if "kappa" in config.options["metrics"]:
-        chaos = metrics.chaoticity(
-            spreading_width(strength_function(decomp, idx)), d0
-        )
-        row["gamma_spr"] = chaos.gamma_spr
-        row["kappa"] = chaos.kappa
+        row["gamma_spr"] = spreading_width(strength_function(decomp, idx))
+        row["kappa"] = metrics.chaoticity(row["gamma_spr"], d0)
     if "strength-function" in config.options["metrics"]:
         sf = strength_function(decomp, idx)
         row["_sf"] = (sf.eigen_energies, sf.weights)
@@ -429,16 +420,15 @@ def _critical(config: ExperimentConfig, rows: list[dict]) -> dict:
     system's crossing axis."""
     system = _SYSTEMS[config.options["system"]]
     critical: dict = {}
-    suffix = system.axis.replace("-", "_")
     for metric, column, threshold, name in (
         ("w-pt", "w_pt", 0.5, "pt"),
         ("w-exact", "w_exact", 0.5, "exact"),
         ("kappa", "kappa", 1.0, "kappa"),
     ):
         if metric in config.options["metrics"]:
-            key = f"{name}_critical_{suffix}"
-            critical[key], critical[key + "_bracket"] = _crossing_entry(
-                [(r[system.axis_column], r[column]) for r in rows], threshold, system.axis
+            key = f"{name}_critical_{system.axis}"
+            critical[key], critical[key + "_bracket"] = critical_parameter(
+                [(r[system.axis_column], r[column]) for r in rows], threshold
             )
     return critical
 
@@ -559,16 +549,13 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dic
         # alternative reading: selected states' mean exact energy as axis;
         # that axis can fold back once mixing is strong, in which case the
         # alternative is reported as undefined rather than guessed
+        key = "exact_critical_scaled_energy_mean_axis"
         try:
-            value, bracket = _crossing_entry(
-                [(r["scaled_energy_exact"], r["w_exact"]) for r in rows],
-                0.5,
-                "scaled-energy-exact-mean",
+            critical[key], critical[key + "_bracket"] = critical_parameter(
+                [(r["scaled_energy_exact"], r["w_exact"]) for r in rows]
             )
         except InputError:
-            value, bracket = None, None
-        critical["exact_critical_scaled_energy_mean_axis"] = value
-        critical["exact_critical_scaled_energy_mean_axis_bracket"] = bracket
+            critical[key], critical[key + "_bracket"] = None, None
     return rows, critical, workers
 
 

@@ -3,10 +3,11 @@
 One class, SymmetricMatrix, holds every operator and Hamiltonian here: an
 operator a model builds once (V, rho^2), checked against the exact
 symmetry and blocks it declares, and each H = c * A + diag(d) made from
-it, which shares its pieces. No run holds a dense matrix: an operator's
-entries live once, in one buffer, and one slot table says where each
-lives (see _scatter); the scatter writes by it, and columns and entries
-read by it. eigh solves the symmetry sectors as separate blocks and
+it, which shares its pieces. No run holds a dense V or H, and rho^2 is
+dense only inside its build (kepler._rho2_entries): once built, an
+operator's entries live once, in one buffer, and one slot table says where
+each lives (see _scatter); the scatter writes by it, and columns and
+entries read by it. eigh solves the symmetry sectors as separate blocks and
 validates each on the spot; the decomposition it returns stays in sector
 form, which projection_onto_subset, and with it every metric, reads
 directly.
@@ -774,9 +775,12 @@ def projection_onto_subset(d: SpectralDecomposition, subset: Iterable[int]) -> n
 
 
 @functools.cache
-def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
-    or None when numpy ships no OpenBLAS that exposes them."""
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None],
+                         Callable[[], bytes] | None] | None:
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS
+    and its get_corename, which names the CPU kernel it dispatches to (None
+    where not exported), or None when numpy ships no OpenBLAS that exposes
+    the first two."""
     root = Path(np.__file__).parent
     for lib_path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
                             *root.glob(".dylibs/*openblas*")]):
@@ -791,7 +795,10 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
             if get is not None and set_ is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+                core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                if core is not None:
+                    core.restype, core.argtypes = ctypes.c_char_p, []
+                return get, set_, core
     return None
 
 
@@ -812,7 +819,7 @@ def single_threaded_blas() -> Iterator[bool]:
     if lib is None:
         yield False
         return
-    get, set_ = lib
+    get, set_, _ = lib
     before = get()
     set_(1)
     try:

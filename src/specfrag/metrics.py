@@ -53,27 +53,6 @@ class StrengthFunction:
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChaosReport:
-    gamma_spr: float
-    d0: float
-    kappa: float
-
-
-@dataclass(frozen=True)
-class CriticalResult:
-    """Where a scanned curve first crosses a threshold.
-
-    critical and bracket are None when the curve never crosses; the bracket
-    samples otherwise straddle the threshold.
-    """
-
-    axis: str
-    critical: float | None
-    bracket: tuple[float, float] | None
-    threshold: float = 0.5
-
-
 class StateSelection(enum.Enum):
     """How the exact curve picks the dim T_N eigenstates standing for a shell."""
 
@@ -141,14 +120,14 @@ def spreading_width(sf: StrengthFunction, return_window: bool = False):
     return best
 
 
-def chaoticity(gamma_spr: float, d0: float) -> ChaosReport:
+def chaoticity(gamma_spr: float, d0: float) -> float:
     """kappa = gamma_spr / d0. kappa >= 1 flags destruction of the shell's
     approximate symmetry."""
     if not np.isfinite(d0) or d0 <= 0:
         raise InputError(f"d0 must be positive, got {d0}")
     if not np.isfinite(gamma_spr) or gamma_spr < 0:
         raise InputError(f"gamma_spr must be non-negative, got {gamma_spr}")
-    return ChaosReport(gamma_spr=float(gamma_spr), d0=float(d0), kappa=float(gamma_spr / d0))
+    return float(gamma_spr / d0)
 
 
 def select_eigenstates(
@@ -275,17 +254,17 @@ def invariance_gap(
 
 
 def critical_parameter(
-    curve: Sequence[tuple[float, float]],
-    threshold: float = 0.5,
-    axis: str = "",
-) -> CriticalResult:
-    """First crossing of a sampled curve through a threshold.
+    curve: Sequence[tuple[float, float]], threshold: float = 0.5
+) -> tuple[float | None, tuple[float, float] | None]:
+    """First crossing of a sampled curve through a threshold, as
+    (critical, bracket).
 
     Grid scan plus linear interpolation between the bracketing samples; a
-    sample landing exactly on the threshold is itself the crossing, and two
-    neighbouring samples on opposite sides of it bracket one (compared, so
-    no underflow can hide it). The axis must be strictly monotone. No
-    crossing gives critical=None. Non-finite samples are rejected.
+    sample landing exactly on the threshold is itself the crossing, with
+    bracket (x, x), and two neighbouring samples on opposite sides of it
+    bracket one (compared, so no underflow can hide it). The axis must be
+    strictly monotone. No crossing gives (None, None). Non-finite samples
+    are rejected.
     """
     samples = tuple((float(x), float(w)) for x, w in curve)
     if len(samples) < 2:
@@ -300,10 +279,10 @@ def critical_parameter(
     for k in range(len(samples)):
         x, w = samples[k]
         if w == threshold:
-            return CriticalResult(axis, x, (x, x), threshold)
+            return x, (x, x)
         if k + 1 < len(samples):
             x2, w2 = samples[k + 1]
             if w2 != threshold and (w < threshold) != (w2 < threshold):
                 t = (threshold - w) / (w2 - w)
-                return CriticalResult(axis, x + t * (x2 - x), (x, x2), threshold)
-    return CriticalResult(axis, None, None, threshold)
+                return x + t * (x2 - x), (x, x2)
+    return None, None

@@ -63,7 +63,7 @@ def hh_scan():
         pt.append((e_n, w_perturbative(v, part, n, cfg.lam)))
         exact.append((e_n, w_exact(decomp, g.indices, shell_energy=g.energy)))
         sf = strength_function(decomp, g.indices)
-        kappa.append((e_n, chaoticity(spreading_width(sf), cfg.hbar).kappa))
+        kappa.append((e_n, chaoticity(spreading_width(sf), cfg.hbar)))
     return {
         "cfg": cfg,
         "part": part,
@@ -108,39 +108,39 @@ def kepler_scan():
 
 def test_criterion_1_hh_pt_critical_energy(hh_scan):
     """First-order W curve crosses 0.5 at E = 0.084 +/- 0.008."""
-    r = critical_parameter(hh_scan["pt"], axis="energy")
-    assert r.critical is not None
-    assert abs(r.critical - HH_PT_CRITICAL_E) <= HH_PT_CRITICAL_TOL, (
-        f"pt critical {r.critical}"
+    critical, _ = critical_parameter(hh_scan["pt"])
+    assert critical is not None
+    assert abs(critical - HH_PT_CRITICAL_E) <= HH_PT_CRITICAL_TOL, (
+        f"pt critical {critical}"
     )
 
 
 def test_criterion_2_hh_exact_critical_energy(hh_scan):
     """Exact complement-projection curve crosses 0.5 at E = 0.105 +/- 0.010."""
-    r = critical_parameter(hh_scan["exact"], axis="energy")
-    assert r.critical is not None
-    assert abs(r.critical - 0.105) <= 0.010, f"exact critical {r.critical}"
+    critical, _ = critical_parameter(hh_scan["exact"])
+    assert critical is not None
+    assert abs(critical - 0.105) <= 0.010, f"exact critical {critical}"
 
 
 def test_criterion_3_hh_kappa_crossing(hh_scan):
     """kappa(E) crosses 1 at E = 0.11 +/- 0.015."""
-    r = critical_parameter(hh_scan["kappa"], threshold=1.0, axis="energy")
-    assert r.critical is not None
-    assert abs(r.critical - 0.11) <= 0.015, f"kappa critical {r.critical}"
+    critical, _ = critical_parameter(hh_scan["kappa"], threshold=1.0)
+    assert critical is not None
+    assert abs(critical - 0.11) <= 0.015, f"kappa critical {critical}"
 
 
 def test_criterion_4_kepler_pt_critical_scaled_energy(kepler_scan):
     """Kepler W curve crosses 0.5 at eps = -0.54 +/- 0.05."""
-    r = critical_parameter(kepler_scan["pt"], axis="scaled-energy")
-    assert r.critical is not None
-    assert abs(r.critical - (-0.54)) <= 0.05, f"pt critical {r.critical}"
+    critical, _ = critical_parameter(kepler_scan["pt"])
+    assert critical is not None
+    assert abs(critical - (-0.54)) <= 0.05, f"pt critical {critical}"
 
 
 def test_criterion_5_kepler_exact_critical_scaled_energy(kepler_scan):
     """Kepler exact curve crosses 0.5 at eps = -0.47 +/- 0.05."""
-    r = critical_parameter(kepler_scan["exact"], axis="scaled-energy")
-    assert r.critical is not None
-    assert abs(r.critical - (-0.47)) <= 0.05, f"exact critical {r.critical}"
+    critical, _ = critical_parameter(kepler_scan["exact"])
+    assert critical is not None
+    assert abs(critical - (-0.47)) <= 0.05, f"exact critical {critical}"
 
 
 def test_criterion_6_block_unitary_invariance_100_seeds():

@@ -127,6 +127,45 @@ class TestRun:
             assert key in manifest["critical"]
             assert key + "_bracket" in manifest["critical"]
 
+    # each critical key's axis column, curve column and threshold
+    CROSSINGS = {
+        "pt_critical_energy": ("energy", "w_pt", 0.5),
+        "exact_critical_energy": ("energy", "w_exact", 0.5),
+        "kappa_critical_energy": ("energy", "kappa", 1.0),
+        "pt_critical_scaled_energy": ("scaled_energy_pt", "w_pt", 0.5),
+        "exact_critical_scaled_energy": ("scaled_energy_pt", "w_exact", 0.5),
+        "kappa_critical_scaled_energy": ("scaled_energy_pt", "kappa", 1.0),
+        "exact_critical_scaled_energy_mean_axis": ("scaled_energy_exact", "w_exact", 0.5),
+    }
+
+    @pytest.mark.parametrize("argv", [
+        [*HH_SMALL, "--lambda", "4"],
+        ["run", "--system", "kepler", "--max-n", "8", "--target-shell", "5"],
+    ], ids=["henon-heiles", "kepler"])
+    def test_manifest_brackets_are_neighbouring_samples_around_the_crossing(self, tmp_path, argv):
+        # both scans cross all three thresholds; Kepler's mean-axis reading
+        # has no crossing there and reports none
+        assert main([*argv, "--metrics", "w-pt,w-exact,kappa", "-o", str(tmp_path)]) == 0
+        critical = json.loads((tmp_path / "manifest.json").read_text())["critical"]
+        _, header, rows = read_csv(next(tmp_path.glob("*_curves.csv")))
+        samples = {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
+        crossed = 0
+        for key in (k for k in critical if not k.endswith("_bracket")):
+            value, bracket = critical[key], critical[key + "_bracket"]
+            axis, column, threshold = self.CROSSINGS[key]
+            if value is None:
+                assert bracket is None, key
+                continue
+            crossed += 1
+            assert isinstance(bracket, list) and len(bracket) == 2, key
+            xs, ws = samples[axis], samples[column]
+            i = xs.index(bracket[0])
+            j = i if bracket[1] == bracket[0] else i + 1  # a sample on the threshold
+            assert xs[j] == bracket[1], key
+            assert min(ws[i], ws[j]) <= threshold <= max(ws[i], ws[j]), key
+            assert min(bracket) <= value <= max(bracket), key
+        assert crossed == 3
+
     def test_kepler_run_columns(self, tmp_path):
         out = tmp_path / "kep"
         code = main(
@@ -249,7 +288,7 @@ class TestRun:
         lib = linalg._openblas()
         if lib is None:
             pytest.skip("numpy's BLAS exposes no thread count")
-        get, set_ = lib
+        get, set_, _ = lib
         before = get()
         set_(2)
         try:
@@ -272,7 +311,7 @@ class TestRun:
         lib = linalg._openblas()
         if lib is None:
             pytest.skip("numpy's BLAS exposes no thread count")
-        get, set_ = lib
+        get, set_, _ = lib
         real, seen = henon_heiles.build_v, []
 
         def recorded(cfg):
@@ -859,7 +898,7 @@ class TestLibraryNumbers:
             "w_exact": metrics.w_exact(decomp, group.indices, shell_energy=group.energy),
             "gamma_spr": metrics.spreading_width(metrics.strength_function(decomp, group.indices)),
         }
-        expected["kappa"] = metrics.chaoticity(expected["gamma_spr"], d0).kappa
+        expected["kappa"] = metrics.chaoticity(expected["gamma_spr"], d0)
         for column, value in expected.items():
             assert float(row[column]) == pytest.approx(value, rel=0, abs=1e-12), column
 

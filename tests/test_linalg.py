@@ -854,7 +854,7 @@ class TestSingleThreadedBlas:
         lib = linalg._openblas()
         if lib is None:
             pytest.skip("numpy's BLAS exposes no thread count")
-        get, set_ = lib
+        get, set_, _ = lib
         before = get()
         set_(2)
         try:

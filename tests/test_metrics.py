@@ -169,11 +169,10 @@ class TestSpreadingWidth:
 
 class TestChaoticity:
     def test_zero_width(self):
-        r = chaoticity(0.0, 0.01)
-        assert r.kappa == 0.0 and r.gamma_spr == 0.0 and r.d0 == 0.01
+        assert chaoticity(0.0, 0.01) == 0.0
 
     def test_ratio(self):
-        assert chaoticity(0.02, 0.01).kappa == pytest.approx(2.0)
+        assert chaoticity(0.02, 0.01) == pytest.approx(2.0)
 
     def test_rejects_bad_d0(self):
         with pytest.raises(InputError):
@@ -352,41 +351,41 @@ class TestInvariance:
 class TestCriticalParameter:
     def test_linear_interpolation(self):
         curve = [(0.08, 0.45), (0.09, 0.55)]
-        r = critical_parameter(curve, axis="energy")
-        assert r.critical == pytest.approx(0.085, rel=1e-12)
-        assert r.bracket == (0.08, 0.09)
-        lo, hi = r.bracket
+        critical, bracket = critical_parameter(curve)
+        assert critical == pytest.approx(0.085, rel=1e-12)
+        assert bracket == (0.08, 0.09)
+        lo, hi = bracket
         vals = dict(curve)
         assert (vals[lo] - 0.5) * (vals[hi] - 0.5) <= 0.0
 
     def test_no_crossing(self):
-        r = critical_parameter([(1.0, 0.3), (2.0, 0.3), (3.0, 0.3)], axis="x")
-        assert r.critical is None
-        assert r.bracket is None
+        critical, bracket = critical_parameter([(1.0, 0.3), (2.0, 0.3), (3.0, 0.3)])
+        assert critical is None
+        assert bracket is None
 
     def test_crossing_whose_distance_product_underflows(self):
         # (1e-200 - 0) * (-1e-200 - 0) is -0.0, not negative
-        r = critical_parameter([(0.0, 1e-200), (1.0, -1e-200)], threshold=0.0, axis="x")
-        assert r.bracket == (0.0, 1.0)
-        assert r.critical == 0.5
+        critical, bracket = critical_parameter([(0.0, 1e-200), (1.0, -1e-200)], threshold=0.0)
+        assert bracket == (0.0, 1.0)
+        assert critical == 0.5
 
     def test_exact_threshold_sample(self):
-        r = critical_parameter([(1.0, 0.2), (2.0, 0.5), (3.0, 0.9)], axis="x")
-        assert r.critical == 2.0
-        assert r.bracket == (2.0, 2.0)
+        critical, bracket = critical_parameter([(1.0, 0.2), (2.0, 0.5), (3.0, 0.9)])
+        assert critical == 2.0
+        assert bracket == (2.0, 2.0)
 
     def test_descending_axis_supported(self):
-        r = critical_parameter([(3.0, 0.2), (2.0, 0.4), (1.0, 0.7)], axis="x")
-        assert r.critical is not None
-        assert 1.0 < r.critical < 2.0
+        critical, _ = critical_parameter([(3.0, 0.2), (2.0, 0.4), (1.0, 0.7)])
+        assert critical is not None
+        assert 1.0 < critical < 2.0
 
     def test_rejects_non_monotone(self):
         with pytest.raises(InputError):
-            critical_parameter([(1.0, 0.2), (3.0, 0.4), (2.0, 0.7)], axis="x")
+            critical_parameter([(1.0, 0.2), (3.0, 0.4), (2.0, 0.7)])
 
     def test_rejects_short_curve(self):
         with pytest.raises(InputError):
-            critical_parameter([(1.0, 0.2)], axis="x")
+            critical_parameter([(1.0, 0.2)])
 
     @pytest.mark.parametrize(
         "curve",
@@ -400,12 +399,12 @@ class TestCriticalParameter:
     )
     def test_rejects_non_finite(self, curve):
         with pytest.raises(InputError, match="finite"):
-            critical_parameter(curve, axis="x")
+            critical_parameter(curve)
 
     def test_first_crossing_reported(self):
         curve = [(1.0, 0.4), (2.0, 0.6), (3.0, 0.4), (4.0, 0.6)]
-        r = critical_parameter(curve, axis="x")
-        assert r.critical == pytest.approx(1.5)
+        critical, _ = critical_parameter(curve)
+        assert critical == pytest.approx(1.5)
 
 
 def test_partition_rejects_coincident_shell_energies():

@@ -516,13 +516,13 @@ def curves(draw):
 @PROPERTY
 @given(curves())
 def test_critical_parameter_inside_straddling_bracket(curve):
-    res = critical_parameter(curve, threshold=0.5)
+    critical, found = critical_parameter(curve, threshold=0.5)
     bracket = first_straddle(curve, 0.5)
     if bracket is None:
-        assert res.critical is None and res.bracket is None
+        assert critical is None and found is None
         return
-    assert res.bracket == bracket
-    assert min(bracket) <= res.critical <= max(bracket)
+    assert found == bracket
+    assert min(bracket) <= critical <= max(bracket)
 
 
 @st.composite

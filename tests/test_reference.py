@@ -6,16 +6,18 @@ reference.json their five headline critical values (acceptance criteria
 1-5) with the numpy and BLAS they were made with. Every value must stay
 within 1e-9 (absolute) of the pinned one, far inside every acceptance gate;
 a failure lists the largest |difference| per column, which says which
-digits moved. Where numpy and BLAS are the recorded ones, the data lines
-must also be byte-identical and the critical values bitwise equal; on any
-other platform that test is skipped and says why. The header lines (tool,
-system and config-sha256) must match too, wherever the run echoes the
-pinned scan.
+digits moved. On the recorded platform the data lines must also be
+byte-identical and the critical values bitwise equal; on any other that
+test is skipped and names the part that differs. The recorded platform is
+numpy's version and the BLAS's, as reference.json holds them, and the CPU
+kernels the bytes follow, as RECORDED_KERNELS holds them: the core that
+numpy's bundled OpenBLAS dispatches to, and the SIMD targets numpy's own
+loops may dispatch to on this CPU. The header lines (tool, system and
+config-sha256) must match too, wherever the run echoes the pinned scan.
 
 Four larger runs (Henon-Heiles at 60 shells with every metric and at 80
 shells with hbar 0.0025, Kepler at max_n 30 and 40) are pinned by the
-sha256 of their CSVs' data lines alone, checked where numpy and BLAS are
-the recorded ones.
+sha256 of their CSVs' data lines alone, checked on the recorded platform.
 
 The pinned files are the check's data: replace them only when the numbers
 moved for a stated numerical reason, by copying the two default runs'
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specfrag import linalg
 from specfrag.cli import main
 from specfrag.kepler import default_gamma_grid
 
@@ -55,16 +58,38 @@ LARGER_RUNS = {
         ["--system", "kepler", "--max-n", "40"],
         {"kepler_curves.csv": "5db616989dc59f0300b0c2fca9121e2e8af0d2e2973708d65cd283476736af0c"}),
 }
+# the CPU kernels every pinned byte was written with: OpenBLAS's Haswell
+# kernels move the data lines of both default runs, and numpy without its
+# X86_V4 loops moves Kepler's rho^2 (a ** -3.0 takes the AVX-512 power)
+RECORDED_KERNELS = {
+    "openblas_core": "SkylakeX",
+    "numpy_simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
 
 
 def _platform() -> dict:
-    """numpy's version and the BLAS it was built against, as recorded."""
+    """numpy's version, the BLAS it was built against, and the CPU kernels
+    both dispatch to here: the core name numpy's bundled OpenBLAS reports
+    (None without one) and the SIMD targets numpy found on this CPU."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
+        simd = config["SIMD Extensions"]["found"]
     except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
-        blas = None
-    return {"numpy": np.__version__, "blas": blas}
+        blas = simd = None
+    corename = (linalg._openblas() or (None, None, None))[2]
+    core = corename().decode() if corename is not None else None
+    return {"numpy": np.__version__, "blas": blas, "openblas_core": core, "numpy_simd": simd}
+
+
+def _off_platform() -> str | None:
+    """The parts of this platform that differ from the recorded one, named
+    with both values, or None on the recorded platform."""
+    here, recorded = _platform(), REFERENCE["platform"] | RECORDED_KERNELS
+    differ = [f"{key} {recorded[key]!r} there, {here[key]!r} here"
+              for key in recorded if here[key] != recorded[key]]
+    return "; ".join(differ) or None
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +165,9 @@ def test_headline_critical_values_within_1e9_of_reference(runs):
 
 
 def test_bytes_match_reference_on_recorded_platform(runs):
-    here = _platform()
-    if here != REFERENCE["platform"]:
-        pytest.skip(f"byte comparison skipped: the reference was made with "
-                    f"{REFERENCE['platform']}, this is {here}")
+    differ = _off_platform()
+    if differ:
+        pytest.skip(f"byte comparison skipped, off the recorded platform: {differ}")
     for name, path in runs.items():
         assert _data_lines(path / name) == _data_lines(DATA / name), f"{name} bytes moved"
     assert _critical(runs) == REFERENCE["critical"]
@@ -152,10 +176,9 @@ def test_bytes_match_reference_on_recorded_platform(runs):
 @pytest.mark.parametrize("name", sorted(LARGER_RUNS))
 def test_larger_runs_keep_their_bytes_on_recorded_platform(name, tmp_path):
     args, digests = LARGER_RUNS[name]
-    here = _platform()
-    if here != REFERENCE["platform"]:
-        pytest.skip(f"byte comparison skipped: the digests were made with "
-                    f"{REFERENCE['platform']}, this is {here}")
+    differ = _off_platform()
+    if differ:
+        pytest.skip(f"byte comparison skipped, off the recorded platform: {differ}")
     # the default Kepler scan is the pinned default run's gamma column, whose
     # last bits follow numpy's SIMD dispatch
     pinned = [float(line.split(",")[0]) for line in _data_lines(DATA / "kepler_curves.csv")[1:]]
