@@ -18,7 +18,7 @@ that makes it. Kepler's scan points, each with its own solve, are then
 measured by --threads threads (default: the CPUs this process may use),
 the calling thread among them, each point's solve whole on its thread, and
 rows are collected in scan order; one thread means the calling thread
-alone, with no pool.
+alone, which starts no other. Both systems' rows pass through one scan loop.
 Henon-Heiles has one decomposition, which every shell of its scan shares:
 its shells are measured in order on the calling thread; its H is written in
 closed form in the circular basis, whose C3v blocks the decomposition
@@ -48,7 +48,6 @@ asked for.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import functools
 import json
@@ -56,7 +55,6 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -149,7 +147,7 @@ OPTIONS = (
            help="comma list from: " + ",".join(KNOWN_METRICS)),
     Option("threads", ("--threads",), _int, None, "kepler",
            "Kepler: threads that measure the scan points, the calling thread "
-           "among them, each with a one-thread BLAS; 1 runs no pool (default: "
+           "among them, each with a one-thread BLAS; 1 starts no thread (default: "
            "the CPUs this process may use)"),
     Option("selection", ("--selection",), str, StateSelection.PROJECTION_WINDOW.value,
            choices=tuple(s.value for s in StateSelection),
@@ -433,10 +431,49 @@ def _critical(config: ExperimentConfig, rows: list[dict]) -> dict:
     return critical
 
 
+def _measure_all(items, measure: Callable, workers: int) -> list:
+    """measure(item) of every item, in order, by the calling thread and
+    workers - 1 more threads; one worker starts no thread. Each thread takes
+    the next item from one locked source, so every item before a failed one
+    has been taken too. Once an item fails no thread starts a new one, and
+    after every thread has been joined the earliest failed item's error is
+    raised."""
+    results: list = [None] * len(items)  # each item's result, or its error
+    source, lock, stop = iter(enumerate(items)), threading.Lock(), threading.Event()
+
+    def take() -> tuple | None:
+        # the next index and item; None once they are all taken or one failed
+        with lock:
+            return None if stop.is_set() else next(source, None)
+
+    def work() -> None:
+        for i, item in iter(take, None):
+            try:
+                results[i] = measure(item)
+            except BaseException as exc:  # raised below, in item order
+                results[i] = exc
+                stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:  # the caller is done or interrupted: no thread starts a new item
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():  # False too for one that never started
+                thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
-    """Henon-Heiles's scan: one decomposition serves every shell, so the
-    shells are measured in order on the calling thread; a pool would gain
-    nothing. Returns the rows, the critical values and the worker count."""
+    """Henon-Heiles's scan: one decomposition serves every shell, so its
+    shells are measured by one worker, the calling thread, in order. Returns
+    the rows, the critical values and the worker count."""
     cfg = config.model
     _, partition = henon_heiles.enumerate_basis(cfg)
     shells = range(config.options["shell_min"], config.options["shell_max"] + 1)
@@ -456,11 +493,10 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
         decomp = _solve("henon-heiles-model eigendecomposition",
                         lambda: eigh(henon_heiles.build_h(cfg)))
         # kappa's D0 is hbar, the uniform shell spacing
-        rows = [
-            _solve(f"henon-heiles-model at shell {g.label}",
-                   lambda: _measure(config, row, g, decomp, cfg.hbar, float))
-            for row, g in zip(rows, groups)
-        ]
+        rows = _measure_all(list(zip(rows, groups)), lambda item: _solve(
+            f"henon-heiles-model at shell {item[1].label}",
+            lambda: _measure(config, *item, decomp, cfg.hbar, float),
+        ), 1)
     critical = _solve("henon-heiles-model critical values", lambda: _critical(config, rows))
     return rows, critical, 1
 
@@ -468,13 +504,10 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
 def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
     """Kepler's scan: every gamma has its own solve, so while BLAS is
     pinned to one thread the points are measured by up to --threads
-    workers, and by one otherwise. The calling thread is one of them, and a
-    pool of the others shares its in-order source of points; one worker is
-    the calling thread alone, with no pool. Rows come back in scan order. A
-    point's decomposition is released when its row is done, so each worker
-    holds at most one. Once a point fails, no new point starts, and the
-    error of the earliest failed row in scan order is raised. Returns the
-    rows, the critical values and the worker count."""
+    workers, and by one otherwise, the calling thread among them (see
+    _measure_all). Rows come back in scan order. A point's decomposition is
+    released when its row is done, so each worker holds at most one.
+    Returns the rows, the critical values and the worker count."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
@@ -495,9 +528,6 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dic
         else None
     )
     exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
-    grid = cfg.gamma_grid
-    rows: list = [None] * len(grid)  # each point's row, or the error it raised
-    points, take, stop = iter(enumerate(grid)), threading.Lock(), threading.Event()
 
     def measure(gamma: float) -> dict:
         row: dict = {
@@ -517,33 +547,8 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dic
             functools.partial(kepler.scaled_energy, gamma=gamma),
         ))
 
-    def measure_points() -> None:
-        # points are taken in scan order, so every point before a failed
-        # one has been taken too
-        while not stop.is_set():
-            with take:
-                i, gamma = next(points, (None, None))
-            if i is None:
-                return
-            try:
-                rows[i] = measure(gamma)
-            except Exception as exc:  # raised below, in scan order
-                rows[i] = exc
-                stop.set()
-
-    workers = min(config.options["threads"], len(grid)) if pinned else 1
-    # the calling thread is one of the workers; a lone worker builds no pool
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
-        helpers = [pool.submit(measure_points) for _ in range(workers - 1)]
-        try:
-            measure_points()
-        finally:  # the caller is done or interrupted: the pool starts no new point
-            stop.set()
-    for helper in helpers:
-        helper.result()
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
+    workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
+    rows = _measure_all(cfg.gamma_grid, measure, workers)
     critical = _solve("kepler-model critical values", lambda: _critical(config, rows))
     if "w-exact" in config.options["metrics"]:
         # alternative reading: selected states' mean exact energy as axis;

@@ -359,27 +359,38 @@ class TestRun:
                      "--threads", "2", "-o", str(tmp_path)]) == 0
         assert len(calls) == solves
 
-    def test_henon_heiles_runs_no_pool(self, tmp_path, monkeypatch):
-        # every shell shares the one solve, so the shells are measured in order
-        def no_pool(*args, **kwargs):
-            raise AssertionError("Henon-Heiles built a thread pool")
+    def test_henon_heiles_starts_no_thread(self, tmp_path, monkeypatch):
+        # every shell shares the one solve, so the shells are measured in
+        # order on the calling thread
+        def no_thread(self):
+            raise AssertionError("Henon-Heiles started a thread")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-        assert main([*HH_SMALL, "--metrics", ALL_METRICS, "-o", str(tmp_path)]) == 0
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert main([*HH_SMALL, "--metrics", ALL_METRICS, "--threads", "2",
+                     "-o", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scan"] == {"workers": 1, "blas_pinned": linalg._openblas() is not None}
         assert "threads" not in manifest["config"]
 
-    def test_kepler_one_worker_runs_no_pool(self, tmp_path, monkeypatch):
+    def test_kepler_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
         # one worker is the calling thread alone
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-worker Kepler scan built a thread pool")
+        def no_thread(self):
+            raise AssertionError("a one-worker Kepler scan started a thread")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert main([*KEPLER_SMALL, "--metrics", ALL_METRICS, "--threads", "1",
                      "-o", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scan"]["workers"] == 1
+
+    def test_kepler_scan_leaves_no_thread_behind(self, tmp_path, capsys, monkeypatch):
+        # three workers, whether every point succeeds or one fails: every
+        # thread the scan starts has ended when main returns
+        before = threading.active_count()
+        assert main([*KEPLER_SMALL, "--threads", "3", "-o", str(tmp_path / "ok")]) == 0
+        assert threading.active_count() == before
+        assert _solves_until_failure(tmp_path / "failed", capsys, monkeypatch, threads=3) in (2, 3)
+        assert threading.active_count() == before
 
     def test_kepler_calling_thread_measures_points(self, tmp_path, monkeypatch):
         # two workers are the calling thread and one pool thread; each
@@ -1156,14 +1167,16 @@ def test_commands_load_only_what_they_compute_with(tmp_path, command, system, si
     """No command maps OpenSSL's libcrypto (~4 MB): the config digest comes
     from CPython's built-in SHA-256, so _hashlib never loads. The Laguerre
     module is imported inside the rho^2 build, so of the four commands only
-    a Kepler run loads numpy.polynomial. A fresh interpreter reads
-    sys.modules, since this process may have imported hashlib already."""
+    a Kepler run loads numpy.polynomial. The scans start plain threads, so
+    none loads concurrent.futures. A fresh interpreter reads sys.modules,
+    since this process may have imported hashlib already."""
     script = (
         "import sys, specfrag.cli\n"
         f"argv = [{command!r}, '--system', {system!r}, *{size!r}, '--metrics', {ALL_METRICS!r},\n"
         f"        '-o', {str(tmp_path / 'out')!r}]\n"
         "assert specfrag.cli.main(argv) == 0\n"
-        "print(sorted(m for m in ('_hashlib', 'numpy.polynomial') if m in sys.modules))\n"
+        "print(sorted(m for m in ('_hashlib', 'concurrent.futures', 'numpy.polynomial')\n"
+        "             if m in sys.modules))\n"
     )
     loads_laguerre = command == "run" and system == "kepler"
     assert _last_line_of_child(script) == str(["numpy.polynomial"] if loads_laguerre else [])
