@@ -17,8 +17,10 @@ its last metric, so every BLAS call of every stage executes on the thread
 that makes it. Kepler's scan points, each with its own solve, are then
 measured by --threads threads (default: the CPUs this process may use),
 the calling thread among them, each point's solve whole on its thread, and
-rows are collected in scan order; one thread means the calling thread
-alone, which starts no other. Both systems' rows pass through one scan loop.
+rows are collected in scan order; one thread, or a scan that solves
+nothing, means the calling thread alone, which starts no other. Both
+systems measure their exact metrics through one scan loop and take their
+critical values from one crossing table.
 Henon-Heiles has one decomposition, which every shell of its scan shares:
 its shells are measured in order on the calling thread; its H is written in
 closed form in the circular basis, whose C3v blocks the decomposition
@@ -364,16 +366,26 @@ class _System:
 
     columns: tuple[str, ...]  # the first one labels strength-function rows
     curve_file: str
-    axis: str  # crossing axis name; the critical keys end in it
-    axis_column: str
     exact_column: str
+    # each critical value: (manifest key, metric, axis column, curve column, threshold)
+    crossings: tuple[tuple[str, str, str, str, float], ...]
 
 
 _SYSTEMS = {
-    "henon-heiles": _System(HH_COLUMNS, "hh_curves.csv", "energy", "energy", "energy_exact_mean"),
-    # headline axis: zeroth-order scaled energy of the target shell
-    "kepler": _System(KEPLER_COLUMNS, "kepler_curves.csv", "scaled_energy", "scaled_energy_pt",
-                      "scaled_energy_exact"),
+    "henon-heiles": _System(HH_COLUMNS, "hh_curves.csv", "energy_exact_mean", (
+        ("pt_critical_energy", "w-pt", "energy", "w_pt", 0.5),
+        ("exact_critical_energy", "w-exact", "energy", "w_exact", 0.5),
+        ("kappa_critical_energy", "kappa", "energy", "kappa", 1.0),
+    )),
+    # headline axis: zeroth-order scaled energy of the target shell; the
+    # alternative reading takes the selected states' mean exact energy
+    "kepler": _System(KEPLER_COLUMNS, "kepler_curves.csv", "scaled_energy_exact", (
+        ("pt_critical_scaled_energy", "w-pt", "scaled_energy_pt", "w_pt", 0.5),
+        ("exact_critical_scaled_energy", "w-exact", "scaled_energy_pt", "w_exact", 0.5),
+        ("kappa_critical_scaled_energy", "kappa", "scaled_energy_pt", "kappa", 1.0),
+        ("exact_critical_scaled_energy_mean_axis", "w-exact", "scaled_energy_exact", "w_exact",
+         0.5),
+    )),
 }
 
 
@@ -414,20 +426,22 @@ def _measure(config: ExperimentConfig, row: dict, group: ShellGroup, decomp, d0:
 
 
 def _critical(config: ExperimentConfig, rows: list[dict]) -> dict:
-    """The critical value and bracket of each curve asked for, along the
-    system's crossing axis."""
+    """The critical value and bracket of each of the system's crossings
+    whose curve was asked for. The exact-energy axis can fold back once
+    mixing is strong: a crossing along it that fails is reported as
+    undefined (None) rather than guessed; along any other axis the
+    InputError propagates."""
     system = _SYSTEMS[config.options["system"]]
     critical: dict = {}
-    for metric, column, threshold, name in (
-        ("w-pt", "w_pt", 0.5, "pt"),
-        ("w-exact", "w_exact", 0.5, "exact"),
-        ("kappa", "kappa", 1.0, "kappa"),
-    ):
+    for key, metric, axis, column, threshold in system.crossings:
         if metric in config.options["metrics"]:
-            key = f"{name}_critical_{system.axis}"
-            critical[key], critical[key + "_bracket"] = critical_parameter(
-                [(r[system.axis_column], r[column]) for r in rows], threshold
-            )
+            try:
+                found = critical_parameter([(r[axis], r[column]) for r in rows], threshold)
+            except InputError:
+                if axis != system.exact_column:
+                    raise
+                found = None, None
+            critical[key], critical[key + "_bracket"] = found
     return critical
 
 
@@ -503,64 +517,45 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
 
 def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
     """Kepler's scan: every gamma has its own solve, so while BLAS is
-    pinned to one thread the points are measured by up to --threads
-    workers, and by one otherwise, the calling thread among them (see
-    _measure_all). Rows come back in scan order. A point's decomposition is
-    released when its row is done, so each worker holds at most one.
-    Returns the rows, the critical values and the worker count."""
+    pinned to one thread the points are solved by up to --threads workers,
+    and by one otherwise, the calling thread among them (see _measure_all);
+    a scan with no exact metric solves nothing and starts no thread. Rows
+    come back in scan order. A point's decomposition is released when its
+    row is done, so each worker holds at most one. Returns the rows, the
+    critical values and the worker count."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
     target = partition.group(cfg.target_shell)
-    # kappa's D0: the gap to the nearest shell; _build_config sees one exists
-    d0 = min(
-        abs(g.energy - target.energy)
-        for g in partition.groups
-        if abs(g.label - cfg.target_shell) == 1
-    )
-
-    # W is exactly quadratic in the coupling, so one unit-coupling
-    # evaluation serves the whole grid
-    w_pt_base = (
-        _solve("kepler-model w-pt",
-               lambda: metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0))
-        if "w-pt" in config.options["metrics"]
-        else None
-    )
-    exact = bool(set(config.options["metrics"]) & EXACT_METRICS)
-
-    def measure(gamma: float) -> dict:
-        row: dict = {
-            "gamma": gamma,
-            "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma),
-        }
-        if w_pt_base is not None:
-            coupling = gamma * gamma / 8.0
-            row["w_pt"] = w_pt_base * coupling * coupling  # inf, not an error, on overflow
+    rows = [{"gamma": gamma, "scaled_energy_pt": kepler.scaled_energy(target.energy, gamma)}
+            for gamma in cfg.gamma_grid]
+    if "w-pt" in config.options["metrics"]:
+        # W is exactly quadratic in the coupling, so one unit-coupling
+        # evaluation serves the whole grid
+        base = _solve("kepler-model w-pt",
+                      lambda: metrics.w_perturbative(rho2, partition, cfg.target_shell, 1.0))
+        for row in rows:
+            coupling = row["gamma"] * row["gamma"] / 8.0
+            row["w_pt"] = base * coupling * coupling  # inf, not an error, on overflow
             if not math.isfinite(row["w_pt"]):
-                raise NumericalError(f"kepler-model w-pt at gamma={gamma!r}: "
+                raise NumericalError(f"kepler-model w-pt at gamma={row['gamma']!r}: "
                                      f"W_pt is not finite ({row['w_pt']!r})")
-        if not exact:
-            return row
-        return _solve(f"kepler-model at scan point gamma={gamma!r}", lambda: _measure(
-            config, row, target, eigh(kepler.build_h(cfg, gamma, rho2)), d0,
-            functools.partial(kepler.scaled_energy, gamma=gamma),
-        ))
 
-    workers = min(config.options["threads"], len(cfg.gamma_grid)) if pinned else 1
-    rows = _measure_all(cfg.gamma_grid, measure, workers)
+    workers = 1
+    if set(config.options["metrics"]) & EXACT_METRICS:
+        # kappa's D0: the gap to the nearest shell; _build_config sees one exists
+        d0 = min(
+            abs(g.energy - target.energy)
+            for g in partition.groups
+            if abs(g.label - cfg.target_shell) == 1
+        )
+        workers = min(config.options["threads"], len(rows)) if pinned else 1
+        rows = _measure_all(rows, lambda row: _solve(
+            f"kepler-model at scan point gamma={row['gamma']!r}", lambda: _measure(
+                config, row, target, eigh(kepler.build_h(cfg, row["gamma"], rho2)), d0,
+                functools.partial(kepler.scaled_energy, gamma=row["gamma"]),
+            )), workers)
     critical = _solve("kepler-model critical values", lambda: _critical(config, rows))
-    if "w-exact" in config.options["metrics"]:
-        # alternative reading: selected states' mean exact energy as axis;
-        # that axis can fold back once mixing is strong, in which case the
-        # alternative is reported as undefined rather than guessed
-        key = "exact_critical_scaled_energy_mean_axis"
-        try:
-            critical[key], critical[key + "_bracket"] = critical_parameter(
-                [(r["scaled_energy_exact"], r["w_exact"]) for r in rows]
-            )
-        except InputError:
-            critical[key], critical[key + "_bracket"] = None, None
     return rows, critical, workers
 
 

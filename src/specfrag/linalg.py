@@ -14,7 +14,7 @@ directly.
 
 numpy's solves release the GIL, so independent decompositions can run on
 several Python threads at once; single_threaded_blas pins numpy's bundled
-OpenBLAS to one thread around such a pool.
+OpenBLAS to one thread, so each solve runs whole on the thread that calls it.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ import specfrag
 import specfrag.cli as cli
 from specfrag import henon_heiles, kepler, linalg, metrics
 from specfrag.cli import main
-from specfrag.errors import NumericalError
+from specfrag.errors import InputError, NumericalError
 
 KEPLER_SMALL = ["run", "--system", "kepler", "--max-n", "6", "--target-shell", "3",
                 "--gamma-grid", "0.004,0.008,0.016"]
@@ -165,6 +165,22 @@ class TestRun:
             assert min(ws[i], ws[j]) <= threshold <= max(ws[i], ws[j]), key
             assert min(bracket) <= value <= max(bracket), key
         assert crossed == 3
+
+    def test_critical_of_folded_exact_axis_is_none(self):
+        # the selected states' mean exact energy may fold back, and the
+        # crossing along it is then undefined; a fault of the headline axis
+        # is not forgiven
+        config = cli._build_config({"system": "kepler", "metrics": ["w-pt", "w-exact"]})
+        rows = [{"scaled_energy_pt": x, "scaled_energy_exact": y, "w_pt": w, "w_exact": w}
+                for x, y, w in [(-0.8, -0.70, 0.2), (-0.6, -0.75, 0.4), (-0.4, -0.72, 0.8)]]
+        critical = cli._critical(config, rows)
+        assert critical["exact_critical_scaled_energy_mean_axis"] is None
+        assert critical["exact_critical_scaled_energy_mean_axis_bracket"] is None
+        assert critical["exact_critical_scaled_energy"] == pytest.approx(-0.55)
+        assert critical["exact_critical_scaled_energy_bracket"] == (-0.6, -0.4)
+        rows[1]["scaled_energy_pt"] = -0.9
+        with pytest.raises(InputError, match="strictly monotone"):
+            cli._critical(config, rows)
 
     def test_kepler_run_columns(self, tmp_path):
         out = tmp_path / "kep"
@@ -372,13 +388,16 @@ class TestRun:
         assert manifest["scan"] == {"workers": 1, "blas_pinned": linalg._openblas() is not None}
         assert "threads" not in manifest["config"]
 
-    def test_kepler_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
-        # one worker is the calling thread alone
+    @pytest.mark.parametrize("metrics, threads", [(ALL_METRICS, "1"), ("w-pt", "3")],
+                             ids=["one-thread", "no-solve"])
+    def test_kepler_one_worker_starts_no_thread(self, tmp_path, monkeypatch, metrics, threads):
+        # one worker is the calling thread alone, and so is a scan that
+        # solves nothing, whatever --threads says
         def no_thread(self):
             raise AssertionError("a one-worker Kepler scan started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        assert main([*KEPLER_SMALL, "--metrics", ALL_METRICS, "--threads", "1",
+        assert main([*KEPLER_SMALL, "--metrics", metrics, "--threads", threads,
                      "-o", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scan"]["workers"] == 1
@@ -439,7 +458,6 @@ class TestRun:
                 == read_csv(tmp_path / "8" / "kepler_curves.csv"))
 
     def test_kepler_w_pt_alone_solves_nothing(self, tmp_path, monkeypatch):
-        # the points still pass through the workers, each without a solve
         monkeypatch.setattr(cli, "eigh", _fail)
         assert main([*KEPLER_SMALL, "--metrics", "w-pt", "-o", str(tmp_path)]) == 0
         _, header, rows = read_csv(tmp_path / "kepler_curves.csv")
