@@ -282,12 +282,15 @@ def _build_config(raw: dict) -> ExperimentConfig:
             )
         # the top 3 shells of H are contaminated by the basis edge, so the
         # default scan stops 4 below the cut (and never above shell 26)
-        if opts["shell_max"] is None:
+        defaulted = opts["shell_max"] is None
+        if defaulted:
             opts["shell_max"] = min(model.num_shells - 4, 26)
         if not (0 <= opts["shell_min"] <= opts["shell_max"] <= model.num_shells - 1):
+            hint = (f"; shell_max was not given and defaults to min(num_shells - 4, 26) = "
+                    f"{opts['shell_max']}: give --shell-max" if defaulted else "")
             raise ConfigurationError(
                 f"shell scan [{opts['shell_min']}, {opts['shell_max']}] must fit in "
-                f"[0, {model.num_shells - 1}]"
+                f"[0, {model.num_shells - 1}]{hint}"
             )
         scan, scan_keys = range(opts["shell_min"], opts["shell_max"] + 1), "shell_min/shell_max"
     else:
@@ -308,7 +311,7 @@ def _build_config(raw: dict) -> ExperimentConfig:
             opts["threads"] = _usable_cpus()
         scan, scan_keys = opts["gamma_grid"], "gamma_grid"
     # a critical value interpolates along a strictly monotone axis
-    if set(opts["metrics"]) & {"w-pt", "w-exact", "kappa"}:
+    if set(opts["metrics"]) & {metric for _, metric, *_ in _SYSTEMS[system].crossings}:
         steps = [b - a for a, b in zip(scan, scan[1:])]
         if not steps or not (all(d > 0 for d in steps) or all(d < 0 for d in steps)):
             raise ConfigurationError(
@@ -484,10 +487,10 @@ def _measure_all(items, measure: Callable, workers: int) -> list:
     return results
 
 
-def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
+def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], int]:
     """Henon-Heiles's scan: one decomposition serves every shell, so its
     shells are measured by one worker, the calling thread, in order. Returns
-    the rows, the critical values and the worker count."""
+    the rows and the worker count."""
     cfg = config.model
     _, partition = henon_heiles.enumerate_basis(cfg)
     shells = range(config.options["shell_min"], config.options["shell_max"] + 1)
@@ -511,18 +514,17 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
             f"henon-heiles-model at shell {item[1].label}",
             lambda: _measure(config, *item, decomp, cfg.hbar, float),
         ), 1)
-    critical = _solve("henon-heiles-model critical values", lambda: _critical(config, rows))
-    return rows, critical, 1
+    return rows, 1
 
 
-def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dict, int]:
+def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], int]:
     """Kepler's scan: every gamma has its own solve, so while BLAS is
     pinned to one thread the points are solved by up to --threads workers,
     and by one otherwise, the calling thread among them (see _measure_all);
     a scan with no exact metric solves nothing and starts no thread. Rows
     come back in scan order. A point's decomposition is released when its
-    row is done, so each worker holds at most one. Returns the rows, the
-    critical values and the worker count."""
+    row is done, so each worker holds at most one. Returns the rows and the
+    worker count."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
@@ -555,8 +557,7 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], dic
                 config, row, target, eigh(kepler.build_h(cfg, row["gamma"], rho2)), d0,
                 functools.partial(kepler.scaled_energy, gamma=row["gamma"]),
             )), workers)
-    critical = _solve("kepler-model critical values", lambda: _critical(config, rows))
-    return rows, critical, workers
+    return rows, workers
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -566,7 +567,9 @@ def run(config: ExperimentConfig) -> dict:
     # every BLAS call of the run, in any stage or worker, runs on one
     # OpenBLAS thread, so its bytes do not depend on the BLAS thread setting
     with single_threaded_blas() as pinned:
-        rows, critical, workers = runner(config, pinned)
+        rows, workers = runner(config, pinned)
+        critical = _solve(f"{config.options['system']}-model critical values",
+                          lambda: _critical(config, rows))
 
     sha = sha256(
         json.dumps(config.result_key(), sort_keys=True, separators=(",", ":")).encode()

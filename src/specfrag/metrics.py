@@ -70,8 +70,6 @@ def strength_function(d: SpectralDecomposition, shell: Sequence[int]) -> Strengt
     only the shell-averaged form is invariant under intra-shell basis
     changes."""
     shell = list(shell)
-    if not shell:
-        raise InputError("shell must be nonempty")
     w = projection_onto_subset(d, shell) / len(shell)
     return StrengthFunction(eigen_energies=d.eigenvalues, weights=w)
 
@@ -136,16 +134,14 @@ def select_eigenstates(
     selection: StateSelection = StateSelection.PROJECTION_WINDOW,
     shell_energy: float | None = None,
 ) -> np.ndarray:
-    """Indices (ascending) of the dim T_N eigenstates standing for a shell."""
+    """Indices (ascending) of the dim T_N eigenstates standing for a shell.
+
+    The shell is checked by projection_onto_subset alone: a shell that is
+    empty, repeats a state or names one outside the basis is an InputError,
+    so dim T_N never exceeds the decomposition's dimension."""
     shell = list(shell)
-    dim_t = len(shell)
-    if dim_t == 0:
-        raise InputError("shell must be nonempty")
-    if dim_t > d.dim:
-        raise ConfigurationError(
-            f"selection needs {dim_t} eigenstates but the decomposition has {d.dim}"
-        )
     proj = projection_onto_subset(d, shell)
+    dim_t = len(shell)
 
     if selection is StateSelection.TOP_PROJECTION:
         picked = np.argsort(-proj, kind="stable")[:dim_t]

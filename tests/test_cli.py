@@ -99,6 +99,18 @@ class TestValidate:
         assert main(["validate", "--system", "henon-heiles", "--shells", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_defaulted_shell_max_is_named(self, capsys):
+        # at 4 shells the default shell_max, min(4 - 4, 26) = 0, lies below
+        # shell_min 1; the message says where the 0 came from
+        argv = ["validate", "--system", "henon-heiles", "--shells", "4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "shell_max was not given and defaults to" in err and "--shell-max" in err
+        # a shell_max that was given is not said to be defaulted
+        assert main(argv + ["--shell-max", "4"]) == 2
+        assert "--shell-max" not in capsys.readouterr().err
+        assert main(argv + ["--shell-max", "3"]) == 0
+
     def test_writes_no_files(self, tmp_path):
         out = tmp_path / "nothing"
         main(["validate", "--system", "kepler", "--output", str(out)])
@@ -625,6 +637,19 @@ class TestErrors:
         assert code == 3
         assert "synthetic blowup" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--system", "henon-heiles", "--shells", "8"],
+        ["--system", "kepler", "--max-n", "6", "--target-shell", "3"],
+    ])
+    def test_critical_value_failure_names_its_stage(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(config, rows):
+            raise InputError("synthetic curve")
+
+        monkeypatch.setattr(cli, "_critical", refuse)
+        code = main(["run", *argv, "--metrics", "w-pt", "-o", str(tmp_path)])
+        assert code == 3
+        assert f"{argv[1]}-model critical values: synthetic curve" in capsys.readouterr().err
+
     def test_kepler_solve_failure_names_scan_point(self, tmp_path, capsys, monkeypatch):
         # one worker skips the point after the failure
         assert _solves_until_failure(tmp_path, capsys, monkeypatch, threads=1) == 2
@@ -897,6 +922,45 @@ class TestCrossingScaling:
             for hbar in (0.01, 0.005)
         ]
         assert abs(crossings[1] / crossings[0] - 2.0 ** (-2.0 / 3.0)) <= 1e-3
+
+    # H = hbar * [(n + 1) + lam * sqrt(hbar) * v], with v the coupling at
+    # hbar = 1: every eigenvector depends on g = lam * sqrt(hbar) alone, and
+    # every energy scales with hbar
+    G_ONLY = ("shell", "w_pt", "w_exact", "kappa")
+    HBAR_SCALED = ("energy", "gamma_spr", "energy_exact_mean")
+
+    def hh_14(self, path, hbar, lam) -> tuple[dict, dict]:
+        # the curves' cells as text, by column, and the critical energies
+        critical = self.critical(path, [
+            "--system", "henon-heiles", "--shells", "14", "--hbar", repr(hbar),
+            "--lambda", repr(lam), "--metrics", "w-pt,w-exact,kappa"])
+        _, header, rows = read_csv(path / "hh_curves.csv")
+        return ({c: [row[k] for row in rows] for k, c in enumerate(header)},
+                {k: v for k, v in critical.items() if not k.endswith("_bracket")})
+
+    def test_henon_heiles_depends_on_lambda_sqrt_hbar_alone(self, tmp_path):
+        cells, critical = self.hh_14(tmp_path / "base", 0.01, 1.0)
+        assert len(critical) == 3 and None not in critical.values()
+        # an hbar ratio that is a power of 4 scales sqrt(hbar) by a power of
+        # 2, so every float scales exactly
+        for hbar, lam in ((0.0025, 2.0), (0.04, 0.5)):
+            ratio = hbar / 0.01
+            other, other_critical = self.hh_14(tmp_path / repr(hbar), hbar, lam)
+            for column in self.G_ONLY:
+                assert other[column] == cells[column], (hbar, column)
+            for column in self.HBAR_SCALED:
+                assert [float(x) for x in other[column]] == [
+                    float(x) * ratio for x in cells[column]], (hbar, column)
+            assert other_critical == {k: v * ratio for k, v in critical.items()}
+        # any other ratio, to roundoff
+        other, other_critical = self.hh_14(tmp_path / "0.02", 0.02, 2.0 ** -0.5)
+        for column in self.G_ONLY + self.HBAR_SCALED:
+            ratio = 2.0 if column in self.HBAR_SCALED else 1.0
+            np.testing.assert_allclose(np.array(other[column], dtype=float),
+                                       np.array(cells[column], dtype=float) * ratio,
+                                       rtol=1e-10, atol=0, err_msg=column)
+        for key, value in critical.items():
+            assert other_critical[key] == pytest.approx(2.0 * value, rel=1e-10, abs=0), key
 
     def test_kepler_crossings_fall_with_target_shell(self, tmp_path):
         # |eps_c^pt| ~ n^(1/3) at fixed cut ratio max_n = 2n

@@ -216,14 +216,20 @@ class TestSelection:
             select_eigenstates(d, part.group(2).indices, StateSelection.ENERGY_WINDOW)
 
     def test_rejects_oversized_shell(self):
+        # more states than the basis holds: the projection's range check
         _, _, d = hh_system(num_shells=4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="out of range"):
             select_eigenstates(d, list(range(d.dim + 1)))
 
     def test_rejects_empty(self):
         _, _, d = hh_system(num_shells=4)
         with pytest.raises(InputError):
             select_eigenstates(d, [])
+
+    def test_w_exact_rejects_empty(self):
+        _, _, d = hh_system(num_shells=4)
+        with pytest.raises(InputError):
+            w_exact(d, [])
 
 
 class TestWExact:
