@@ -191,7 +191,7 @@ def build_rho2(cfg: KeplerConfig) -> SymmetricMatrix:
 
 def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> SymmetricMatrix:
     """H = diag(-1/(2n^2)) + (gamma^2/8) rho^2, from rho2 = build_rho2(cfg),
-    built once for a whole gamma scan.
+    built once per gamma scan; InputError for a rho2 of another max_n.
 
     H is the SymmetricMatrix rho2.scaled_plus_diagonal(gamma^2 / 8, E): it
     shares rho2's pieces by reference, so a scan gathers nothing and holds
@@ -205,10 +205,6 @@ def build_h(cfg: KeplerConfig, gamma: float, rho2: SymmetricMatrix) -> Symmetric
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be non-negative and finite, got {gamma}")
     quanta, _ = enumerate_parabolic_basis(cfg)
-    if rho2.dim != len(quanta):
-        raise InputError(
-            f"rho2 has dim {rho2.dim} but the basis holds {len(quanta)} states"
-        )
     return rho2.scaled_plus_diagonal(gamma * gamma / 8.0, shell_energy(quanta.sum(axis=1) + 1))
 
 

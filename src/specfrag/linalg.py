@@ -196,7 +196,7 @@ class SymmetricMatrix:
         buf = self._layout[0]
         # the slot of a place that joins two blocks may fall past the
         # buffer: clip it, then zero the place
-        out = buf.take(_slots(self._layout, None, idx), mode="clip")
+        out = buf.take(_slots(self._layout, np.arange(self.dim)[:, None], idx), mode="clip")
         np.putmask(out, self.blocks[:, None] != self.blocks[idx], 0.0)
         self._scaled(out, out)
         out[idx, np.arange(idx.size)] = self.diagonal[idx]
@@ -614,12 +614,11 @@ def _piece_shapes(nf: int, nr: int, swapped: bool) -> tuple:
     return (nf, nf), (nr, nf), (nr, nr), None if swapped else (nr, nr), (nf, nr)
 
 
-def _slots(layout: tuple, a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """Where the buffer holds A[a, b] when a and b are in one block (see
-    _scatter): elementwise for a and b of one length, or, with a None, a
-    dim x len(b) array of every row against b."""
+def _slots(layout: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the buffer holds A[a, b], a broadcast against b, for a and b
+    in one block (see _scatter)."""
     _, base, role, pos = layout
-    slot = np.take(base, role[b], axis=1) if a is None else base[a, role[b]]
+    slot = base[a, role[b]]
     slot += pos[b]
     return slot
 

@@ -174,7 +174,7 @@ def test_bytes_match_reference_on_recorded_platform(runs):
 
 
 @pytest.mark.parametrize("name", sorted(LARGER_RUNS))
-def test_larger_runs_keep_their_bytes_on_recorded_platform(name, tmp_path):
+def test_larger_runs_keep_their_bytes_on_recorded_platform(name, cli_run):
     args, digests = LARGER_RUNS[name]
     differ = _off_platform()
     if differ:
@@ -185,7 +185,7 @@ def test_larger_runs_keep_their_bytes_on_recorded_platform(name, tmp_path):
     if args[1] == "kepler" and list(default_gamma_grid(10)) != pinned:
         pytest.skip("byte comparison skipped: this numpy derives a default gamma "
                     "grid that differs in its last bits from the pinned one")
-    assert main(["run", *args, "-o", str(tmp_path)]) == 0
-    found = {file: hashlib.sha256("\n".join(_data_lines(tmp_path / file)).encode()).hexdigest()
+    out = cli_run(args)
+    found = {file: hashlib.sha256("\n".join(_data_lines(out / file)).encode()).hexdigest()
              for file in digests}
     assert found == digests, f"{name} bytes moved"
