@@ -7,8 +7,8 @@ Kepler exact crossing at three cuts and its first-order crossing at the
 first and last of them (the two cut sentences), and each cell of the
 Henon-Heiles hbar table, which must be the common rounding of its stated
 cut and of that cut plus the larger-cut step README names. Every config is
-run through ``specfrag run`` once per session (see conftest.cli_run), and
-Kepler's max_n 30 is LARGER_RUNS' run.
+run through ``specfrag run`` once per session (see conftest.cli_run), so
+Kepler's max_n 30 shares its run with LARGER_RUNS' byte test.
 """
 
 import json
@@ -36,10 +36,6 @@ def _henon_heiles(cli_run, hbar: str, shells, scan_to: str) -> dict:
                                str(shells), "--shell-max", scan_to])
 
 
-def _kepler(cli_run, max_n: str) -> dict:
-    return _critical(cli_run, ["--system", "kepler", "--max-n", max_n])
-
-
 def _rounded(value: float, printed: str) -> str:
     """value rounded to as many decimals as printed shows."""
     return f"{value:.{len(printed.split('.')[1])}f}"
@@ -62,14 +58,15 @@ def test_henon_heiles_exact_crossing_at_each_stated_cut(cli_run):
 
 
 def test_kepler_crossings_at_each_stated_cut(cli_run):
-    *printed, a, b, c = _sentence(
-        rf"the exact crossing is {NUMBER}, {NUMBER} and {NUMBER} at `max_n` (\d+), (\d+) and (\d+)\.")
-    pt_first, pt_last = _sentence(rf"first-order crossing moves only from {NUMBER} to {NUMBER}\.")
-    runs = [_kepler(cli_run, max_n) for max_n in (a, b, c)]
+    *printed, a, b, c = _sentence(rf"the exact crossing is {NUMBER}, {NUMBER} and {NUMBER} "
+                                  r"at `max_n` (\d+), (\d+) and (\d+)\.")
+    # the first-order crossing is printed at the first and the last cut
+    pt_printed = list(_sentence(rf"first-order crossing moves only from {NUMBER} to {NUMBER}\."))
+    runs = [_critical(cli_run, ["--system", "kepler", "--max-n", max_n]) for max_n in (a, b, c)]
     exact = [run["exact_critical_scaled_energy"] for run in runs]
     assert [_rounded(v, p) for v, p in zip(exact, printed)] == printed, exact
     pt = [run["pt_critical_scaled_energy"] for run in (runs[0], runs[-1])]
-    assert [_rounded(v, p) for v, p in zip(pt, (pt_first, pt_last))] == [pt_first, pt_last], pt
+    assert [_rounded(v, p) for v, p in zip(pt, pt_printed)] == pt_printed, pt
 
 
 def test_henon_heiles_hbar_table_is_read():
