@@ -71,7 +71,8 @@ def test_kepler_crossings_at_each_stated_cut(cli_run):
 
 def test_henon_heiles_hbar_table_is_read():
     assert HH_COLUMNS and LARGER_CUT, "README's hbar table or its larger-cut rule changed form"
-    assert len(HH_ROWS) == 3, HH_ROWS
+    # every row of the table parses, so none goes untested
+    assert 0 < len(HH_ROWS) == TEXT.count("\n| ħ "), HH_ROWS
 
 
 @pytest.mark.parametrize("hbar, shells, scan_to, cells", HH_ROWS,
