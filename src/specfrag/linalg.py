@@ -5,12 +5,12 @@ operator a model builds once (V, rho^2), checked against the exact
 symmetry and blocks it declares, and each H = c * A + diag(d) made from
 it, which shares its pieces. No run holds a dense V or H, and rho^2 is
 dense only inside its build (kepler._rho2_entries): once built, an
-operator's entries live once, in one buffer, and one slot table says where
-each lives (see _scatter); the scatter writes by it, and columns and
-entries read by it. eigh solves the symmetry sectors as separate blocks and
-validates each on the spot; the decomposition it returns stays in sector
-form, which projection_onto_subset, and with it every metric, reads
-directly.
+operator's diagonal lives in one array, its other entries once in one
+buffer, and one slot table says where each lives (see _scatter); the
+scatter writes by it, and columns and entries read by it. eigh solves the
+symmetry sectors as separate blocks and validates each on the spot; the
+decomposition it returns stays in sector form, which projection_onto_subset,
+and with it every metric, reads directly.
 
 numpy's solves release the GIL, so independent decompositions can run on
 several Python threads at once; single_threaded_blas pins numpy's bundled
@@ -62,17 +62,17 @@ class SymmetricMatrix:
     which the dense constructor reads off its input: the strict lower
     triangle's nonzeros and the whole diagonal. The matrix keeps no
     dim x dim array: it holds its diagonal as given, perm, blocks, and
-    one buffer with the slot table that says where each entry lives (see
-    _scatter). Per orbit of blocks, the four pieces eigh forms its sector
-    blocks from (see _Orbit) are views of that buffer. Signed zeros: the
-    diagonal holds the value given there, -0.0 included, and every other
-    zero is +0.0. ``columns`` reads any columns through the slot table, and
-    ``entries`` is all of them.
+    one buffer of its off-diagonal entries with the slot table that says
+    where each lives (see _scatter). Per orbit of blocks, the four pieces
+    eigh forms its sector blocks from (see _Orbit) are views of that
+    buffer. Signed zeros: the diagonal holds the value given there, -0.0
+    included, and every other zero is +0.0. ``columns`` reads any columns
+    through the slot table, and ``entries`` is all of them.
 
     scale is None for a matrix a constructor built, and c for an H that
-    scaled_plus_diagonal made from one; every entry of H that is read, in
-    entries, columns or a block eigh solves, is formed as c * A_ij + 0.0
-    off the diagonal, bitwise the dense sum.
+    scaled_plus_diagonal made from one. Every entry read, in entries,
+    columns or a block eigh solves, is the diagonal's on the diagonal and
+    c * A_ij + 0.0 off it, c = 1.0 unscaled: bitwise the dense entry.
 
     Everything held is frozen after construction and safe to share across
     threads.
@@ -131,10 +131,10 @@ class SymmetricMatrix:
         through the same operations; an entry between two blocks is
         c * 0.0 + 0.0 == 0.0. The O(dim) condition is what is checked.
         Overflow is decided without forming H: rounding is monotone, so
-        fl(|c| * max|A|) is infinite exactly when some c * A_ij overflows,
-        and H's diagonal d + c * diag(A) is checked on its own. InputError
-        if this matrix is already scaled, or if the diagonal's shape, its
-        finiteness or invariance, or H's finiteness fails.
+        fl(|c| * max|A_ij|), i != j, is infinite exactly when one such
+        c * A_ij overflows; H's diagonal d + c * diag(A) is checked alone.
+        InputError if this matrix is already scaled, or if the diagonal's
+        shape, its finiteness or invariance, or H's finiteness fails.
         """
         if self.scale is not None:
             raise InputError("matrix is already scaled; scale the operator it was made from")
@@ -203,18 +203,18 @@ class SymmetricMatrix:
         return out
 
     def _abs_max(self) -> float:
-        """max |A_ij|: every entry of A is in the buffer, or is a zero."""
+        """max |A_ij|, i != j: the buffer holds every such nonzero, and +0.0s."""
         buf = self._layout[0]
         return max(-float(buf.min()), float(buf.max()))
 
     def _scaled(self, piece: np.ndarray, out: np.ndarray, states: np.ndarray | None = None):
-        """c * piece + 0.0 written into out, with H's diagonal at states on
-        out's diagonal when states are given; piece as it is when unscaled."""
+        """c * piece + 0.0 written into out, piece as it is when unscaled,
+        with the diagonal at states on out's diagonal when states are given."""
         if self.scale is None:
             out[...] = piece
-            return out
-        np.multiply(piece, self.scale, out=out)
-        out += 0.0
+        else:
+            np.multiply(piece, self.scale, out=out)
+            out += 0.0
         if states is not None:
             out[np.diag_indices(states.size)] = self.diagonal[states]
         return out
@@ -642,10 +642,10 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
     that joins two blocks, which is an exact zero.
 
     The diagonal holds the value given at each diagonal place (+0.0 where
-    none is). Each nonzero is written at its slot and its mirror's plus
-    0.0, so a -0.0 turns +0.0; the diagonal's own slots, at the fixed
-    states and representatives, then hold the given diagonal. The buffer
-    and every piece, a view of it, are read-only.
+    none is), and the buffer the entries off it: each nonzero is written at
+    its slot and its mirror's plus 0.0, so a -0.0 turns +0.0, and the
+    diagonal's slots hold +0.0. The buffer and its views, the pieces, are
+    read-only.
     """
     diagonal = np.zeros(dim)
     on = i == j
@@ -674,11 +674,9 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
     buf = np.zeros(total)
     layout = (buf, base, role, pos)
     for s in _chunks(x.size):
-        value = x[s] + 0.0
+        value = np.where(i[s] == j[s], 0.0, x[s] + 0.0)
         buf[_slots(layout, i[s], j[s])] = value
         buf[_slots(layout, j[s], i[s])] = value
-    own = np.flatnonzero(role < 2)
-    buf[_slots(layout, own, own)] = diagonal[own]
     for arr in layout:
         arr.flags.writeable = False
     held = []
