@@ -208,13 +208,10 @@ class SymmetricMatrix:
         return max(-float(buf.min()), float(buf.max()))
 
     def _scaled(self, piece: np.ndarray, out: np.ndarray, states: np.ndarray | None = None):
-        """c * piece + 0.0 written into out, piece as it is when unscaled,
-        with the diagonal at states on out's diagonal when states are given."""
-        if self.scale is None:
-            out[...] = piece
-        else:
-            np.multiply(piece, self.scale, out=out)
-            out += 0.0
+        """c * piece + 0.0 written into out, c = 1.0 when unscaled, with the
+        diagonal at states on out's diagonal when states are given."""
+        np.multiply(piece, 1.0 if self.scale is None else self.scale, out=out)
+        out += 0.0
         if states is not None:
             out[np.diag_indices(states.size)] = self.diagonal[states]
         return out
