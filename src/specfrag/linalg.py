@@ -604,13 +604,6 @@ def _orbit_states(perm: np.ndarray, blocks: np.ndarray) -> Iterator[tuple]:
 _ROLES = 3  # of a basis state in its orbit: fixed, representative, partner
 
 
-def _piece_shapes(nf: int, nr: int, swapped: bool) -> tuple:
-    """The shapes of the pieces of an orbit with nf fixed states and nr
-    pairs, in their order in the buffer: ff, rf, rr, rq (None where two
-    blocks swap) and fr, rf's transpose."""
-    return (nf, nf), (nr, nf), (nr, nr), None if swapped else (nr, nr), (nf, nr)
-
-
 def _slots(layout: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Where the buffer holds A[a, b], a broadcast against b, for a and b
     in one block (see _scatter)."""
@@ -625,7 +618,8 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
     """The diagonal, the orbits with their pieces and the slot table of the
     matrix a checked list of nonzeros gives.
 
-    Every piece of every orbit lies in one buffer, in _piece_shapes' order.
+    Every piece of every orbit lies in one buffer, in the order ff, rf, rr,
+    rq (none where two blocks swap) and fr, rf's transpose.
     The slot table (buf, base, role, pos) says where A[a, b] lives for a
     and b in one block: at buf[base[a, role[b]] + pos[b]]. role is 0 for a
     fixed state, 1 for a representative and 2 for a partner; pos is a
@@ -655,13 +649,14 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
         partners = perm[reps]
         sectors = (_Sector(fixed, reps, partners, 1.0),
                    _Sector(fixed[:0], reps, partners, -1.0, twin=swapped))
-        shapes = _piece_shapes(fixed.size, reps.size, swapped)
+        nf, nr = fixed.size, reps.size
+        shapes = (nf, nf), (nr, nf), (nr, nr), None if swapped else (nr, nr), (nf, nr)
         at = []
         for shape in shapes:
             at.append(total)
             total += math.prod(shape) if shape else 0
         ff, rf, rr, rq, fr = at
-        width = np.array([fixed.size, reps.size, reps.size])
+        width = np.array([nf, nr, nr])
         for r, (members, first) in enumerate(((fixed, (ff, fr, fr)), (reps, (rf, rr, rq)),
                                               (partners, (rf, rq, rr)))):
             role[members] = r
@@ -686,14 +681,13 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
 
 def sector_form_size(perm, blocks=None) -> tuple[int, int]:
     """For a matrix that declares this perm and these blocks: the number of
-    floats its sector form's buffer holds (see _scatter) and the size of
-    the largest block eigh solves. Reads the structure alone, no matrix."""
+    floats its sector form's buffer holds and the size of the largest
+    block eigh solves, read off _scatter's layout for an empty nonzero
+    list, which writes nothing into the buffer."""
     p = _involution(len(perm), perm)
-    floats, largest = 0, 0
-    for fixed, reps, swapped in _orbit_states(p, _blocks(p.size, p, blocks)):
-        floats += sum(math.prod(s) for s in _piece_shapes(fixed.size, reps.size, swapped) if s)
-        largest = max(largest, fixed.size + reps.size)
-    return floats, largest
+    none = np.empty(0, dtype=np.intp)
+    _, orbits, layout = _scatter(p.size, none, none, np.empty(0), p, _blocks(p.size, p, blocks))
+    return layout[0].size, max(sec.size for orbit in orbits for sec in orbit.sectors)
 
 
 def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
