@@ -71,7 +71,7 @@ except ImportError:
     except ImportError:  # built without its own hashes
         from hashlib import sha256
 
-from . import __version__, henon_heiles, kepler, metrics
+from . import __version__, henon_heiles, kepler, linalg, metrics
 from .errors import ConfigurationError, InputError, NumericalError
 from .linalg import (
     ShellGroup,
@@ -517,14 +517,19 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
     return rows, 1
 
 
+def _scan_workers(threads: int, points: int, pinned: bool) -> int:
+    """Kepler's scan workers: up to one per point and threads in all while
+    BLAS is pinned to one thread, and one otherwise."""
+    return min(threads, points) if pinned else 1
+
+
 def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], int]:
-    """Kepler's scan: every gamma has its own solve, so while BLAS is
-    pinned to one thread the points are solved by up to --threads workers,
-    and by one otherwise, the calling thread among them (see _measure_all);
-    a scan with no exact metric solves nothing and starts no thread. Rows
-    come back in scan order. A point's decomposition is released when its
-    row is done, so each worker holds at most one. Returns the rows and the
-    worker count."""
+    """Kepler's scan: every gamma has its own solve, so its points are
+    solved by _scan_workers' count, the calling thread among them (see
+    _measure_all); a scan with no exact metric solves nothing and starts
+    no thread. Rows come back in scan order. A point's decomposition is
+    released when its row is done, so each worker holds at most one.
+    Returns the rows and the worker count."""
     cfg = config.model
     _, partition = kepler.enumerate_parabolic_basis(cfg)
     rho2 = _solve("kepler-model rho^2 build", lambda: kepler.build_rho2(cfg))
@@ -551,7 +556,7 @@ def _run_kepler(config: ExperimentConfig, pinned: bool) -> tuple[list[dict], int
             for g in partition.groups
             if abs(g.label - cfg.target_shell) == 1
         )
-        workers = min(config.options["threads"], len(rows)) if pinned else 1
+        workers = _scan_workers(config.options["threads"], len(rows), pinned)
         rows = _measure_all(rows, lambda row: _solve(
             f"kepler-model at scan point gamma={row['gamma']!r}", lambda: _measure(
                 config, row, target, eigh(kepler.build_h(cfg, row["gamma"], rho2)), d0,
@@ -631,7 +636,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     # w-pt holds V's pieces and a slab of V's columns on the largest scanned
     # shell; an exact metric, V's pieces again and one solve. Kepler holds
     # rho^2's pieces once, shared by every worker's H, and a solve per
-    # worker, unless building rho^2 peaks higher.
+    # worker, as a run counts them, unless building rho^2 peaks higher.
     if opts["system"] == "henon-heiles":
         quanta, _ = henon_heiles.enumerate_basis(config.model)
         pieces, block = sector_form_size(*henon_heiles.symmetry(quanta))
@@ -644,7 +649,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         pieces, block = sector_form_size(triangular_exchange(quanta))
         shells, grid = opts["max_n"], opts["gamma_grid"]
         points, span = len(grid), f"gamma {grid[0]:.6g}..{grid[-1]:.6g}"
-        build, workers, slab = _RHO2_BUILD_ARRAYS, min(opts["threads"], points), 0
+        workers = _scan_workers(opts["threads"], points, linalg._openblas() is not None)
+        build, slab = _RHO2_BUILD_ARRAYS, 0
     dim = len(quanta)
     solve = 5 * block * block if set(opts["metrics"]) & EXACT_METRICS else 0
     floats = max(build * dim * dim, pieces + max(slab * dim, workers * solve))

@@ -365,6 +365,16 @@ class TestRun:
         assert manifest["scan"] == {"workers": 1, "blas_pinned": False}
         assert read_csv(pinned / "kepler_curves.csv") == read_csv(unpinned / "kepler_curves.csv")
 
+    def test_unpinned_blas_estimates_one_worker(self, capsys, monkeypatch):
+        # validate counts the workers a run would use: one solve, as at
+        # --threads 1, where BLAS cannot be pinned
+        argv = ["--system", "kepler", "--max-n", "30"]
+        one = TestValidate.estimate_mb(capsys, [*argv, "--threads", "1"])
+        four = TestValidate.estimate_mb(capsys, [*argv, "--threads", "4"])
+        assert (four > one) == (linalg._openblas() is not None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        assert TestValidate.estimate_mb(capsys, [*argv, "--threads", "4"]) == one
+
     def test_manifest_records_scan(self, tmp_path):
         assert main([*KEPLER_SMALL, "--threads", "2", "-o", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
