@@ -551,13 +551,22 @@ class TestBlocks:
         h[blocks[:, None] != blocks] = 0.0
         return h
 
-    def test_sector_form_size_counts_the_buffer(self):
+    def test_sector_form_size_counts_the_buffer(self, monkeypatch):
         m = SymmetricMatrix(self.matrix(seed=3), self.PERM, self.BLOCKS)
         # the even block of block 2: its fixed state and its pair
         assert linalg.sector_form_size(self.PERM, self.BLOCKS) == (m._layout[0].size, 2)
         for a in (henon_heiles.build_v(henon_heiles.HHConfig(num_shells=12)),
                   kepler.build_rho2(kepler.KeplerConfig(max_n=8, target_shell=4))):
             assert linalg.sector_form_size(a.perm, a.blocks)[0] == a._layout[0].size
+        # on the builders, the largest sector is the largest block eigh
+        # solves (see test_builder_blocks_match_one_sector_solve)
+        solved = record_block_sizes(monkeypatch)
+        for build, largest in ((hh30, 155), (kepler20, 110)):
+            h, _ = build()
+            solved.clear()
+            eigh(h)
+            assert max(solved) == largest
+            assert linalg.sector_form_size(h.perm, h.blocks) == (h._layout[0].size, largest)
 
     def test_undeclared_is_one_block(self):
         np.testing.assert_array_equal(SymmetricMatrix(np.eye(3)).blocks, [0, 0, 0])
