@@ -283,6 +283,15 @@ class TestScaledPlusDiagonal:
         m = a.scaled_plus_diagonal(0.0, [5.0, 6.0])
         assert m.entries.tobytes() == np.array([[5.0, 0.0], [0.0, 6.0]]).tobytes()
 
+    def test_diagonal_overflow_is_checked_on_the_diagonal(self):
+        # the buffer holds the entries off the diagonal only; H's diagonal
+        # is checked once, as d + c * diag(A)
+        a = SymmetricMatrix(np.array([[1e300, 1.0], [1.0, -1e300]]))
+        assert a._abs_max() == 1.0
+        with pytest.raises(InputError, match="finite"):
+            a.scaled_plus_diagonal(1e10, [0.0, 0.0])
+        assert a.scaled_plus_diagonal(1e-10, [0.0, 0.0]).entries[0, 1] == 1e-10
+
     def test_rejects_diagonal_not_invariant(self):
         a = self.checked(seed=6)
         d = np.zeros(7)
