@@ -518,8 +518,7 @@ def _run_henon_heiles(config: ExperimentConfig, pinned: bool) -> tuple[list[dict
 
 
 def _scan_workers(threads: int, points: int, pinned: bool) -> int:
-    """Kepler's scan workers: up to one per point and threads in all while
-    BLAS is pinned to one thread, and one otherwise."""
+    """Kepler's scan workers, one where BLAS is not pinned (see single_threaded_blas)."""
     return min(threads, points) if pinned else 1
 
 

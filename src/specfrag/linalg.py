@@ -685,8 +685,8 @@ def sector_form_size(perm, blocks=None) -> tuple[int, int]:
     block eigh solves, read off _scatter's layout for an empty nonzero
     list, which writes nothing into the buffer."""
     p = _involution(len(perm), perm)
-    none = np.empty(0, dtype=np.intp)
-    _, orbits, layout = _scatter(p.size, none, none, np.empty(0), p, _blocks(p.size, p, blocks))
+    empty = np.empty(0, dtype=np.intp)
+    _, orbits, layout = _scatter(p.size, empty, empty, np.empty(0), p, _blocks(p.size, p, blocks))
     return layout[0].size, max(sec.size for orbit in orbits for sec in orbit.sectors)
 
 

@@ -40,6 +40,7 @@ KEPLER_TABLE = re.search(r"^\| Kepler, default γ grid \|(.*)\|\n\|[-|]+\|\n"
                          TEXT, re.M)
 # the largest cut a tier-1 run of the n table takes
 TIER_1_MAX_N = 24
+DEFAULT_SHELL = str(KeplerConfig.target_shell)
 
 
 def _cells(row: str) -> list[str]:
@@ -62,9 +63,9 @@ def _henon_heiles(cli_run, hbar: str, shells, scan_to: str) -> dict:
                                str(shells), "--shell-max", scan_to])
 
 
-def _kepler(cli_run, max_n, n=str(KeplerConfig.target_shell)) -> dict:
-    # the default target shell is left unsaid, so its runs are shared
-    shell = [] if n == str(KeplerConfig.target_shell) else ["--target-shell", n]
+def _kepler(cli_run, max_n, n=DEFAULT_SHELL) -> dict:
+    # the default target shell goes unsaid, so its runs are the cut sentence's
+    shell = [] if n == DEFAULT_SHELL else ["--target-shell", n]
     return _critical(cli_run, ["--system", "kepler", *shell, "--max-n", str(max_n)])
 
 
@@ -131,7 +132,7 @@ def test_kepler_exact_crossing_at_each_stated_cut_of_a_low_shell(cli_run):
 
 
 def test_kepler_n_table_is_read():
-    assert KEPLER_TABLE and LARGER_MAX_N, "README's Kepler n table or its larger-cut rule changed form"
+    assert KEPLER_TABLE and LARGER_MAX_N, "README's n table or its larger-cut rule changed form"
     assert [n for n, *_ in KEPLER_COLUMNS] == ["6", "8", "10", "14", "18"]
     assert [n for n, *_ in KEPLER_TIER_1] == ["6", "8", "10"]
 
