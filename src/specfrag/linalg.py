@@ -642,8 +642,28 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
     on = i == j
     diagonal[i[on]] = x[on]
     del on
-    role, pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-    base = np.empty((dim, _ROLES), dtype=np.intp)
+    orbits, total, *table = _lay_out(perm, labels)
+    buf = np.zeros(total)
+    layout = (buf, *table)
+    for s in _chunks(x.size):
+        value = np.where(i[s] == j[s], 0.0, x[s] + 0.0)
+        buf[_slots(layout, i[s], j[s])] = value
+        buf[_slots(layout, j[s], i[s])] = value
+    for arr in layout:
+        arr.flags.writeable = False
+    held = []
+    for sectors, shapes, at in orbits:
+        views = [buf[o:o + math.prod(shape)].reshape(shape) if shape else None
+                 for o, shape in zip(at, shapes[:4])]
+        held.append(_Orbit(sectors, *views))
+    return diagonal, tuple(held), layout
+
+
+def _lay_out(perm: np.ndarray, labels: np.ndarray) -> tuple:
+    """_scatter's layout, with no buffer: per orbit its nonempty sectors,
+    piece shapes and offsets; the buffer's size; and base, role and pos."""
+    role, pos = np.empty(perm.size, dtype=np.intp), np.empty(perm.size, dtype=np.intp)
+    base = np.empty((perm.size, _ROLES), dtype=np.intp)
     orbits, total = [], 0
     for fixed, reps, swapped in _orbit_states(perm, labels):
         partners = perm[reps]
@@ -663,31 +683,16 @@ def _scatter(dim: int, i: np.ndarray, j: np.ndarray, x: np.ndarray, perm: np.nda
             pos[members] = np.arange(members.size)
             base[members] = np.array(first) + pos[members, None] * width
         orbits.append((tuple(sec for sec in sectors if sec.size), shapes, at))
-    buf = np.zeros(total)
-    layout = (buf, base, role, pos)
-    for s in _chunks(x.size):
-        value = np.where(i[s] == j[s], 0.0, x[s] + 0.0)
-        buf[_slots(layout, i[s], j[s])] = value
-        buf[_slots(layout, j[s], i[s])] = value
-    for arr in layout:
-        arr.flags.writeable = False
-    held = []
-    for sectors, shapes, at in orbits:
-        views = [buf[o:o + math.prod(shape)].reshape(shape) if shape else None
-                 for o, shape in zip(at, shapes[:4])]
-        held.append(_Orbit(sectors, *views))
-    return diagonal, tuple(held), layout
+    return orbits, total, base, role, pos
 
 
 def sector_form_size(perm, blocks=None) -> tuple[int, int]:
     """For a matrix that declares this perm and these blocks: the number of
     floats its sector form's buffer holds and the size of the largest
-    block eigh solves, read off _scatter's layout for an empty nonzero
-    list, which writes nothing into the buffer."""
+    block eigh solves, read off _lay_out with no buffer allocated."""
     p = _involution(len(perm), perm)
-    empty = np.empty(0, dtype=np.intp)
-    _, orbits, layout = _scatter(p.size, empty, empty, np.empty(0), p, _blocks(p.size, p, blocks))
-    return layout[0].size, max(sec.size for orbit in orbits for sec in orbit.sectors)
+    orbits, total, *_ = _lay_out(p, _blocks(p.size, p, blocks))
+    return total, max(sec.size for sectors, _, _ in orbits for sec in sectors)
 
 
 def _solve_block(b: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -577,6 +577,18 @@ class TestBlocks:
             assert max(solved) == largest
             assert linalg.sector_form_size(h.perm, h.blocks) == (h._layout[0].size, largest)
 
+    def test_sector_form_size_allocates_no_buffer(self):
+        # validate sizes a basis whose buffer may not fit in memory
+        perm, blocks = henon_heiles.symmetry(
+            henon_heiles.enumerate_basis(henon_heiles.HHConfig(num_shells=60))[0])
+        tracemalloc.start()
+        try:
+            floats, _ = linalg.sector_form_size(perm, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * floats * 8
+
     def test_undeclared_is_one_block(self):
         np.testing.assert_array_equal(SymmetricMatrix(np.eye(3)).blocks, [0, 0, 0])
 
